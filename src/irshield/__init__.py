@@ -20,7 +20,6 @@ from .engine import forward, forward_range, top_k
 from .fixtures import gen_fixture_model
 from .assessment import (
     AssessmentReport,
-    IRImageSet,
     LayerKLStats,
     assess_layer,
     assess_model,
@@ -77,7 +76,6 @@ __all__ = [
     "top_k",
     "gen_fixture_model",
     "AssessmentReport",
-    "IRImageSet",
     "LayerKLStats",
     "assess_layer",
     "assess_model",

@@ -35,7 +35,6 @@ __all__ = [
     "valid_partition_points",
     "choose_partition",
     "epsilon_ratio",
-    "IRImageSet",
     "LayerKLStats",
     "AssessmentReport",
     "report_table",
@@ -99,14 +98,6 @@ def epsilon_ratio(dist_with_ir: float, dist_background_only: float) -> float:
 
 
 @dataclass(frozen=True)
-class IRImageSet:
-    """Feature maps of one layer, projected to oracle-input-sized images."""
-
-    layer: int
-    images: tuple[Tensor, ...]
-
-
-@dataclass(frozen=True)
 class LayerKLStats:
     """Divergence statistics for one layer of the assessed model."""
 
@@ -127,8 +118,8 @@ class AssessmentReport:
 
 
 def project_feature_maps(
-    ir: Tensor, oracle_input_shape: tuple[int, int, int], layer: int = 0
-) -> IRImageSet:
+    ir: Tensor, oracle_input_shape: tuple[int, int, int]
+) -> tuple[Tensor, ...]:
     """Turn each channel of a layer output into an oracle-ready image.
 
     Each channel is min-max normalized to [0, 1] independently (a constant
@@ -148,13 +139,24 @@ def project_feature_maps(
             flat = bilinear_resize((channel - lo) / (hi - lo), oh, ow)
         plane = np.clip(flat, 0.0, 1.0).astype(np.float32)
         images.append(Tensor.from_array(np.repeat(plane[None, :, :], oc, axis=0)))
-    return IRImageSet(layer=layer, images=tuple(images))
+    return tuple(images)
 
 
 def _oracle_probs(irval: NetworkDef, image: Tensor) -> np.ndarray:
     if image.shape != irval.input_shape:
         image = resize_to_shape(image, irval.input_shape)
     return forward(irval, image)
+
+
+def _oracle_baseline(irval: NetworkDef, x: Tensor) -> tuple[np.ndarray, float]:
+    """The oracle's probabilities for ``x`` and their uniform baseline."""
+    base_probs = _oracle_probs(irval, x)
+    baseline = uniform_baseline(base_probs)
+    if baseline <= 0:
+        raise ValueError(
+            "oracle classified an input as exactly uniform; layer ratios are undefined"
+        )
+    return base_probs, baseline
 
 
 def _score_images(
@@ -175,20 +177,21 @@ def _score_images(
     )
 
 
+def _score_layer(
+    x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int, base: tuple[np.ndarray, float]
+) -> LayerKLStats:
+    """Score one generator layer against the input's oracle ``base``."""
+    base_probs, baseline = base
+    images = project_feature_maps(forward_range(irgen, 1, layer_i, x), irval.input_shape)
+    return _score_images(layer_i, base_probs, images, irval, baseline)
+
+
 def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) -> LayerKLStats:
     """Score one layer of the generator network for input ``x``."""
     n = irgen.n_layers
     if not (1 <= layer_i < n):
         raise ValueError(f"assessable layers are 1..{n - 1}, got {layer_i}")
-    base_probs = _oracle_probs(irval, x)
-    baseline = uniform_baseline(base_probs)
-    if baseline <= 0:
-        raise ValueError(
-            "oracle classified the input as exactly uniform; layer ratios are undefined"
-        )
-    ir = forward_range(irgen, 1, layer_i, x)
-    images = project_feature_maps(ir, irval.input_shape, layer=layer_i).images
-    return _score_images(layer_i, base_probs, images, irval, baseline)
+    return _score_layer(x, irgen, irval, layer_i, _oracle_baseline(irval, x))
 
 
 def valid_partition_points(net: NetworkDef) -> set[int]:
@@ -249,32 +252,19 @@ def assess_model(
     n = irgen.n_layers
     valid = frozenset(valid_partition_points(irgen))
 
-    baselines = []
-    per_input: list[list[LayerKLStats]] = []
-    for x in x_set:
-        base_probs = _oracle_probs(irval, x)
-        baseline = uniform_baseline(base_probs)
-        if baseline <= 0:
-            raise ValueError(
-                "oracle classified an input as exactly uniform; layer ratios are undefined"
-            )
-        baselines.append(baseline)
-        stats = []
-        for layer_i in range(1, n):
-            ir = forward_range(irgen, 1, layer_i, x)
-            images = project_feature_maps(ir, irval.input_shape, layer=layer_i).images
-            stats.append(_score_images(layer_i, base_probs, images, irval, baseline))
-        per_input.append(stats)
+    bases = [_oracle_baseline(irval, x) for x in x_set]
+    per_input = [
+        [_score_layer(x, irgen, irval, layer_i, base) for layer_i in range(1, n)]
+        for x, base in zip(x_set, bases)
+    ]
 
-    worst: list[LayerKLStats] = []
-    for li in range(n - 1):
-        rows = [stats[li] for stats in per_input]
-        worst.append(min(rows, key=lambda r: r.delta))
+    # per layer, the worst-case input; ties keep the earliest input
+    worst = [min(rows, key=lambda r: r.delta) for rows in zip(*per_input)]
 
     chosen = choose_partition([r.delta for r in worst], valid) if worst else None
     return AssessmentReport(
         input_id=",".join(input_ids),
-        uniform_baseline=min(baselines),
+        uniform_baseline=min(baseline for _, baseline in bases),
         layers=tuple(worst),
         valid_points=valid,
         chosen=chosen,
@@ -282,9 +272,6 @@ def assess_model(
 
 
 # --- report rendering --------------------------------------------------------
-
-_TSV_COLUMNS = ("layer", "min_kl", "max_kl", "argmin_j", "delta", "valid", "chosen")
-
 
 def report_tsv(report: AssessmentReport) -> str:
     """Machine-readable rendering: one tab-separated record per layer, column

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import socket
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import protocol
@@ -30,23 +29,18 @@ class ResultAuthError(AuthError):
     """The returned result container failed authentication."""
 
 
-@dataclass
-class _Session:
-    sock: socket.socket
-
-    def request(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        protocol.send_frame(self.sock, msg_type, payload)
-        return protocol.read_frame(self.sock)
-
-
-def _expect(frame: tuple[int, bytes], msg_type: int, phase: str) -> bytes:
-    got_type, payload = frame
+def _exchange(
+    sock: socket.socket, msg_type: int, payload: bytes, reply_type: int, phase: str
+) -> bytes:
+    """Send one frame and return the payload of the expected reply."""
+    protocol.send_frame(sock, msg_type, payload)
+    got_type, reply = protocol.read_frame(sock)
     if got_type == protocol.MSG_ERROR:
-        code, message = protocol.decode_error(payload)
+        code, message = protocol.decode_error(reply)
         raise ProtocolError(f"server error during {phase} (code {code}): {message}")
-    if got_type != msg_type:
+    if got_type != reply_type:
         raise ProtocolError(f"unexpected message type {got_type} during {phase}")
-    return payload
+    return reply
 
 
 def client_predict(
@@ -72,22 +66,15 @@ def client_predict(
     image = load_image(image_path)
 
     with socket.create_connection(server_addr, timeout=timeout) as sock:
-        session = _Session(sock)
-
-        hello = _expect(
-            session.request(protocol.MSG_HELLO, protocol.PROTOCOL_VERSION.to_bytes(4, "little")),
-            protocol.MSG_HELLO,
-            "hello",
-        )
+        version = protocol.PROTOCOL_VERSION.to_bytes(4, "little")
+        hello = _exchange(sock, protocol.MSG_HELLO, version, protocol.MSG_HELLO, "hello")
         info = protocol.parse_server_hello(hello)
         if image.shape != info["input_shape"]:
             image = resize_to_shape(image, info["input_shape"])
 
         nonce = attest_nonce if attest_nonce is not None else os.urandom(32)
-        evidence = _expect(
-            session.request(protocol.MSG_ATTEST_REQUEST, nonce),
-            protocol.MSG_ATTEST_EVIDENCE,
-            "attestation",
+        evidence = _exchange(
+            sock, protocol.MSG_ATTEST_REQUEST, nonce, protocol.MSG_ATTEST_EVIDENCE, "attestation"
         )
         if len(evidence) != 64:
             raise ProtocolError("attestation evidence must be 64 bytes")
@@ -103,17 +90,14 @@ def client_predict(
         key_msg = build_key_message(
             root_key, measurement, nonce, mac, model_key, img_key, nonce=key_msg_nonce
         )
-        _expect(
-            session.request(protocol.MSG_PROVISION_KEYS, key_msg),
-            protocol.MSG_PROVISION_KEYS,
+        _exchange(
+            sock, protocol.MSG_PROVISION_KEYS, key_msg, protocol.MSG_PROVISION_KEYS,
             "key provisioning",
         )
 
         sealed = seal(image.encode(), img_key, "image", nonce=image_nonce)
-        result_payload = _expect(
-            session.request(protocol.MSG_PREDICT, sealed.encode()),
-            protocol.MSG_RESULT,
-            "predict",
+        result_payload = _exchange(
+            sock, protocol.MSG_PREDICT, sealed.encode(), protocol.MSG_RESULT, "predict"
         )
 
     container = SealedContainer.decode(result_payload)

@@ -2,8 +2,8 @@
 in-boundary inference and class mapping.
 
 The enclave is an isolated component behind a narrow message API. Every
-operation crosses the boundary as an encoded frame (type byte, u64 LE
-length, payload) and every byte that leaves is appended to an audit log, so
+operation crosses the boundary as a :mod:`irshield.protocol` frame (type
+byte, u64 LE length, payload) and every byte that leaves is appended to an audit log, so
 tests can assert that no plaintext model bytes, labels, images, or keys
 ever escape. Only two kinds of payload carry model data outward: the
 intermediate tensor produced by the loaded front model (by design) and
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from . import protocol
 from .engine import forward_range
 from .errors import AuthError, IrshieldError, ProtocolError, ShapeError, StateError
 from .netdef import parse_network
@@ -70,25 +71,7 @@ MSG_MAP = 0x16
 MSG_RESULT = 0x17
 MSG_ERROR = 0x1F
 
-ERR_AUTH = 1
-ERR_STATE = 2
-ERR_MALFORMED = 4
-ERR_INTERNAL = 5
-
 STATES = ("created", "attested", "provisioned", "ready", "failed")
-
-
-def _frame(msg_type: int, payload: bytes) -> bytes:
-    return struct.pack("<BQ", msg_type, len(payload)) + payload
-
-
-def _unframe(blob: bytes) -> tuple[int, bytes]:
-    if len(blob) < 9:
-        raise ProtocolError("boundary frame shorter than its header")
-    msg_type, length = struct.unpack_from("<BQ", blob, 0)
-    if len(blob) != 9 + length:
-        raise ProtocolError("boundary frame length mismatch")
-    return msg_type, blob[9:]
 
 
 def _mac(root_key: bytes, *parts: bytes) -> bytes:
@@ -209,13 +192,13 @@ class EnclaveSession:
         """
         with self._lock:
             try:
-                msg_type, payload = _unframe(request)
+                msg_type, payload = protocol.unpack_frame(request)
                 response = self._dispatch(msg_type, payload)
-            except IrshieldError as exc:
-                response = _frame(MSG_ERROR, struct.pack("<H", _err_code(exc)) + str(exc).encode())
-            except Exception as exc:  # never leak a raw traceback across the boundary
-                response = _frame(
-                    MSG_ERROR, struct.pack("<H", ERR_INTERNAL) + type(exc).__name__.encode()
+            except Exception as exc:
+                # a foreign exception crosses only as its type name, never a traceback
+                message = str(exc) if isinstance(exc, IrshieldError) else type(exc).__name__
+                response = protocol.pack_frame(
+                    MSG_ERROR, protocol.error_payload(protocol.error_code(exc), message)
                 )
             self.boundary_log.append(response)
             return response
@@ -258,7 +241,7 @@ class EnclaveSession:
         self._client_nonce = client_nonce
         self._evidence_mac = mac
         self.state = "attested"
-        return _frame(MSG_ATTEST_EVIDENCE, self.measurement + mac)
+        return protocol.pack_frame(MSG_ATTEST_EVIDENCE, self.measurement + mac)
 
     def _handle_provision(self, payload: bytes) -> bytes:
         self._require_state("attested", "provision_keys")
@@ -301,7 +284,7 @@ class EnclaveSession:
         self._front = front
         self._labels = labels
         self.state = "ready"
-        return _frame(MSG_PROVISION_OK, b"")
+        return protocol.pack_frame(MSG_PROVISION_OK, b"")
 
     def _handle_infer(self, payload: bytes) -> bytes:
         self._require_state("ready", "infer_encrypted_image")
@@ -314,8 +297,10 @@ class EnclaveSession:
                 f"image shape {image.shape[0]}x{image.shape[1]}x{image.shape[2]} "
                 f"does not match the model input {w}x{h}x{c}"
             )
+        if not image.is_finite():
+            raise ProtocolError("image holds non-finite pixels")
         ir = forward_range(self._front, 1, self._front.n_layers, image)
-        return _frame(MSG_IR, ir.encode())
+        return protocol.pack_frame(MSG_IR, ir.encode())
 
     def _handle_map(self, payload: bytes) -> bytes:
         self._require_state("ready", "map_classes")
@@ -345,36 +330,14 @@ class EnclaveSession:
                 )
             entries.append((index, self._labels[index - 1], score))
         result = seal(encode_result_payload(entries), self._img_key, "result", nonce)
-        return _frame(MSG_RESULT, result.encode())
-
-
-def _err_code(exc: IrshieldError) -> int:
-    if isinstance(exc, AuthError):
-        return ERR_AUTH
-    if isinstance(exc, StateError):
-        return ERR_STATE
-    if isinstance(exc, (ProtocolError, ShapeError)):
-        return ERR_MALFORMED
-    return ERR_INTERNAL
-
-
-def _raise_boundary_error(payload: bytes) -> None:
-    code = struct.unpack_from("<H", payload, 0)[0] if len(payload) >= 2 else ERR_INTERNAL
-    message = payload[2:].decode(errors="replace")
-    if code == ERR_AUTH:
-        raise AuthError(message)
-    if code == ERR_STATE:
-        raise StateError(message)
-    if code == ERR_MALFORMED:
-        raise ProtocolError(message)
-    raise IrshieldError(message)
+        return protocol.pack_frame(MSG_RESULT, result.encode())
 
 
 def _call(session: EnclaveSession, msg_type: int, payload: bytes, expect: int) -> bytes:
-    response = session.call(_frame(msg_type, payload))
-    got_type, got_payload = _unframe(response)
+    response = session.call(protocol.pack_frame(msg_type, payload))
+    got_type, got_payload = protocol.unpack_frame(response)
     if got_type == MSG_ERROR:
-        _raise_boundary_error(got_payload)
+        protocol.raise_error(got_payload)
     if got_type != expect:
         raise ProtocolError(f"unexpected boundary response type {got_type:#x}")
     return got_payload

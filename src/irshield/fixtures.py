@@ -16,21 +16,22 @@ blob are byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .netdef import WEIGHTS_MAGIC, WEIGHTS_VERSION, parse_config
+from .netdef import layer_weights, parse_config, serialize_network, weights_layout
 
 __all__ = ["gen_fixture_model", "FIXTURE_ARCHS"]
 
 FIXTURE_ARCHS = ("plain17", "plain28", "denseblock")
 
 
-def _conv(filters, size=3, pad=1, activation="leaky", bn=False, stride=1) -> str:
+def _conv(filters, size=3, pad=1, activation="leaky", bn=False) -> str:
     lines = [
         "[convolutional]",
         f"filters={filters}",
         f"size={size}",
-        f"stride={stride}",
         f"pad={pad}",
         f"activation={activation}",
     ]
@@ -99,6 +100,18 @@ def _denseblock(classes: int) -> list[str]:
     return blocks
 
 
+def _draw(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Initial values for one weights array, drawn in weights-blob order."""
+    if name == "bn_scale":
+        return 1.0 + 0.2 * rng.standard_normal(shape)
+    if name == "bn_var":
+        return rng.uniform(0.5, 1.5, shape)
+    if name in ("filters", "weights"):  # He initialization over the fan-in
+        fan_in = int(np.prod(shape[1:]))
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
+    return rng.normal(0.0, 0.1, shape)  # biases, bn_mean
+
+
 def gen_fixture_model(arch: str, seed: int, classes: int) -> tuple[str, bytes]:
     """Generate (config text, weights blob) for a fixture architecture."""
     if classes < 2:
@@ -112,26 +125,10 @@ def gen_fixture_model(arch: str, seed: int, classes: int) -> tuple[str, bytes]:
     else:
         raise ValueError(f"unknown fixture arch {arch!r}; expected one of {FIXTURE_ARCHS}")
 
-    config_text = "\n\n".join(blocks) + "\n"
-    net = parse_config(config_text)
-
+    net = parse_config("\n\n".join(blocks) + "\n")
     rng = np.random.default_rng(seed)
-    chunks = [WEIGHTS_MAGIC, WEIGHTS_VERSION.to_bytes(4, "little")]
+    per_layer = []
     for layer, in_shape in zip(net.layers, net.layer_input_shapes):
-        if layer.kind == "convolutional":
-            f, c_in, k = layer.filters, in_shape[2], layer.size
-            fan_in = c_in * k * k
-            chunks.append(rng.normal(0.0, 0.1, f).astype("<f4").tobytes())
-            if layer.batch_normalize:
-                chunks.append((1.0 + 0.2 * rng.standard_normal(f)).astype("<f4").tobytes())
-                chunks.append(rng.normal(0.0, 0.1, f).astype("<f4").tobytes())
-                chunks.append(rng.uniform(0.5, 1.5, f).astype("<f4").tobytes())
-            scale = np.sqrt(2.0 / fan_in)
-            chunks.append(rng.normal(0.0, scale, f * fan_in).astype("<f4").tobytes())
-        elif layer.kind == "connected":
-            w, h, c = in_shape
-            n_in = w * h * c
-            chunks.append(rng.normal(0.0, 0.1, layer.output).astype("<f4").tobytes())
-            scale = np.sqrt(2.0 / n_in)
-            chunks.append(rng.normal(0.0, scale, layer.output * n_in).astype("<f4").tobytes())
-    return config_text, b"".join(chunks)
+        arrays = {name: _draw(rng, name, shape) for name, shape in weights_layout(layer, in_shape)}
+        per_layer.append(layer_weights(layer, arrays))
+    return serialize_network(replace(net, weights=tuple(per_layer)))

@@ -61,6 +61,9 @@ __all__ = [
     "parse_config",
     "parse_network",
     "serialize_network",
+    "layer_output_shape",
+    "weights_layout",
+    "layer_weights",
     "WEIGHTS_MAGIC",
     "WEIGHTS_VERSION",
 ]
@@ -69,6 +72,7 @@ WEIGHTS_MAGIC = b"IRSW"
 WEIGHTS_VERSION = 1
 
 ACTIVATIONS = ("linear", "relu", "leaky")
+_BN_FIELDS = ("bn_scale", "bn_mean", "bn_var")
 LAYER_KINDS = ("convolutional", "maxpool", "avgpool", "route", "connected", "softmax")
 
 
@@ -126,10 +130,6 @@ class NetworkDef:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
-
-    @property
-    def has_weights(self) -> bool:
-        return self.weights is not None
 
     @property
     def output_shape(self) -> tuple[int, int, int]:
@@ -259,70 +259,83 @@ def _layer_from_section(index: int, name: str, lineno: int, keys: dict) -> Layer
     raise ConfigError(f"unknown section [{name}]", lineno)  # unreachable
 
 
+def layer_output_shape(
+    layer: LayerSpec,
+    input_shape: tuple[int, int, int],
+    source_shapes: tuple[tuple[int, int, int], ...],
+) -> tuple[int, int, int]:
+    """Output shape (w, h, c) of one layer; ``source_shapes`` are the output
+    shapes of a route's sources, in order, and are ignored by other kinds."""
+    w, h, c = input_shape
+    name = f"layer {layer.index} ({layer.kind})"
+    if layer.kind == "convolutional":
+        p = layer.pad_pixels()
+        ow = (w + 2 * p - layer.size) // layer.stride + 1
+        oh = (h + 2 * p - layer.size) // layer.stride + 1
+        if ow < 1 or oh < 1:
+            raise ShapeError(
+                f"{name}: kernel {layer.size} does not fit input {w}x{h} with pad {p}"
+            )
+        return (ow, oh, layer.filters)
+    if layer.kind == "maxpool" or (layer.kind == "avgpool" and layer.size):
+        if w < layer.size or h < layer.size:
+            raise ShapeError(f"{name}: window {layer.size} exceeds input {w}x{h}")
+        ow = (w - layer.size) // layer.stride + 1
+        oh = (h - layer.size) // layer.stride + 1
+        return (ow, oh, c)
+    if layer.kind == "avgpool":  # global
+        return (1, 1, c)
+    if layer.kind == "route":
+        w0, h0 = source_shapes[0][0], source_shapes[0][1]
+        for s, (sw, sh, _) in zip(layer.sources, source_shapes):
+            if (sw, sh) != (w0, h0):
+                raise ShapeError(
+                    f"{name}: source {s} is {sw}x{sh}, "
+                    f"but source {layer.sources[0]} is {w0}x{h0}"
+                )
+        return (w0, h0, sum(shape[2] for shape in source_shapes))
+    if layer.kind == "connected":
+        return (1, 1, layer.output)
+    if layer.kind == "softmax":
+        return (1, 1, w * h * c)
+    raise ShapeError(f"{name}: unknown kind {layer.kind!r}")
+
+
 def _propagate_shapes(
     input_shape: tuple[int, int, int], layers: tuple[LayerSpec, ...]
 ) -> tuple[list, list]:
     in_shapes: list[tuple[int, int, int]] = []
     out_shapes: list[tuple[int, int, int]] = []
-
-    def shape_of(i: int) -> tuple[int, int, int]:
-        return input_shape if i == 0 else out_shapes[i - 1]
-
-    for pos, layer in enumerate(layers, start=1):
-        w, h, c = shape_of(pos - 1)
-        if layer.kind == "convolutional":
-            p = layer.pad_pixels()
-            ow = (w + 2 * p - layer.size) // layer.stride + 1
-            oh = (h + 2 * p - layer.size) // layer.stride + 1
-            if ow < 1 or oh < 1:
-                raise ShapeError(
-                    f"layer {pos} (convolutional): kernel {layer.size} does not fit "
-                    f"input {w}x{h} with pad {p}"
-                )
-            out = (ow, oh, layer.filters)
-        elif layer.kind == "maxpool" or (layer.kind == "avgpool" and layer.size):
-            if w < layer.size or h < layer.size:
-                raise ShapeError(
-                    f"layer {pos} ({layer.kind}): window {layer.size} exceeds input {w}x{h}"
-                )
-            ow = (w - layer.size) // layer.stride + 1
-            oh = (h - layer.size) // layer.stride + 1
-            out = (ow, oh, c)
-        elif layer.kind == "avgpool":  # global
-            out = (1, 1, c)
-        elif layer.kind == "route":
-            src_shapes = [shape_of(s) for s in layer.sources]
-            w0, h0 = src_shapes[0][0], src_shapes[0][1]
-            for s, (sw, sh, _) in zip(layer.sources, src_shapes):
-                if (sw, sh) != (w0, h0):
-                    raise ShapeError(
-                        f"layer {pos} (route): source {s} is {sw}x{sh}, "
-                        f"but source {layer.sources[0]} is {w0}x{h0}"
-                    )
-            out = (w0, h0, sum(s[2] for s in src_shapes))
-        elif layer.kind == "connected":
-            out = (1, 1, layer.output)
-        elif layer.kind == "softmax":
-            out = (1, 1, w * h * c)
-        else:
-            raise ShapeError(f"layer {pos}: unknown kind {layer.kind!r}")
-        in_shapes.append((w, h, c))
-        out_shapes.append(out)
+    for layer in layers:
+        in_shape = out_shapes[-1] if out_shapes else input_shape
+        sources = tuple(out_shapes[s - 1] for s in layer.sources)
+        in_shapes.append(in_shape)
+        out_shapes.append(layer_output_shape(layer, in_shape, sources))
     return in_shapes, out_shapes
 
 
-def _float_count(layer: LayerSpec, input_shape: tuple[int, int, int]) -> int:
+def weights_layout(
+    layer: LayerSpec, input_shape: tuple[int, int, int]
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The (field, shape) arrays one layer stores, in weights-blob order."""
     if layer.kind == "convolutional":
         f = layer.filters
-        n = f  # biases
-        if layer.batch_normalize:
-            n += 3 * f
-        n += f * input_shape[2] * layer.size * layer.size
-        return n
+        bn = [(name, (f,)) for name in _BN_FIELDS] if layer.batch_normalize else []
+        return [("biases", (f,)), *bn, ("filters", (f, input_shape[2], layer.size, layer.size))]
     if layer.kind == "connected":
         w, h, c = input_shape
-        return layer.output + layer.output * (w * h * c)
-    return 0
+        return [("biases", (layer.output,)), ("weights", (layer.output, w * h * c))]
+    return []
+
+
+def layer_weights(layer: LayerSpec, arrays: dict[str, np.ndarray]):
+    """The layer's ConvWeights/ConnectedWeights (None for other kinds) from
+    the arrays that :func:`weights_layout` names."""
+    if layer.kind == "convolutional":
+        return ConvWeights(**{**dict.fromkeys(_BN_FIELDS), **arrays})
+    if layer.kind == "connected":
+        return ConnectedWeights(**arrays)
+    return None
 
 
 def parse_config(config_text: str) -> NetworkDef:
@@ -375,10 +388,11 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
     if version != WEIGHTS_VERSION:
         raise WeightsError(f"unsupported weights format version {version}")
 
-    total_floats = sum(
-        _float_count(layer, in_shape)
+    layouts = [
+        weights_layout(layer, in_shape)
         for layer, in_shape in zip(net.layers, net.layer_input_shapes)
-    )
+    ]
+    total_floats = sum(int(np.prod(shape)) for layout in layouts for _, shape in layout)
     expected_bytes = 8 + 4 * total_floats
     if len(weights_bytes) != expected_bytes:
         raise WeightsError(
@@ -388,34 +402,14 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
 
     values = np.frombuffer(weights_bytes, dtype="<f4", offset=8)
     cursor = 0
-
-    def take(n: int) -> np.ndarray:
-        nonlocal cursor
-        out = values[cursor : cursor + n]
-        cursor += n
-        return out
-
     per_layer = []
-    for layer, in_shape in zip(net.layers, net.layer_input_shapes):
-        if layer.kind == "convolutional":
-            f, c_in, k = layer.filters, in_shape[2], layer.size
-            biases = _frozen(take(f), (f,))
-            if layer.batch_normalize:
-                scale = _frozen(take(f), (f,))
-                mean = _frozen(take(f), (f,))
-                var = _frozen(take(f), (f,))
-            else:
-                scale = mean = var = None
-            filt = _frozen(take(f * c_in * k * k), (f, c_in, k, k))
-            per_layer.append(ConvWeights(biases, scale, mean, var, filt))
-        elif layer.kind == "connected":
-            w, h, c = in_shape
-            n_in = w * h * c
-            biases = _frozen(take(layer.output), (layer.output,))
-            weights = _frozen(take(layer.output * n_in), (layer.output, n_in))
-            per_layer.append(ConnectedWeights(biases, weights))
-        else:
-            per_layer.append(None)
+    for layer, layout in zip(net.layers, layouts):
+        arrays = {}
+        for name, shape in layout:
+            n = int(np.prod(shape))
+            arrays[name] = _frozen(values[cursor : cursor + n], shape)
+            cursor += n
+        per_layer.append(layer_weights(layer, arrays))
 
     return NetworkDef(
         input_shape=net.input_shape,
@@ -471,15 +465,7 @@ def serialize_network(net: NetworkDef) -> tuple[str, bytes]:
     config_text = "\n\n".join(blocks) + "\n"
 
     chunks = [WEIGHTS_MAGIC, WEIGHTS_VERSION.to_bytes(4, "little")]
-    for layer, lw in zip(net.layers, net.weights):
-        if isinstance(lw, ConvWeights):
-            chunks.append(lw.biases.astype("<f4").tobytes())
-            if layer.batch_normalize:
-                chunks.append(lw.bn_scale.astype("<f4").tobytes())
-                chunks.append(lw.bn_mean.astype("<f4").tobytes())
-                chunks.append(lw.bn_var.astype("<f4").tobytes())
-            chunks.append(lw.filters.astype("<f4").tobytes())
-        elif isinstance(lw, ConnectedWeights):
-            chunks.append(lw.biases.astype("<f4").tobytes())
-            chunks.append(lw.weights.astype("<f4").tobytes())
+    for layer, in_shape, lw in zip(net.layers, net.layer_input_shapes, net.weights):
+        for name, _ in weights_layout(layer, in_shape):
+            chunks.append(getattr(lw, name).astype("<f4").tobytes())
     return config_text, b"".join(chunks)

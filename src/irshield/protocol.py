@@ -14,14 +14,17 @@ Frame layout: type u8 | payload length u64 LE | payload. Types::
 
 Payloads are capped at 64 MiB; unknown type codes are rejected. Error
 codes: 1 auth_failure, 2 not_ready, 3 too_large, 4 malformed, 5 internal.
+The enclave boundary uses the same frame header and error payloads with its
+own message types.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+from typing import NoReturn
 
-from .errors import ProtocolError
+from .errors import AuthError, IrshieldError, ProtocolError, ShapeError, StateError
 
 __all__ = [
     "MSG_HELLO",
@@ -38,9 +41,13 @@ __all__ = [
     "ERR_INTERNAL",
     "MAX_PAYLOAD",
     "PROTOCOL_VERSION",
+    "pack_frame",
+    "unpack_frame",
     "encode_frame",
-    "encode_error",
+    "error_code",
+    "error_payload",
     "decode_error",
+    "raise_error",
     "read_frame",
     "send_frame",
     "FrameTooLarge",
@@ -65,11 +72,40 @@ ERR_INTERNAL = 5
 
 MAX_PAYLOAD = 64 * 1024 * 1024
 PROTOCOL_VERSION = 1
-HEADER_LEN = 9
+_HEADER = struct.Struct("<BQ")
+HEADER_LEN = _HEADER.size
 
 
 class FrameTooLarge(ProtocolError):
     """Incoming frame declared a payload beyond the 64 MiB cap."""
+
+
+# Exception type -> error code; the first matching entry wins and any other
+# exception maps to ERR_INTERNAL. raise_error inverts it: a code raises the
+# type of its first entry, and an unlisted code raises IrshieldError.
+_ERROR_CODES = (
+    (FrameTooLarge, ERR_TOO_LARGE),
+    (AuthError, ERR_AUTH_FAILURE),
+    (StateError, ERR_NOT_READY),
+    (ProtocolError, ERR_MALFORMED),
+    (ShapeError, ERR_MALFORMED),
+)
+_ERROR_TYPES = {code: exc_type for exc_type, code in reversed(_ERROR_CODES)}
+
+
+def pack_frame(msg_type: int, payload: bytes) -> bytes:
+    """Header plus payload, with no check of the type or the size."""
+    return _HEADER.pack(msg_type, len(payload)) + payload
+
+
+def unpack_frame(blob: bytes) -> tuple[int, bytes]:
+    """Split a buffer holding exactly one frame into (type, payload)."""
+    if len(blob) < HEADER_LEN:
+        raise ProtocolError("frame shorter than its header")
+    msg_type, length = _HEADER.unpack_from(blob, 0)
+    if len(blob) != HEADER_LEN + length:
+        raise ProtocolError("frame length mismatch")
+    return msg_type, blob[HEADER_LEN:]
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -77,11 +113,18 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
         raise ProtocolError(f"unknown wire message type {msg_type}")
     if len(payload) > MAX_PAYLOAD:
         raise FrameTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    return struct.pack("<BQ", msg_type, len(payload)) + payload
+    return pack_frame(msg_type, payload)
 
 
-def encode_error(code: int, message: str) -> bytes:
-    return encode_frame(MSG_ERROR, struct.pack("<H", code) + message.encode())
+def error_code(exc: BaseException) -> int:
+    for exc_type, code in _ERROR_CODES:
+        if isinstance(exc, exc_type):
+            return code
+    return ERR_INTERNAL
+
+
+def error_payload(code: int, message: str) -> bytes:
+    return struct.pack("<H", code) + message.encode()
 
 
 def decode_error(payload: bytes) -> tuple[int, str]:
@@ -89,6 +132,12 @@ def decode_error(payload: bytes) -> tuple[int, str]:
         raise ProtocolError("error payload shorter than its code")
     (code,) = struct.unpack_from("<H", payload, 0)
     return code, payload[2:].decode(errors="replace")
+
+
+def raise_error(payload: bytes) -> NoReturn:
+    """Raise the exception type that an error payload's code stands for."""
+    code, message = decode_error(payload)
+    raise _ERROR_TYPES.get(code, IrshieldError)(message)
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
@@ -107,7 +156,7 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes]:
     """Read one frame. Raises FrameTooLarge/ProtocolError on bad headers and
     ConnectionError when the peer goes away."""
     header = _recv_exactly(sock, HEADER_LEN)
-    msg_type, length = struct.unpack("<BQ", header)
+    msg_type, length = _HEADER.unpack(header)
     if msg_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown wire message type {msg_type}")
     if length > MAX_PAYLOAD:

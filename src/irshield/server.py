@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import logging
 import socket
-import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import protocol
 from .enclave import (
@@ -29,7 +30,7 @@ from .enclave import (
     provision_keys,
 )
 from .engine import forward, top_k
-from .errors import AuthError, IrshieldError, ProtocolError, ShapeError, StateError
+from .errors import IrshieldError, ProtocolError, ShapeError, StateError
 from .netdef import NetworkDef
 from .partition import PartitionArtifacts, load_artifacts
 from .sealing import SealedContainer
@@ -109,24 +110,26 @@ def deploy(model_dir: str | Path, k: int = 5, root_key: bytes | str | None = Non
     )
 
 
-def _predict_with_session(
+def handle_predict(
     dep: Deployment, session: EnclaveSession, img_sealed, tap: list | None = None
 ) -> SealedContainer:
+    """One prediction through a provisioned enclave session.
+
+    ``tap``, when given, collects the host-visible intermediate tensor and
+    top-k pairs.
+    """
     if session.state != "ready":
         raise StateError(f"session is {session.state!r}, not ready")
     ir = infer_encrypted_image(session, img_sealed)
     if tap is not None:
         tap.append(ir.encode())
     probs = forward(dep.backnet, ir)
+    if not np.isfinite(probs).all():
+        raise IrshieldError("back model produced non-finite scores")
     pairs = top_k(probs, dep.k)
     if tap is not None:
         tap.append(repr(pairs).encode())
     return map_classes(session, pairs)
-
-
-def handle_predict(dep: Deployment, img_sealed) -> SealedContainer:
-    """One prediction against the deployment's own enclave session."""
-    return _predict_with_session(dep, dep.session, img_sealed)
 
 
 class Server:
@@ -197,6 +200,7 @@ class Server:
                 break
             thread = threading.Thread(target=self._serve_connection, args=(conn, peer), daemon=True)
             thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
 
     # -- per-connection protocol ---------------------------------------------
@@ -224,88 +228,53 @@ class Server:
         self._record(payload)
         protocol.send_frame(conn, msg_type, payload)
 
-    def _send_error(self, conn: socket.socket, code: int, message: str) -> None:
-        self._record(struct.pack("<H", code) + message.encode())
-        conn.sendall(protocol.encode_error(code, message))
+    def _send_error(self, conn: socket.socket, exc: IrshieldError) -> None:
+        payload = protocol.error_payload(protocol.error_code(exc), str(exc))
+        self._send(conn, protocol.MSG_ERROR, payload)
 
-    def _read(self, conn: socket.socket) -> tuple[int, bytes] | None:
-        """Read one frame; on framing violations answer with an error frame
-        (when possible) and signal the caller to drop the connection."""
-        try:
-            msg_type, payload = protocol.read_frame(conn)
-        except protocol.FrameTooLarge:
-            self._send_error(conn, protocol.ERR_TOO_LARGE, "payload exceeds 64 MiB cap")
-            return None
-        except ProtocolError as exc:
-            self._send_error(conn, protocol.ERR_MALFORMED, str(exc))
-            return None
+    def _expect(self, conn: socket.socket, msg_type: int, name: str) -> bytes:
+        """Read one frame of the expected type and return its payload.
+
+        A Predict before provisioning raises StateError, any other
+        unexpected type ProtocolError.
+        """
+        got_type, payload = protocol.read_frame(conn)
         self._record(payload)
-        return msg_type, payload
+        if got_type == msg_type:
+            return payload
+        if got_type == protocol.MSG_PREDICT:
+            raise StateError("session not provisioned")
+        raise ProtocolError(f"expected {name}")
 
     def _session_loop(self, conn: socket.socket, session: EnclaveSession) -> None:
-        # fixed prologue: Hello, AttestRequest, ProvisionKeys
-        frame = self._read(conn)
-        if frame is None or frame[0] != protocol.MSG_HELLO:
-            if frame is not None:
-                self._send_error(conn, protocol.ERR_MALFORMED, "expected Hello")
-            return
-        self._send(
-            conn,
-            protocol.MSG_HELLO,
-            protocol.server_hello_payload(self.dep.input_shape, self.dep.classes, self.dep.k),
-        )
-
-        frame = self._read(conn)
-        if frame is None or frame[0] != protocol.MSG_ATTEST_REQUEST or len(frame[1]) != 32:
-            if frame is not None:
-                if frame[0] == protocol.MSG_PREDICT:
-                    self._send_error(conn, protocol.ERR_NOT_READY, "session not provisioned")
-                else:
-                    self._send_error(
-                        conn, protocol.ERR_MALFORMED, "expected a 32-byte AttestRequest"
-                    )
-            return
-        evidence = attest(session, frame[1], self.dep.root_key)
-        self._send(conn, protocol.MSG_ATTEST_EVIDENCE, evidence.measurement + evidence.mac)
-
-        frame = self._read(conn)
-        if frame is None or frame[0] != protocol.MSG_PROVISION_KEYS:
-            if frame is not None:
-                if frame[0] == protocol.MSG_PREDICT:
-                    self._send_error(conn, protocol.ERR_NOT_READY, "session not provisioned")
-                else:
-                    self._send_error(conn, protocol.ERR_MALFORMED, "expected ProvisionKeys")
-            return
+        # A failure in the prologue or in reading a frame answers with an
+        # error frame and ends the connection; a failed predict keeps it.
         try:
-            provision_keys(session, frame[1])
-        except AuthError as exc:
-            self._send_error(conn, protocol.ERR_AUTH_FAILURE, str(exc))
-            return
-        self._send(conn, protocol.MSG_PROVISION_KEYS, b"")
+            self._expect(conn, protocol.MSG_HELLO, "Hello")
+            self._send(
+                conn,
+                protocol.MSG_HELLO,
+                protocol.server_hello_payload(self.dep.input_shape, self.dep.classes, self.dep.k),
+            )
+            nonce = self._expect(conn, protocol.MSG_ATTEST_REQUEST, "AttestRequest")
+            if len(nonce) != 32:
+                raise ProtocolError("expected a 32-byte AttestRequest")
+            evidence = attest(session, nonce, self.dep.root_key)
+            self._send(conn, protocol.MSG_ATTEST_EVIDENCE, evidence.measurement + evidence.mac)
+            key_msg = self._expect(conn, protocol.MSG_PROVISION_KEYS, "ProvisionKeys")
+            provision_keys(session, key_msg)
+            self._send(conn, protocol.MSG_PROVISION_KEYS, b"")
 
-        while True:
-            frame = self._read(conn)
-            if frame is None:
-                return
-            msg_type, payload = frame
-            if msg_type != protocol.MSG_PREDICT:
-                self._send_error(conn, protocol.ERR_MALFORMED, "expected Predict")
-                return
-            try:
-                result = _predict_with_session(self.dep, session, payload, tap=self.tap)
-            except AuthError as exc:
-                self._send_error(conn, protocol.ERR_AUTH_FAILURE, str(exc))
-                continue
-            except StateError as exc:
-                self._send_error(conn, protocol.ERR_NOT_READY, str(exc))
-                continue
-            except (ProtocolError, ShapeError, ValueError) as exc:
-                self._send_error(conn, protocol.ERR_MALFORMED, str(exc))
-                continue
-            except IrshieldError as exc:
-                self._send_error(conn, protocol.ERR_INTERNAL, str(exc))
-                continue
-            self._send(conn, protocol.MSG_RESULT, result.encode())
+            while True:
+                payload = self._expect(conn, protocol.MSG_PREDICT, "Predict")
+                try:
+                    result = handle_predict(self.dep, session, payload, tap=self.tap)
+                except IrshieldError as exc:
+                    self._send_error(conn, exc)
+                    continue
+                self._send(conn, protocol.MSG_RESULT, result.encode())
+        except IrshieldError as exc:
+            self._send_error(conn, exc)
 
 
 def serve(listen_addr: tuple[str, int], dep: Deployment) -> None:

@@ -47,11 +47,7 @@ class Tensor:
         if arr.ndim != 3:
             raise ShapeError(f"expected a 3-D (c, h, w) array, got ndim={arr.ndim}")
         c, h, w = arr.shape
-        out = object.__new__(cls)
-        frozen = np.ascontiguousarray(arr, dtype=np.float32).copy()
-        frozen.flags.writeable = False
-        out._arr = frozen
-        return out
+        return cls(w, h, c, arr)
 
     @property
     def width(self) -> int:
@@ -110,8 +106,6 @@ class Tensor:
         if len(blob) < 12:
             raise ShapeError("tensor blob shorter than its 12-byte header")
         w, h, c = struct.unpack_from("<III", blob, 0)
-        if w < 1 or h < 1 or c < 1:
-            raise ShapeError(f"tensor blob declares empty shape {w}x{h}x{c}")
         expected = 12 + 4 * w * h * c
         if len(blob) != expected:
             raise ShapeError(

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ShapeError
-from .netdef import LayerSpec, NetworkDef
+from .netdef import LayerSpec, NetworkDef, layer_output_shape
 
 __all__ = ["FlopProfile", "layer_flops", "flop_profile", "frontnet_fraction", "profile_tsv"]
 
@@ -30,53 +29,42 @@ class FlopProfile:
     total: int
 
 
-def layer_flops(layer: LayerSpec, input_shape: tuple[int, int, int]) -> int:
-    """FLOPs for one layer given its input shape (w, h, c)."""
-    w, h, c = input_shape
+def _cost(layer: LayerSpec, in_shape: tuple[int, int, int], out_shape: tuple[int, int, int]) -> int:
+    n_in = in_shape[0] * in_shape[1] * in_shape[2]
+    n_out = out_shape[0] * out_shape[1] * out_shape[2]
     if layer.kind == "convolutional":
-        p = layer.pad_pixels()
-        ow = (w + 2 * p - layer.size) // layer.stride + 1
-        oh = (h + 2 * p - layer.size) // layer.stride + 1
-        if ow < 1 or oh < 1:
-            raise ShapeError(
-                f"convolution kernel {layer.size} does not fit input {w}x{h} with pad {p}"
-            )
-        out_elems = ow * oh * layer.filters
-        flops = 2 * layer.size * layer.size * c * out_elems
+        flops = 2 * layer.size * layer.size * in_shape[2] * n_out
         if layer.bias:
-            flops += out_elems
+            flops += n_out
         if layer.batch_normalize:
-            flops += 2 * out_elems
+            flops += 2 * n_out
         return flops
     if layer.kind == "connected":
-        return 2 * (w * h * c) * layer.output
+        return 2 * n_in * n_out
     if layer.kind == "maxpool" or (layer.kind == "avgpool" and layer.size):
-        if w < layer.size or h < layer.size:
-            raise ShapeError(f"pool window {layer.size} exceeds input {w}x{h}")
-        ow = (w - layer.size) // layer.stride + 1
-        oh = (h - layer.size) // layer.stride + 1
-        return ow * oh * c * layer.size * layer.size
+        return n_out * layer.size * layer.size
     if layer.kind == "avgpool":  # global: one window covering the input
-        return c * w * h
+        return n_in
     if layer.kind == "route":
         # output volume equals the concatenated source volumes; cost is the move
-        return ROUTE_OPS_PER_ELEMENT * w * h * c
-    if layer.kind == "softmax":
-        return SOFTMAX_OPS_PER_CLASS * w * h * c
-    raise ShapeError(f"unknown layer kind {layer.kind!r}")
+        return ROUTE_OPS_PER_ELEMENT * n_out
+    return SOFTMAX_OPS_PER_CLASS * n_in  # softmax; layer_output_shape rejects other kinds
+
+
+def layer_flops(layer: LayerSpec, input_shape: tuple[int, int, int]) -> int:
+    """FLOPs for one layer given its input shape (w, h, c). A route costed
+    alone moves its input."""
+    return _cost(layer, input_shape, layer_output_shape(layer, input_shape, (input_shape,)))
 
 
 def flop_profile(net: NetworkDef) -> FlopProfile:
     """Cost every layer and build the normalized cumulative curve."""
-    counts = []
-    for layer, in_shape, out_shape in zip(
-        net.layers, net.layer_input_shapes, net.layer_output_shapes
-    ):
-        if layer.kind == "route":
-            ow, oh, oc = out_shape
-            counts.append(ROUTE_OPS_PER_ELEMENT * ow * oh * oc)
-        else:
-            counts.append(layer_flops(layer, in_shape))
+    counts = [
+        _cost(layer, in_shape, out_shape)
+        for layer, in_shape, out_shape in zip(
+            net.layers, net.layer_input_shapes, net.layer_output_shapes
+        )
+    ]
     total = sum(counts)
     cumulative = []
     running = 0

@@ -122,17 +122,17 @@ class TestProjection:
     def test_constant_map_projects_to_zeros(self):
         ir = Tensor(3, 3, 1, np.full(9, 5.0))
         out = project_feature_maps(ir, (3, 3, 1))
-        assert np.all(out.images[0].array == 0)
+        assert np.all(out[0].array == 0)
 
     def test_normalization_only_when_already_at_size(self):
         ir = Tensor(2, 2, 1, [0.0, 10.0, 10.0, 0.0])
         out = project_feature_maps(ir, (2, 2, 1))
-        assert out.images[0].data.tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert out[0].data.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_bilinear_upscale_hand_oracle(self):
         # corner-aligned 2x2 -> 4x4: sample coords are k/3 for k=0..3
         ir = Tensor(2, 2, 1, [0.0, 1.0, 0.0, 0.0])  # top-right corner hot
-        out = project_feature_maps(ir, (4, 4, 1)).images[0].array[0]
+        out = project_feature_maps(ir, (4, 4, 1))[0].array[0]
         xs = np.arange(4) / 3.0
         expected = np.empty((4, 4))
         for yi, fy in enumerate(xs):
@@ -147,8 +147,8 @@ class TestProjection:
         rng = np.random.default_rng(4)
         ir = Tensor.from_array(rng.normal(0, 3, (7, 5, 6)).astype(np.float32))
         out = project_feature_maps(ir, (8, 8, 3))
-        assert len(out.images) == 7
-        for img in out.images:
+        assert len(out) == 7
+        for img in out:
             assert img.shape == (8, 8, 3)
             assert float(img.array.min()) >= 0.0
             assert float(img.array.max()) <= 1.0
@@ -159,7 +159,7 @@ class TestProjection:
         base = project_feature_maps(Tensor.from_array(arr), (6, 6, 3))
         for scale in (4.0, 0.5):
             scaled = project_feature_maps(Tensor.from_array(arr * np.float32(scale)), (6, 6, 3))
-            for a, b in zip(base.images, scaled.images):
+            for a, b in zip(base, scaled):
                 assert a.data.tobytes() == b.data.tobytes()
 
     def test_positive_scaling_invariance_close_for_any_constant(self):
@@ -167,7 +167,7 @@ class TestProjection:
         arr = rng.normal(0, 2, (3, 5, 5)).astype(np.float32)
         base = project_feature_maps(Tensor.from_array(arr), (5, 5, 1))
         scaled = project_feature_maps(Tensor.from_array(arr * np.float32(3.7)), (5, 5, 1))
-        for a, b in zip(base.images, scaled.images):
+        for a, b in zip(base, scaled):
             np.testing.assert_allclose(a.array, b.array, atol=1e-6)
 
 
@@ -261,9 +261,9 @@ class TestAssessLayer:
         baseline = uniform_baseline(base_probs)
         ir = forward_range(plain17, 1, 3, x)
         scaled = Tensor.from_array(ir.array * np.float32(4.0))
-        a = _score_images(3, base_probs, project_feature_maps(ir, plain17.input_shape).images,
+        a = _score_images(3, base_probs, project_feature_maps(ir, plain17.input_shape),
                           plain17, baseline)
-        b = _score_images(3, base_probs, project_feature_maps(scaled, plain17.input_shape).images,
+        b = _score_images(3, base_probs, project_feature_maps(scaled, plain17.input_shape),
                           plain17, baseline)
         assert a == b
 

@@ -1,7 +1,20 @@
+import hashlib
+import json
+
 import pytest
 
 from irshield.fixtures import gen_fixture_model
 from irshield.netdef import parse_config, parse_network
+
+from conftest import GOLDEN_DIR
+
+
+@pytest.mark.parametrize("arch", ["plain17", "plain28", "denseblock"])
+def test_fixture_bytes_pinned(arch):
+    golden = json.loads((GOLDEN_DIR / "fixture_sha256.json").read_text())[arch]
+    cfg, weights = gen_fixture_model(arch, golden["seed"], golden["classes"])
+    assert hashlib.sha256(cfg.encode()).hexdigest() == golden["config_sha256"]
+    assert hashlib.sha256(weights).hexdigest() == golden["weights_sha256"]
 
 
 @pytest.mark.parametrize("arch,layers", [("plain17", 17), ("plain28", 28), ("denseblock", 14)])

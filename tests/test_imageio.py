@@ -74,6 +74,16 @@ class TestNetpbm:
         with pytest.raises(ShapeError, match="exceeds declared maxval"):
             load_image(path)
 
+    def test_empty_raster_rejected(self, tmp_path):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(b"P5 0 0 255\n")
+        with pytest.raises(ShapeError, match="positive"):
+            load_image(path)
+
+    def test_from_array_rejects_empty_dimensions(self):
+        with pytest.raises(ShapeError, match="positive"):
+            Tensor.from_array(np.zeros((1, 0, 3), dtype=np.float32))
+
     def test_writer_channel_checks(self, tmp_path):
         gray = Tensor(2, 2, 1, np.zeros(4, dtype=np.float32))
         with pytest.raises(ShapeError):

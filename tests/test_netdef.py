@@ -40,7 +40,7 @@ def test_minimal_model_parses():
     assert net.n_layers == 1
     assert net.input_shape == (4, 4, 1)
     assert net.layer_output_shapes[0] == (4, 4, 1)
-    assert net.has_weights
+    assert net.weights is not None
 
 
 def test_route_source_must_precede_layer():

@@ -5,7 +5,17 @@ import threading
 import pytest
 
 from irshield import protocol
-from irshield.errors import ProtocolError
+from irshield.client import AttestationRejected, ResultAuthError
+from irshield.errors import (
+    AuthError,
+    ConfigError,
+    IrshieldError,
+    PartitionError,
+    ProtocolError,
+    ShapeError,
+    StateError,
+    WeightsError,
+)
 
 
 def loopback_pair():
@@ -83,7 +93,9 @@ class TestFraming:
 
 class TestErrorPayload:
     def test_round_trip(self):
-        frame = protocol.encode_error(protocol.ERR_NOT_READY, "still warming up")
+        frame = protocol.encode_frame(
+            protocol.MSG_ERROR, protocol.error_payload(protocol.ERR_NOT_READY, "still warming up")
+        )
         msg_type = frame[0]
         assert msg_type == protocol.MSG_ERROR
         code, message = protocol.decode_error(frame[9:])
@@ -93,6 +105,60 @@ class TestErrorPayload:
     def test_short_payload_rejected(self):
         with pytest.raises(ProtocolError):
             protocol.decode_error(b"\x01")
+
+
+# every package exception: (instance, wire code, type raise_error gives back)
+ERROR_TABLE = [
+    (protocol.FrameTooLarge("big"), protocol.ERR_TOO_LARGE, protocol.FrameTooLarge),
+    (AuthError("denied"), protocol.ERR_AUTH_FAILURE, AuthError),
+    (AttestationRejected("bad mac"), protocol.ERR_AUTH_FAILURE, AuthError),
+    (ResultAuthError("bad tag"), protocol.ERR_AUTH_FAILURE, AuthError),
+    (StateError("early"), protocol.ERR_NOT_READY, StateError),
+    (ProtocolError("bad"), protocol.ERR_MALFORMED, ProtocolError),
+    (ShapeError("odd"), protocol.ERR_MALFORMED, ProtocolError),
+    (ConfigError("cfg", 3), protocol.ERR_INTERNAL, IrshieldError),
+    (WeightsError("short"), protocol.ERR_INTERNAL, IrshieldError),
+    (PartitionError("cut"), protocol.ERR_INTERNAL, IrshieldError),
+    (IrshieldError("other"), protocol.ERR_INTERNAL, IrshieldError),
+]
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("exc,code,raised", ERROR_TABLE)
+    def test_round_trip(self, exc, code, raised):
+        assert protocol.error_code(exc) == code
+        with pytest.raises(raised, match="message text") as info:
+            protocol.raise_error(protocol.error_payload(protocol.error_code(exc), "message text"))
+        assert type(info.value) is raised
+
+    def test_table_lists_every_package_exception(self):
+        listed = {type(exc) for exc, _, _ in ERROR_TABLE}
+        stack = [IrshieldError]
+        while stack:
+            cls = stack.pop()
+            if cls.__module__.startswith("irshield."):
+                assert cls in listed, cls
+            stack.extend(cls.__subclasses__())
+
+    def test_foreign_exception_is_internal(self):
+        assert protocol.error_code(ValueError("foreign")) == protocol.ERR_INTERNAL
+
+    def test_unknown_code_raises_base_error(self):
+        with pytest.raises(IrshieldError) as info:
+            protocol.raise_error(protocol.error_payload(999, "odd"))
+        assert type(info.value) is IrshieldError
+
+
+class TestBoundaryFrames:
+    def test_pack_unpack_round_trip(self):
+        frame = protocol.pack_frame(0x14, b"xyz")
+        assert frame == struct.pack("<BQ", 0x14, 3) + b"xyz"
+        assert protocol.unpack_frame(frame) == (0x14, b"xyz")
+
+    @pytest.mark.parametrize("blob", [b"", b"\x14\x00", struct.pack("<BQ", 0x14, 4) + b"abc"])
+    def test_unpack_rejects_bad_lengths(self, blob):
+        with pytest.raises(ProtocolError):
+            protocol.unpack_frame(blob)
 
 
 class TestServerHello:

@@ -21,6 +21,7 @@ from irshield.imageio import load_image, write_ppm
 from irshield.partition import render_manifest, write_artifacts
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy, handle_predict
+from irshield.tensor import Tensor
 
 from conftest import GOLDEN_DIR, seed_image
 
@@ -132,7 +133,7 @@ class TestHandlePredict:
         provision_deployment_session(dep)
         image = load_image(test_image)
         sealed = seal(image.encode(), IMG_KEY, "image")
-        result = handle_predict(dep, sealed)
+        result = handle_predict(dep, dep.session, sealed)
         opened = open_container(result, IMG_KEY)
         from irshield.enclave import decode_result_payload
 
@@ -143,7 +144,7 @@ class TestHandlePredict:
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
         sealed = seal(seed_image(plain17.input_shape, 501).encode(), IMG_KEY, "image")
         with pytest.raises(StateError):
-            handle_predict(dep, sealed)
+            handle_predict(dep, dep.session, sealed)
 
     def test_tampered_image_denied(self, artifact_dir, plain17):
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
@@ -152,7 +153,7 @@ class TestHandlePredict:
         blob = bytearray(box.encode())
         blob[-1] ^= 0x40
         with pytest.raises(AuthError):
-            handle_predict(dep, bytes(blob))
+            handle_predict(dep, dep.session, bytes(blob))
 
 
 class WireDriver:
@@ -253,6 +254,48 @@ class TestServing:
             assert protocol.decode_error(payload)[0] == protocol.ERR_NOT_READY
         finally:
             driver.close()
+
+    def test_predict_as_first_frame_not_ready(self, server, plain17):
+        driver = WireDriver(server.address)
+        try:
+            x = seed_image(plain17.input_shape, 517)
+            msg_type, payload = driver.predict(seal(x.encode(), IMG_KEY, "image").encode())
+            assert msg_type == protocol.MSG_ERROR
+            assert protocol.decode_error(payload)[0] == protocol.ERR_NOT_READY
+        finally:
+            driver.close()
+
+    def assert_refused_and_connection_survives(self, server, plain17, image, code):
+        driver = WireDriver(server.address)
+        try:
+            driver.handshake()
+            msg_type, payload = driver.predict(seal(image.encode(), IMG_KEY, "image").encode())
+            assert msg_type == protocol.MSG_ERROR
+            assert protocol.decode_error(payload)[0] == code
+            x = seed_image(plain17.input_shape, 519)
+            msg_type, _ = driver.predict(seal(x.encode(), IMG_KEY, "image").encode())
+            assert msg_type == protocol.MSG_RESULT
+        finally:
+            driver.close()
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_refused_as_malformed(self, server, plain17, fill):
+        pixels = seed_image(plain17.input_shape, 518).array.copy()
+        pixels[0, 0, 0] = fill
+        image = Tensor.from_array(pixels)
+        self.assert_refused_and_connection_survives(server, plain17, image, protocol.ERR_MALFORMED)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scores_refused_as_internal(self, server, plain17):
+        # finite pixels whose activations overflow: the scores come out NaN
+        w, h, c = plain17.input_shape
+        image = Tensor(w, h, c, np.full(w * h * c, 3e38, dtype=np.float32))
+        self.assert_refused_and_connection_survives(server, plain17, image, protocol.ERR_INTERNAL)
+
+    def test_finished_connection_threads_are_pruned(self, server, test_image):
+        for _ in range(50):
+            client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+        assert len(server._threads) <= 5
 
     def test_foreign_img_key_denied(self, server, plain17):
         driver = WireDriver(server.address)
