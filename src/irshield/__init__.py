@@ -16,7 +16,7 @@ from .netdef import (
     parse_network,
     serialize_network,
 )
-from .engine import forward, forward_range, top_k
+from .engine import forward, forward_batch, forward_range, top_k
 from .fixtures import gen_fixture_model
 from .assessment import (
     AssessmentReport,
@@ -72,6 +72,7 @@ __all__ = [
     "parse_network",
     "serialize_network",
     "forward",
+    "forward_batch",
     "forward_range",
     "top_k",
     "gen_fixture_model",

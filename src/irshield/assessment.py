@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import forward, forward_range
+from .engine import forward, forward_batch, forward_range
 from .imageio import bilinear_resize, resize_to_shape
 from .netdef import NetworkDef
 from .tensor import Tensor
@@ -41,6 +41,11 @@ __all__ = [
     "report_tsv",
     "PROB_FLOOR",
 ]
+
+# Projected maps go through the oracle in batches of at most this many: large
+# enough to spread numpy's per-call overhead, small enough that the batch's
+# intermediates stay a small share of the assessing process's memory.
+ORACLE_BATCH = 8
 
 # Probabilities are clamped below at this floor (then renormalized) before a
 # divergence is computed, so an exactly-zero class score cannot produce an
@@ -128,18 +133,15 @@ def project_feature_maps(
     rescaling of a channel therefore leaves its projection unchanged.
     """
     ow, oh, oc = oracle_input_shape
-    images = []
-    for ci in range(ir.channels):
-        channel = ir.array[ci].astype(np.float64)
-        lo = channel.min()
-        hi = channel.max()
-        if hi == lo:
-            flat = np.zeros((oh, ow))
-        else:
-            flat = bilinear_resize((channel - lo) / (hi - lo), oh, ow)
-        plane = np.clip(flat, 0.0, 1.0).astype(np.float32)
-        images.append(Tensor.from_array(np.repeat(plane[None, :, :], oc, axis=0)))
-    return tuple(images)
+    maps = ir.array.astype(np.float64)
+    lo = maps.min(axis=(1, 2))
+    hi = maps.max(axis=(1, 2))
+    varies = hi != lo
+    flat = np.zeros((ir.channels, oh, ow))
+    span = (hi[varies] - lo[varies])[:, None, None]
+    flat[varies] = bilinear_resize((maps[varies] - lo[varies, None, None]) / span, oh, ow)
+    planes = np.clip(flat, 0.0, 1.0).astype(np.float32)
+    return tuple(Tensor.from_array(np.repeat(plane[None], oc, axis=0)) for plane in planes)
 
 
 def _oracle_probs(irval: NetworkDef, image: Tensor) -> np.ndarray:
@@ -166,7 +168,12 @@ def _score_images(
     irval: NetworkDef,
     baseline: float,
 ) -> LayerKLStats:
-    scores = [kl_divergence(base_probs, _oracle_probs(irval, img)) for img in images]
+    batch = np.stack([img.array for img in images])
+    scores = [
+        kl_divergence(base_probs, probs)
+        for lo in range(0, len(batch), ORACLE_BATCH)
+        for probs in forward_batch(irval, batch[lo : lo + ORACLE_BATCH])
+    ]
     best = min(range(len(scores)), key=lambda j: (scores[j], j))
     return LayerKLStats(
         layer=layer_i,
@@ -177,13 +184,36 @@ def _score_images(
     )
 
 
-def _score_layer(
-    x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int, base: tuple[np.ndarray, float]
-) -> LayerKLStats:
-    """Score one generator layer against the input's oracle ``base``."""
+def _generator_outputs(x: Tensor, irgen: NetworkDef, last: int) -> list[Tensor]:
+    """Outputs of generator layers ``1..last``, each layer evaluated once.
+
+    Layer ``i`` runs alone on layer ``i - 1``'s output, which reproduces a
+    pass from layer 1 bit for bit. A route layer instead reruns the span
+    back to its earliest source, since a range may not reach past its start.
+    """
+    outs = [x]
+    for i in range(1, last + 1):
+        start = i
+        while True:
+            srcs = [s for layer in irgen.layers[start - 1 : i] for s in layer.sources]
+            if min(srcs, default=start) >= start:
+                break
+            start = min(srcs)
+        outs.append(forward_range(irgen, start, i, outs[start - 1]))
+    return outs[1:]
+
+
+def _score_layers(
+    x: Tensor, irgen: NetworkDef, irval: NetworkDef, last: int, base: tuple[np.ndarray, float]
+) -> list[LayerKLStats]:
+    """Score generator layers ``1..last`` against the input's oracle ``base``."""
     base_probs, baseline = base
-    images = project_feature_maps(forward_range(irgen, 1, layer_i, x), irval.input_shape)
-    return _score_images(layer_i, base_probs, images, irval, baseline)
+    return [
+        _score_images(
+            layer_i, base_probs, project_feature_maps(ir, irval.input_shape), irval, baseline
+        )
+        for layer_i, ir in enumerate(_generator_outputs(x, irgen, last), start=1)
+    ]
 
 
 def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) -> LayerKLStats:
@@ -191,7 +221,7 @@ def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) 
     n = irgen.n_layers
     if not (1 <= layer_i < n):
         raise ValueError(f"assessable layers are 1..{n - 1}, got {layer_i}")
-    return _score_layer(x, irgen, irval, layer_i, _oracle_baseline(irval, x))
+    return _score_layers(x, irgen, irval, layer_i, _oracle_baseline(irval, x))[-1]
 
 
 def valid_partition_points(net: NetworkDef) -> set[int]:
@@ -253,10 +283,7 @@ def assess_model(
     valid = frozenset(valid_partition_points(irgen))
 
     bases = [_oracle_baseline(irval, x) for x in x_set]
-    per_input = [
-        [_score_layer(x, irgen, irval, layer_i, base) for layer_i in range(1, n)]
-        for x, base in zip(x_set, bases)
-    ]
+    per_input = [_score_layers(x, irgen, irval, n - 1, base) for x, base in zip(x_set, bases)]
 
     # per layer, the worst-case input; ties keep the earliest input
     worst = [min(rows, key=lambda r: r.delta) for rows in zip(*per_input)]

@@ -3,10 +3,11 @@ in-boundary inference and class mapping.
 
 The enclave is an isolated component behind a narrow message API. Every
 operation crosses the boundary as a :mod:`irshield.protocol` frame (type
-byte, u64 LE length, payload) and every byte that leaves is appended to an audit log, so
-tests can assert that no plaintext model bytes, labels, images, or keys
-ever escape. Only two kinds of payload carry model data outward: the
-intermediate tensor produced by the loaded front model (by design) and
+byte, u64 LE length, payload). A session created with an audit list appends
+every byte that leaves to it, so tests can assert that no plaintext model
+bytes, labels, images, or keys ever escape; by default nothing is kept.
+Only two kinds of payload carry model data outward: the intermediate tensor
+produced by the loaded front model (by design, and only when finite) and
 sealed result containers (ciphertext).
 
 Attestation is a stub faithful to the protocol shape: the enclave proves
@@ -30,9 +31,6 @@ import struct
 import threading
 import uuid
 from dataclasses import dataclass
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import protocol
 from .engine import forward_range
@@ -109,6 +107,9 @@ def build_key_message(
     nonce: bytes | None = None,
 ) -> bytes:
     """Client-side wrapping of (model_key, img_key) to an attested session."""
+    # the AES library loads on first use, as in :mod:`irshield.sealing`
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
     if len(model_key) != KEY_LEN or len(img_key) != KEY_LEN:
         raise ValueError(f"keys must be {KEY_LEN} bytes")
     wrap = _wrap_key(root_key, measurement, client_nonce, evidence_mac)
@@ -160,10 +161,13 @@ class EnclaveSession:
 
     Callers interact through the module-level operations, which shuttle
     encoded frames through :meth:`call`. Requests are serialized by an
-    internal lock: a session is one logical thread of trust.
+    internal lock: a session is one logical thread of trust. ``audit``, when
+    given, receives every response frame.
     """
 
-    def __init__(self, fn_sealed: SealedContainer, lbl_sealed: SealedContainer):
+    def __init__(
+        self, fn_sealed: SealedContainer, lbl_sealed: SealedContainer, audit: list | None = None
+    ):
         self.enclave_id = uuid.uuid4().hex
         self._fn_sealed = fn_sealed
         self._lbl_sealed = lbl_sealed
@@ -181,14 +185,14 @@ class EnclaveSession:
         self._img_key: bytes | None = None
         self._front = None
         self._labels: list[str] | None = None
-        self.boundary_log: list[bytes] = []
+        self._audit = audit
 
     # -- boundary ---------------------------------------------------------
 
     def call(self, request: bytes) -> bytes:
         """Handle one boundary frame and return the response frame.
 
-        Every returned byte is recorded in :attr:`boundary_log`.
+        Every returned frame is appended to the audit list, if there is one.
         """
         with self._lock:
             try:
@@ -200,12 +204,13 @@ class EnclaveSession:
                 response = protocol.pack_frame(
                     MSG_ERROR, protocol.error_payload(protocol.error_code(exc), message)
                 )
-            self.boundary_log.append(response)
+            if self._audit is not None:
+                self._audit.append(response)
             return response
 
     def boundary_output(self) -> bytes:
-        """Concatenation of every byte this session has ever returned."""
-        return b"".join(self.boundary_log)
+        """Every byte this session has returned, or ``b""`` without an audit list."""
+        return b"".join(self._audit or ())
 
     # -- in-enclave handlers ----------------------------------------------
 
@@ -248,6 +253,9 @@ class EnclaveSession:
         if len(payload) < NONCE_LEN + 16:
             self._fail()
             raise AuthError("key message too short")
+        from cryptography.exceptions import InvalidTag
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
         wrap = _wrap_key(self._root_key, self.measurement, self._client_nonce, self._evidence_mac)
         try:
             keys = AESGCM(wrap).decrypt(payload[:NONCE_LEN], payload[NONCE_LEN:], b"irshield-keys")
@@ -300,6 +308,9 @@ class EnclaveSession:
         if not image.is_finite():
             raise ProtocolError("image holds non-finite pixels")
         ir = forward_range(self._front, 1, self._front.n_layers, image)
+        if not ir.is_finite():
+            # finite pixels can still overflow; such a tensor never leaves
+            raise IrshieldError("front model produced non-finite activations")
         return protocol.pack_frame(MSG_IR, ir.encode())
 
     def _handle_map(self, payload: bytes) -> bytes:
@@ -343,17 +354,18 @@ def _call(session: EnclaveSession, msg_type: int, payload: bytes, expect: int) -
     return got_payload
 
 
-def enclave_create(fn_sealed, lbl_sealed) -> EnclaveSession:
+def enclave_create(fn_sealed, lbl_sealed, audit: list | None = None) -> EnclaveSession:
     """Create a session around two sealed artifacts; nothing is decrypted.
 
     Accepts SealedContainer objects or their encoded bytes; malformed
-    framing is rejected here.
+    framing is rejected here. ``audit``, when given, records every frame the
+    session returns.
     """
     if isinstance(fn_sealed, (bytes, bytearray)):
         fn_sealed = SealedContainer.decode(bytes(fn_sealed))
     if isinstance(lbl_sealed, (bytes, bytearray)):
         lbl_sealed = SealedContainer.decode(bytes(lbl_sealed))
-    return EnclaveSession(fn_sealed, lbl_sealed)
+    return EnclaveSession(fn_sealed, lbl_sealed, audit)
 
 
 def attest(session: EnclaveSession, client_nonce: bytes, root_key: bytes) -> AttestationEvidence:

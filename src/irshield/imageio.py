@@ -23,26 +23,27 @@ __all__ = [
 ]
 
 
-def bilinear_resize(channel: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resample a 2-D map with corner-aligned bilinear interpolation.
+def bilinear_resize(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resample the last two axes with corner-aligned bilinear interpolation.
 
     Corners map to corners: a source corner value is reproduced exactly at
     the matching destination corner. Degenerate axes (output size 1) sample
-    coordinate 0. Returns float64; values stay within [min, max] of the
-    source up to rounding.
+    coordinate 0. Leading axes are independent maps, each resampled with the
+    same elementwise arithmetic as on its own. Returns float64; values stay
+    within [min, max] of the source up to rounding.
     """
-    h, w = channel.shape
-    src = channel.astype(np.float64)
+    h, w = maps.shape[-2:]
+    src = maps.astype(np.float64)
     sy = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
     sx = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
-    y0 = np.floor(sy).astype(int)
+    y0 = np.floor(sy).astype(int)[:, None]
     x0 = np.floor(sx).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (sy - y0)[:, None]
-    fx = (sx - x0)[None, :]
-    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
-    bottom = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
+    fy = sy[:, None] - y0
+    fx = sx - x0
+    top = src[..., y0, x0] * (1 - fx) + src[..., y0, x1] * fx
+    bottom = src[..., y1, x0] * (1 - fx) + src[..., y1, x1] * fx
     return top * (1 - fy) + bottom * fy
 
 
@@ -60,10 +61,7 @@ def resize_to_shape(image: Tensor, shape: tuple[int, int, int]) -> Tensor:
     """Fit an image tensor to (w, h, c): bilinear spatial resize, then
     channel replication (1 -> c) or averaging (c -> 1 -> c')."""
     w, h, c = shape
-    resized = np.stack(
-        [bilinear_resize(image.array[ci], h, w) for ci in range(image.channels)]
-    )
-    adapted = _adapt_channels(resized, c)
+    adapted = _adapt_channels(bilinear_resize(image.array, h, w), c)
     return Tensor.from_array(np.clip(adapted, 0.0, 1.0).astype(np.float32))
 
 

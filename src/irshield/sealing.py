@@ -8,6 +8,10 @@ container sealed as one type can never open as another. Byte layout::
            | ciphertext length u64 LE | ciphertext | tag (16)
 
 Keys are 32 raw bytes and never appear in any serialized form.
+
+The AES library is imported by the functions that use it, not with the
+package: a process that only assesses or profiles models never loads it,
+which keeps about 6 MB out of its resident memory.
 """
 
 from __future__ import annotations
@@ -15,9 +19,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import AuthError, ProtocolError
 
@@ -128,6 +129,8 @@ def seal(
     A fresh random nonce is drawn per call; tests may inject one, but a
     caller reusing nonces under one key forfeits every AES-GCM guarantee.
     """
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
     key = _check_key(key)
     code = _type_code(content_type)
     if nonce is None:
@@ -146,6 +149,9 @@ def seal(
 
 def open_container(container: SealedContainer, key: bytes) -> bytes:
     """Verify and decrypt; raises AuthError on any tamper or key mismatch."""
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
     key = _check_key(key)
     try:
         return AESGCM(key).decrypt(

@@ -194,13 +194,13 @@ def test_criterion_5_denseblock_validity(net_cache):
     _report(5, "block boundaries {5, 11} plus the tail are the only accepted cuts")
 
 
-def _ready_session(net, cut):
+def _ready_session(net, cut, audit):
     front, back = split_network(net, cut)
     front_blob = pack_model(*serialize_network(front))
     labels_blob = "\n".join(LABELS10).encode()
     fn_sealed = seal(front_blob, MODEL_KEY, "frontnet")
     lbl_sealed = seal(labels_blob, MODEL_KEY, "labels")
-    session = enclave_create(fn_sealed, lbl_sealed)
+    session = enclave_create(fn_sealed, lbl_sealed, audit=audit)
     nonce = hashlib.sha256(b"acceptance-nonce").digest()
     evidence = attest(session, nonce, ROOT_KEY)
     key_msg = build_key_message(
@@ -219,7 +219,8 @@ def test_criterion_6_security_principles(net_cache):
     16-byte window with any secret; (IV) labels appear only inside sealed
     result containers."""
     net = net_cache("plain17", 42)
-    session, front, back, front_blob, labels_blob = _ready_session(net, 4)
+    audit: list[bytes] = []
+    session, front, back, front_blob, labels_blob = _ready_session(net, 4, audit)
 
     images = [seed_image(net.input_shape, 600 + i) for i in range(3)]
     results = []
@@ -249,7 +250,7 @@ def test_criterion_6_security_principles(net_cache):
     # outputs, matching the partition plan's boundary shape
     from irshield.enclave import MSG_IR
 
-    ir_frames = [frame for frame in session.boundary_log if frame and frame[0] == MSG_IR]
+    ir_frames = [frame for frame in audit if frame and frame[0] == MSG_IR]
     assert len(ir_frames) == len(images)
     import struct
 
@@ -263,7 +264,8 @@ def test_criterion_7_aead_denials(net_cache):
     """Any sampled byte flip in a sealed image, model, or label container is
     denied with no boundary output beyond the error frame."""
     net = net_cache("plain17", 42)
-    session, front, back, _, _ = _ready_session(net, 4)
+    audit: list[bytes] = []
+    session, front, back, _, _ = _ready_session(net, 4, audit)
     from irshield.enclave import MSG_IR
 
     x = seed_image(net.input_shape, 700)
@@ -273,10 +275,10 @@ def test_criterion_7_aead_denials(net_cache):
     for pos in positions:
         blob = bytearray(sealed)
         blob[pos] ^= 0x20
-        ir_frames_before = _count_frames(session.boundary_log, MSG_IR)
+        ir_frames_before = _count_frames(audit, MSG_IR)
         with pytest.raises((AuthError, ProtocolError)):
             infer_encrypted_image(session, bytes(blob))
-        assert _count_frames(session.boundary_log, MSG_IR) == ir_frames_before
+        assert _count_frames(audit, MSG_IR) == ir_frames_before
 
     # wrong image key
     with pytest.raises(AuthError):

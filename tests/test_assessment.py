@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from irshield import assessment, engine
 from irshield.assessment import (
+    ORACLE_BATCH,
     assess_layer,
     assess_model,
     choose_partition,
@@ -15,9 +17,12 @@ from irshield.assessment import (
     report_tsv,
     uniform_baseline,
     valid_partition_points,
+    _generator_outputs,
     _score_images,
     _oracle_probs,
 )
+from irshield.fixtures import gen_fixture_model
+from irshield.imageio import bilinear_resize
 from irshield.engine import forward_range
 from irshield.netdef import parse_config, parse_network
 from irshield.tensor import Tensor
@@ -118,7 +123,35 @@ class TestEpsilonRatio:
             epsilon_ratio(-0.1, 0.5)
 
 
+def project_one_channel_at_a_time(ir, oracle_input_shape):
+    """Per-channel reference for project_feature_maps."""
+    ow, oh, oc = oracle_input_shape
+    images = []
+    for ci in range(ir.channels):
+        channel = ir.array[ci].astype(np.float64)
+        lo, hi = channel.min(), channel.max()
+        if hi == lo:
+            flat = np.zeros((oh, ow))
+        else:
+            flat = bilinear_resize((channel - lo) / (hi - lo), oh, ow)
+        plane = np.clip(flat, 0.0, 1.0).astype(np.float32)
+        images.append(np.repeat(plane[None, :, :], oc, axis=0))
+    return images
+
+
 class TestProjection:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf channel divides inf by inf
+    def test_matches_per_channel_reference(self):
+        rng = np.random.default_rng(9)
+        arr = rng.standard_normal((6, 5, 7)).astype(np.float32)
+        arr[2] = 1.5  # a constant channel
+        arr[4, 0, 0] = np.inf
+        ir = Tensor.from_array(arr)
+        for shape in ((7, 5, 1), (32, 32, 3), (3, 2, 2)):
+            got = project_feature_maps(ir, shape)
+            want = project_one_channel_at_a_time(ir, shape)
+            assert [img.array.tobytes() for img in got] == [w.tobytes() for w in want]
+
     def test_constant_map_projects_to_zeros(self):
         ir = Tensor(3, 3, 1, np.full(9, 5.0))
         out = project_feature_maps(ir, (3, 3, 1))
@@ -411,6 +444,53 @@ class TestAssessModel:
         assert report_table(r1) == report_table(r2)
         n_rows = len(report_tsv(r1).strip().splitlines())
         assert n_rows == plain17.n_layers - 1
+
+    def test_plain17_report_golden(self, plain17):
+        golden = json.loads((GOLDEN_DIR / "assess_model_plain17.json").read_text())
+        oracle = parse_network(
+            *gen_fixture_model("plain17", golden["oracle_seed"], golden["classes"])
+        )
+        xs = [seed_image(plain17.input_shape, s) for s in golden["image_seeds"]]
+        report = assess_model(xs, plain17, oracle)
+        assert report_tsv(report) == golden["tsv"]
+        assert report.chosen == golden["chosen"]
+
+    def test_work_per_image_plain17(self, plain17, monkeypatch):
+        """One generator pass of one-layer ranges, one oracle forward for the
+        baseline, and every projected map scored in bounded oracle batches."""
+        ranges, forwards, batches = [], [], []
+        real_range, real_forward = assessment.forward_range, assessment.forward
+
+        def forward_range(net, lo, hi, x):
+            ranges.append((lo, hi))
+            return real_range(net, lo, hi, x)
+
+        def forward(net, x):
+            forwards.append(x)
+            return real_forward(net, x)
+
+        def forward_batch(net, x):
+            batches.append(len(x))
+            return engine.forward_batch(net, x)
+
+        monkeypatch.setattr(assessment, "forward_range", forward_range)
+        monkeypatch.setattr(assessment, "forward", forward)
+        monkeypatch.setattr(assessment, "forward_batch", forward_batch)
+        oracle = parse_network(*gen_fixture_model("plain17", 2, 10))
+        assess_model([seed_image(plain17.input_shape, 64)], plain17, oracle)
+
+        assert ranges == [(i, i) for i in range(1, 17)]
+        assert len(forwards) == 1
+        assert ORACLE_BATCH == 8
+        assert all(1 <= size <= ORACLE_BATCH for size in batches)
+        maps = sum(c for _, _, c in plain17.layer_output_shapes[:16])
+        assert sum(batches) == maps == 188
+
+    def test_route_generator_outputs_match_pass_from_layer_1(self, denseblock):
+        x = seed_image(denseblock.input_shape, 65)
+        outs = _generator_outputs(x, denseblock, denseblock.n_layers - 1)
+        for i, out in enumerate(outs, start=1):
+            assert out.data.tobytes() == forward_range(denseblock, 1, i, x).data.tobytes()
 
     def test_empty_input_set_rejected(self, plain17):
         with pytest.raises(ValueError, match="at least one input"):

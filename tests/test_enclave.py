@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from irshield.enclave import (
+    MSG_ERROR,
+    MSG_IR,
     AttestationEvidence,
     attest,
     build_key_message,
@@ -15,7 +17,7 @@ from irshield.enclave import (
     verify_evidence,
 )
 from irshield.engine import forward, forward_range, top_k
-from irshield.errors import AuthError, ProtocolError, StateError
+from irshield.errors import AuthError, IrshieldError, ProtocolError, StateError
 from irshield.netdef import serialize_network
 from irshield.partition import pack_model, split_network
 from irshield.sealing import SealedContainer, open_container, seal
@@ -48,8 +50,8 @@ def build_setup(net, cut, labels=LABELS10, model_key=MODEL_KEY):
     }
 
 
-def ready_session(setup, img_key=IMG_KEY, model_key=MODEL_KEY, root_key=ROOT_KEY):
-    session = enclave_create(setup["fn_sealed"], setup["lbl_sealed"])
+def ready_session(setup, img_key=IMG_KEY, model_key=MODEL_KEY, root_key=ROOT_KEY, audit=None):
+    session = enclave_create(setup["fn_sealed"], setup["lbl_sealed"], audit=audit)
     nonce = os.urandom(32)
     evidence = attest(session, nonce, root_key)
     assert verify_evidence(root_key, evidence.measurement, nonce, evidence.mac)
@@ -192,7 +194,7 @@ class TestInfer:
 
     def test_tampered_image_denied_with_no_ir_bytes(self, plain17):
         setup = build_setup(plain17, 4)
-        session = ready_session(setup)
+        session = ready_session(setup, audit=[])
         x = seed_image(plain17.input_shape, 91)
         box = sealed_image(x)
         tampered = SealedContainer(
@@ -228,6 +230,21 @@ class TestInfer:
         x = seed_image(plain17.input_shape, 93)
         with pytest.raises(ProtocolError):
             infer_encrypted_image(session, x.encode())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_activations_never_leave(self, plain17):
+        # finite pixels that overflow in the front model
+        setup = build_setup(plain17, 4)
+        audit: list[bytes] = []
+        session = ready_session(setup, audit=audit)
+        w, h, c = plain17.input_shape
+        huge = Tensor(w, h, c, np.full(w * h * c, 3e38, dtype=np.float32))
+        assert not forward_range(setup["front"], 1, 4, huge).is_finite()
+        before = len(audit)
+        with pytest.raises(IrshieldError, match="non-finite activations"):
+            infer_encrypted_image(session, sealed_image(huge))
+        assert [frame[0] for frame in audit[before:]] == [MSG_ERROR]
+        assert session.state == "ready"
 
     def test_infer_before_ready_rejected(self, plain17):
         setup = build_setup(plain17, 4)
@@ -286,7 +303,7 @@ def assert_no_shared_window(secret: bytes, haystack: bytes, window: int = 16):
 class TestBoundaryLeaks:
     def test_scripted_session_leaks_nothing(self, plain17):
         setup = build_setup(plain17, 4)
-        session = ready_session(setup)
+        session = ready_session(setup, audit=[])
         images = [seed_image(plain17.input_shape, s) for s in (96, 97)]
         for x in images:
             ir = infer_encrypted_image(session, sealed_image(x))
@@ -309,11 +326,38 @@ class TestBoundaryLeaks:
 
     def test_label_text_never_leaves_in_clear(self, plain17):
         setup = build_setup(plain17, 4)
-        session = ready_session(setup)
+        session = ready_session(setup, audit=[])
         map_classes(session, [(3, 0.9)])
         out = session.boundary_output()
         for label in LABELS10:
             assert label.encode() not in out
+
+
+class TestAudit:
+    def test_audit_list_receives_every_response(self, plain17):
+        setup = build_setup(plain17, 4)
+        audit: list[bytes] = []
+        session = ready_session(setup, audit=audit)
+        infer_encrypted_image(session, sealed_image(seed_image(plain17.input_shape, 99)))
+        # attest evidence, provision ok, then the intermediate tensor
+        assert len(audit) == 3 and audit[-1][0] == MSG_IR
+        assert session.boundary_output() == b"".join(audit)
+
+    def test_default_session_holds_no_per_request_state(self, plain17):
+        setup = build_setup(plain17, 4)
+        session = ready_session(setup)
+        sealed = sealed_image(seed_image(plain17.input_shape, 100))
+
+        def footprint():
+            return {name: len(value) for name, value in vars(session).items()
+                    if isinstance(value, (bytes, list, dict, set, tuple))}
+
+        before = footprint()
+        for _ in range(1000):
+            ir = infer_encrypted_image(session, sealed)
+            map_classes(session, top_k(forward(setup["back"], ir), 3))
+        assert footprint() == before
+        assert session.boundary_output() == b""
 
 
 class TestStateMachine:

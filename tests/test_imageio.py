@@ -119,6 +119,14 @@ class TestResize:
         assert out.shape == (1, 1)
         assert out[0, 0] == arr[0, 0]
 
+    def test_leading_axes_resample_like_single_maps(self):
+        rng = np.random.default_rng(4)
+        maps = rng.random((2, 3, 5, 6)).astype(np.float32)
+        out = bilinear_resize(maps, 7, 4)
+        for i in range(2):
+            for j in range(3):
+                assert out[i, j].tobytes() == bilinear_resize(maps[i, j], 7, 4).tobytes()
+
     def test_gray_replicated_to_three_channels(self):
         t = Tensor(2, 2, 1, [0.0, 0.25, 0.5, 1.0])
         out = resize_to_shape(t, (4, 4, 3))

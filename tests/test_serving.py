@@ -7,11 +7,12 @@ import threading
 import numpy as np
 import pytest
 
-from irshield import protocol
+from irshield import enclave, protocol
 from irshield.client import AttestationRejected, ResultAuthError, client_predict
 from irshield.enclave import (
     attest,
     build_key_message,
+    enclave_create,
     provision_keys,
     verify_evidence,
 )
@@ -286,11 +287,22 @@ class TestServing:
         self.assert_refused_and_connection_survives(server, plain17, image, protocol.ERR_MALFORMED)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_scores_refused_as_internal(self, server, plain17):
-        # finite pixels whose activations overflow: the scores come out NaN
+    def test_non_finite_scores_refused_as_internal(self, server, plain17, monkeypatch):
+        # finite pixels whose activations overflow in the front model: the
+        # enclave refuses them before any intermediate tensor is framed
+        audit: list[bytes] = []
+        dep = server.dep
+        monkeypatch.setattr(dep, "new_session", lambda: enclave_create(
+            dep.artifacts.frontnet_sealed, dep.artifacts.labels_sealed, audit=audit))
         w, h, c = plain17.input_shape
         image = Tensor(w, h, c, np.full(w * h * c, 3e38, dtype=np.float32))
         self.assert_refused_and_connection_survives(server, plain17, image, protocol.ERR_INTERNAL)
+        # attest, provision, the refusal, then the follow-up predict's
+        # intermediate tensor and result
+        assert [frame[0] for frame in audit] == [
+            enclave.MSG_ATTEST_EVIDENCE, enclave.MSG_PROVISION_OK, enclave.MSG_ERROR,
+            enclave.MSG_IR, enclave.MSG_RESULT,
+        ]
 
     def test_finished_connection_threads_are_pruned(self, server, test_image):
         for _ in range(50):
