@@ -10,6 +10,13 @@ the divergence between the input's own classification and the discrete
 uniform distribution, giving a per-layer ratio. Layers are safe to expose
 once the ratio stays above 1 from that layer onward.
 
+A constant channel projects to the all-zero image, and so does any map whose
+projection is byte-identical to it. Those maps share one oracle pass of the
+zero image per call and one divergence per input; the rest go through the
+oracle in batches of at most ORACLE_BATCH. The scores are exact, not
+approximate: an oracle batch row is byte-identical to a lone pass, so every
+such map would have scored the same bytes on its own.
+
 All divergences use base-10 logarithms, so the uniform-distribution
 normalizer for a confidently classified input over N classes is log10(N)
 (3.0 at N = 1000).
@@ -18,6 +25,7 @@ normalizer for a confidently classified input over N classes is log10(N)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,37 +158,50 @@ def _oracle_probs(irval: NetworkDef, image: Tensor) -> np.ndarray:
     return forward(irval, image)
 
 
-def _oracle_baseline(irval: NetworkDef, x: Tensor) -> tuple[np.ndarray, float]:
-    """The oracle's probabilities for ``x`` and their uniform baseline."""
+def _zero_image_probs(irval: NetworkDef) -> np.ndarray:
+    """The oracle's probabilities for the all-zero image, the projection of
+    every constant feature map."""
+    ow, oh, oc = irval.input_shape
+    return forward_batch(irval, np.zeros((1, oc, oh, ow), np.float32))[0]
+
+
+class _OracleBase(NamedTuple):
+    """The oracle's view of one input, against which its maps are scored."""
+
+    probs: np.ndarray
+    baseline: float  # uniform_baseline(probs)
+    zero_kl: float  # divergence of the all-zero projection from probs
+
+
+def _oracle_base(irval: NetworkDef, x: Tensor, zero_probs: np.ndarray) -> _OracleBase:
     base_probs = _oracle_probs(irval, x)
     baseline = uniform_baseline(base_probs)
     if baseline <= 0:
         raise ValueError(
             "oracle classified an input as exactly uniform; layer ratios are undefined"
         )
-    return base_probs, baseline
+    return _OracleBase(base_probs, baseline, kl_divergence(base_probs, zero_probs))
 
 
 def _score_images(
-    layer_i: int,
-    base_probs: np.ndarray,
-    images: tuple[Tensor, ...],
-    irval: NetworkDef,
-    baseline: float,
+    layer_i: int, images: tuple[Tensor, ...], irval: NetworkDef, base: _OracleBase
 ) -> LayerKLStats:
+    """Score one layer's projected maps. A map byte-identical to the all-zero
+    image takes the shared ``base.zero_kl`` (see the module docstring)."""
     batch = np.stack([img.array for img in images])
-    scores = [
-        kl_divergence(base_probs, probs)
-        for lo in range(0, len(batch), ORACLE_BATCH)
-        for probs in forward_batch(irval, batch[lo : lo + ORACLE_BATCH])
-    ]
+    scores = [base.zero_kl] * len(batch)
+    rest = np.flatnonzero(batch.reshape(len(batch), -1).view(np.uint32).any(axis=1))
+    for lo in range(0, len(rest), ORACLE_BATCH):
+        chunk = rest[lo : lo + ORACLE_BATCH]
+        for j, probs in zip(chunk, forward_batch(irval, batch[chunk])):
+            scores[j] = kl_divergence(base.probs, probs)
     best = min(range(len(scores)), key=lambda j: (scores[j], j))
     return LayerKLStats(
         layer=layer_i,
         min_kl=scores[best],
         max_kl=max(scores),
         argmin_j=best + 1,
-        delta=scores[best] / baseline,
+        delta=scores[best] / base.baseline,
     )
 
 
@@ -204,15 +225,12 @@ def _generator_outputs(x: Tensor, irgen: NetworkDef, last: int) -> list[Tensor]:
 
 
 def _score_layers(
-    x: Tensor, irgen: NetworkDef, irval: NetworkDef, last: int, base: tuple[np.ndarray, float]
+    x: Tensor, irgen: NetworkDef, irval: NetworkDef, base: _OracleBase
 ) -> list[LayerKLStats]:
-    """Score generator layers ``1..last`` against the input's oracle ``base``."""
-    base_probs, baseline = base
+    """Score every assessable generator layer against the input's oracle ``base``."""
     return [
-        _score_images(
-            layer_i, base_probs, project_feature_maps(ir, irval.input_shape), irval, baseline
-        )
-        for layer_i, ir in enumerate(_generator_outputs(x, irgen, last), start=1)
+        _score_images(layer_i, project_feature_maps(ir, irval.input_shape), irval, base)
+        for layer_i, ir in enumerate(_generator_outputs(x, irgen, irgen.n_layers - 1), start=1)
     ]
 
 
@@ -221,7 +239,9 @@ def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) 
     n = irgen.n_layers
     if not (1 <= layer_i < n):
         raise ValueError(f"assessable layers are 1..{n - 1}, got {layer_i}")
-    return _score_layers(x, irgen, irval, layer_i, _oracle_baseline(irval, x))[-1]
+    ir = _generator_outputs(x, irgen, layer_i)[-1]
+    base = _oracle_base(irval, x, _zero_image_probs(irval))
+    return _score_images(layer_i, project_feature_maps(ir, irval.input_shape), irval, base)
 
 
 def valid_partition_points(net: NetworkDef) -> set[int]:
@@ -279,11 +299,10 @@ def assess_model(
     if len(input_ids) != len(x_set):
         raise ValueError("input_ids must match the number of inputs")
 
-    n = irgen.n_layers
     valid = frozenset(valid_partition_points(irgen))
-
-    bases = [_oracle_baseline(irval, x) for x in x_set]
-    per_input = [_score_layers(x, irgen, irval, n - 1, base) for x, base in zip(x_set, bases)]
+    zero_probs = _zero_image_probs(irval)
+    bases = [_oracle_base(irval, x, zero_probs) for x in x_set]
+    per_input = [_score_layers(x, irgen, irval, base) for x, base in zip(x_set, bases)]
 
     # per layer, the worst-case input; ties keep the earliest input
     worst = [min(rows, key=lambda r: r.delta) for rows in zip(*per_input)]
@@ -291,7 +310,7 @@ def assess_model(
     chosen = choose_partition([r.delta for r in worst], valid) if worst else None
     return AssessmentReport(
         input_id=",".join(input_ids),
-        uniform_baseline=min(baseline for _, baseline in bases),
+        uniform_baseline=min(base.baseline for base in bases),
         layers=tuple(worst),
         valid_points=valid,
         chosen=chosen,

@@ -38,7 +38,10 @@ def _activate(out: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
         return np.maximum(out, np.float32(0))
     if activation == "leaky":
-        return np.where(out > 0, out, out * LEAKY_SLOPE)
+        # max(0.1x, x) is x for x > 0 and 0.1x otherwise: the bytes of the
+        # select, signed zeros included; a NaN comes back as the product's
+        # (quieted) NaN, as from the select, because the product goes first
+        return np.maximum(out * LEAKY_SLOPE, out)
     return out
 
 

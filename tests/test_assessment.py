@@ -7,6 +7,8 @@ import pytest
 from irshield import assessment, engine
 from irshield.assessment import (
     ORACLE_BATCH,
+    AssessmentReport,
+    LayerKLStats,
     assess_layer,
     assess_model,
     choose_partition,
@@ -18,12 +20,13 @@ from irshield.assessment import (
     uniform_baseline,
     valid_partition_points,
     _generator_outputs,
+    _oracle_base,
     _score_images,
-    _oracle_probs,
+    _zero_image_probs,
 )
 from irshield.fixtures import gen_fixture_model
-from irshield.imageio import bilinear_resize
-from irshield.engine import forward_range
+from irshield.imageio import bilinear_resize, resize_to_shape
+from irshield.engine import forward, forward_range
 from irshield.netdef import parse_config, parse_network
 from irshield.tensor import Tensor
 
@@ -290,14 +293,11 @@ class TestAssessLayer:
 
     def test_stats_invariant_under_feature_map_scaling(self, plain17):
         x = seed_image(plain17.input_shape, 52)
-        base_probs = _oracle_probs(plain17, x)
-        baseline = uniform_baseline(base_probs)
+        base = _oracle_base(plain17, x, _zero_image_probs(plain17))
         ir = forward_range(plain17, 1, 3, x)
         scaled = Tensor.from_array(ir.array * np.float32(4.0))
-        a = _score_images(3, base_probs, project_feature_maps(ir, plain17.input_shape),
-                          plain17, baseline)
-        b = _score_images(3, base_probs, project_feature_maps(scaled, plain17.input_shape),
-                          plain17, baseline)
+        a = _score_images(3, project_feature_maps(ir, plain17.input_shape), plain17, base)
+        b = _score_images(3, project_feature_maps(scaled, plain17.input_shape), plain17, base)
         assert a == b
 
 
@@ -388,6 +388,96 @@ class TestChoosePartition:
                 assert not all(d > 1 for d in deltas[got - 2 :])
 
 
+UNPADDED_GEN_CFG = """\
+[net]
+width=8
+height=8
+channels=1
+
+[convolutional]
+filters=3
+size=3
+activation=leaky
+
+[maxpool]
+size=2
+stride=2
+
+[convolutional]
+filters=2
+size=1
+activation=leaky
+
+[avgpool]
+"""
+
+
+def assess_one_map_at_a_time(xs, irgen, irval):
+    """Reference for assess_model: every layer from a pass from layer 1, and
+    every projected map through its own lone oracle forward."""
+    per_input, baselines = [], []
+    for x in xs:
+        base = forward(irval, resize_to_shape(x, irval.input_shape))
+        baseline = uniform_baseline(base)
+        rows = []
+        for i in range(1, irgen.n_layers):
+            maps = project_feature_maps(forward_range(irgen, 1, i, x), irval.input_shape)
+            scores = [kl_divergence(base, forward(irval, img)) for img in maps]
+            best = scores.index(min(scores))
+            rows.append(LayerKLStats(i, scores[best], max(scores), best + 1, scores[best] / baseline))
+        per_input.append(rows)
+        baselines.append(baseline)
+    layers = tuple(min(rows, key=lambda r: r.delta) for rows in zip(*per_input))
+    valid = frozenset(valid_partition_points(irgen))
+    chosen = choose_partition([r.delta for r in layers], valid)
+    return AssessmentReport(
+        ",".join(f"input-{k + 1}" for k in range(len(xs))), min(baselines), layers, valid, chosen
+    )
+
+
+class TestConstantMapsShareOnePass:
+    """Constant maps all project to the zero image and share one oracle pass;
+    reports must match a pass that scores every map alone."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return parse_network(*gen_fixture_model("plain17", 2, 10))
+
+    @pytest.mark.parametrize("arch", ["plain17", "plain28", "denseblock"])
+    def test_report_matches_lone_oracle_passes(self, arch, oracle, request):
+        irgen = request.getfixturevalue(arch)
+        xs = [seed_image(irgen.input_shape, s) for s in (80, 81, 82)]
+        want = report_tsv(assess_one_map_at_a_time(xs, irgen, oracle))
+        assert report_tsv(assess_model(xs, irgen, oracle)) == want
+
+    def test_all_constant_maps(self):
+        # unpadded convolutions keep a constant image constant in every map
+        irgen = parse_network(UNPADDED_GEN_CFG, pack_weights(
+            *np.random.default_rng(12).normal(0.0, 1.0, 3 + 27 + 2 + 6)))
+        irval = _small_oracle()
+        x = Tensor(8, 8, 1, np.full(64, 0.7))
+        for out in _generator_outputs(x, irgen, irgen.n_layers - 1):
+            assert np.all(out.array == out.array[:, :1, :1])
+        report = assess_model([x], irgen, irval)
+        assert report_tsv(report) == report_tsv(assess_one_map_at_a_time([x], irgen, irval))
+        assert all(row.min_kl == row.max_kl and row.argmin_j == 1 for row in report.layers)
+
+    def test_layer_of_single_pixel_maps(self, plain17, oracle, monkeypatch):
+        batches = []
+
+        def forward_batch(net, x):
+            batches.append(len(x))
+            return engine.forward_batch(net, x)
+
+        monkeypatch.setattr(assessment, "forward_batch", forward_batch)
+        x = seed_image(plain17.input_shape, 83)
+        assert plain17.layer_output_shapes[13][:2] == (1, 1)
+        stats = assess_layer(x, plain17, oracle, 14)
+        assert batches == [1]  # the zero image, and nothing else
+        assert stats == assess_one_map_at_a_time([x], plain17, oracle).layers[13]
+        assert stats.min_kl == stats.max_kl and stats.argmin_j == 1
+
+
 class TestAssessModel:
     def test_shallow_identity_golden(self):
         golden = json.loads((GOLDEN_DIR / "assess_model_shallow.json").read_text())
@@ -457,7 +547,8 @@ class TestAssessModel:
 
     def test_work_per_image_plain17(self, plain17, monkeypatch):
         """One generator pass of one-layer ranges, one oracle forward for the
-        baseline, and every projected map scored in bounded oracle batches."""
+        baseline, one oracle pass for the all-zero image, and every map that
+        is not constant scored in bounded oracle batches."""
         ranges, forwards, batches = [], [], []
         real_range, real_forward = assessment.forward_range, assessment.forward
 
@@ -470,21 +561,31 @@ class TestAssessModel:
             return real_forward(net, x)
 
         def forward_batch(net, x):
-            batches.append(len(x))
+            batches.append(np.array(x))
             return engine.forward_batch(net, x)
 
+        x = seed_image(plain17.input_shape, 64)
         monkeypatch.setattr(assessment, "forward_range", forward_range)
         monkeypatch.setattr(assessment, "forward", forward)
         monkeypatch.setattr(assessment, "forward_batch", forward_batch)
         oracle = parse_network(*gen_fixture_model("plain17", 2, 10))
-        assess_model([seed_image(plain17.input_shape, 64)], plain17, oracle)
+        assess_model([x], plain17, oracle)
+        monkeypatch.undo()
 
         assert ranges == [(i, i) for i in range(1, 17)]
         assert len(forwards) == 1
         assert ORACLE_BATCH == 8
-        assert all(1 <= size <= ORACLE_BATCH for size in batches)
+        assert all(1 <= len(b) <= ORACLE_BATCH for b in batches)
+        rows = [row for b in batches for row in b]
+        assert sum(not row.any() for row in rows) == 1
+        varying = sum(
+            int((out.array.max(axis=(1, 2)) > out.array.min(axis=(1, 2))).sum())
+            for out in _generator_outputs(x, plain17, 16)
+        )
         maps = sum(c for _, _, c in plain17.layer_output_shapes[:16])
-        assert sum(batches) == maps == 188
+        assert maps == 188
+        assert 0 < varying < maps
+        assert len(rows) == varying + 1
 
     def test_route_generator_outputs_match_pass_from_layer_1(self, denseblock):
         x = seed_image(denseblock.input_shape, 65)

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from irshield.engine import _im2col_index, _run_range, forward, forward_batch, forward_range
+from irshield.engine import (
+    LEAKY_SLOPE,
+    _activate,
+    _im2col_index,
+    _run_range,
+    forward,
+    forward_batch,
+    forward_range,
+)
 from irshield.netdef import (
     layer_weights,
     parse_config,
@@ -143,3 +151,24 @@ def test_maxpool_equals_scalar_reference(case, seed):
     image = _images(shape, 1, seed)[0]
     got = forward_range(net, 1, 1, Tensor.from_array(image))
     assert got.array.tobytes() == ref_maxpool(net.layers[0], image).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0.1 and NaN arithmetic
+def test_leaky_matches_select_bytes():
+    """Leaky is max(0.1x, x); it must give the bytes of the select
+    where(x > 0, x, 0.1x) on signed zeros, subnormals, extremes, infinities
+    and quiet and signalling NaNs of either sign, at every array length, so
+    both numpy's vector loops and their scalar tails are covered."""
+    edges = np.concatenate([
+        np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40, 1.2e-38, -1.2e-38,
+                  3e38, -3e38, 3.4028235e38, -3.4028235e38, np.inf, -np.inf, 1.0, -1.0],
+                 np.float32),
+        np.array([0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFC00001, 0x7F800001, 0xFF800001],
+                 np.uint32).view(np.float32),
+    ])
+    rng = np.random.default_rng(3)
+    cases = [np.resize(rng.permutation(edges), n) for n in (1, 5, 17, 64, 1000)]
+    cases.append(rng.standard_normal((8, 4, 32, 32)).astype(np.float32) * np.float32(10))
+    for x in cases:
+        want = np.where(x > 0, x, x * LEAKY_SLOPE)
+        assert _activate(x, "leaky").tobytes() == want.tobytes()
