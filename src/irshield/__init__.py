@@ -8,6 +8,18 @@ protocol in which images, labels, and results only ever cross the trust
 boundary inside authenticated-encryption containers.
 """
 
+import importlib
+
+from .errors import (
+    AuthError,
+    ConfigError,
+    IrshieldError,
+    PartitionError,
+    ProtocolError,
+    ShapeError,
+    StateError,
+    WeightsError,
+)
 from .tensor import Tensor
 from .netdef import (
     LayerSpec,
@@ -24,7 +36,6 @@ from .assessment import (
     assess_layer,
     assess_model,
     choose_partition,
-    epsilon_ratio,
     kl_divergence,
     project_feature_maps,
     report_table,
@@ -32,35 +43,37 @@ from .assessment import (
     uniform_baseline,
     valid_partition_points,
 )
-from .workload import FlopProfile, flop_profile, frontnet_fraction, layer_flops, profile_tsv
-from .sealing import SealedContainer, open_container, seal
-from .partition import (
-    PartitionArtifacts,
-    load_artifacts,
-    split_network,
-    write_artifacts,
-)
-from .enclave import (
-    AttestationEvidence,
-    EnclaveSession,
-    attest,
-    enclave_create,
-    infer_encrypted_image,
-    map_classes,
-    provision_keys,
-)
-from .server import Deployment, Server, deploy, handle_predict, serve
-from .client import client_predict
-from .errors import (
-    AuthError,
-    ConfigError,
-    IrshieldError,
-    PartitionError,
-    ProtocolError,
-    ShapeError,
-    StateError,
-    WeightsError,
-)
+
+# Workload accounting and the serving stack (sealing, partitioning, the
+# enclave, the daemon and its client) load on first use, so a process that
+# only assesses never imports sockets or key handling.
+_LAZY = {
+    "workload": ("FlopProfile", "flop_profile", "frontnet_fraction", "layer_flops", "profile_tsv"),
+    "sealing": ("SealedContainer", "open_container", "seal"),
+    "partition": ("PartitionArtifacts", "load_artifacts", "split_network", "write_artifacts"),
+    "enclave": (
+        "AttestationEvidence",
+        "EnclaveSession",
+        "attest",
+        "enclave_create",
+        "infer_encrypted_image",
+        "map_classes",
+        "provision_keys",
+    ),
+    "server": ("Deployment", "Server", "deploy", "handle_predict", "serve"),
+    "client": ("client_predict",),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
@@ -81,7 +94,6 @@ __all__ = [
     "assess_layer",
     "assess_model",
     "choose_partition",
-    "epsilon_ratio",
     "kl_divergence",
     "project_feature_maps",
     "report_table",

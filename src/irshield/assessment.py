@@ -10,12 +10,17 @@ the divergence between the input's own classification and the discrete
 uniform distribution, giving a per-layer ratio. Layers are safe to expose
 once the ratio stays above 1 from that layer onward.
 
-A constant channel projects to the all-zero image, and so does any map whose
+A layer's maps stay one array throughout: projection returns a float32
+``(maps, oh, ow)`` array of planes, and only the planes of one oracle batch
+at a time are repeated across the oracle's input channels.
+
+A constant channel projects to the all-zero plane, and so does any map whose
 projection is byte-identical to it. Those maps share one oracle pass of the
 zero image per call and one divergence per input; the rest go through the
-oracle in batches of at most ORACLE_BATCH. The scores are exact, not
-approximate: an oracle batch row is byte-identical to a lone pass, so every
-such map would have scored the same bytes on its own.
+oracle in batches of at most ORACLE_BATCH, each batch scored by one row-form
+``kl_divergence`` call. The scores are exact, not approximate: an oracle
+batch row is byte-identical to a lone pass, and a divergence row to the
+1-D call, so every map scores the bytes it would have scored on its own.
 
 All divergences use base-10 logarithms, so the uniform-distribution
 normalizer for a confidently classified input over N classes is log10(N)
@@ -42,7 +47,6 @@ __all__ = [
     "assess_model",
     "valid_partition_points",
     "choose_partition",
-    "epsilon_ratio",
     "LayerKLStats",
     "AssessmentReport",
     "report_table",
@@ -61,22 +65,27 @@ ORACLE_BATCH = 8
 PROB_FLOOR = 1e-10
 
 
-def kl_divergence(p, q) -> float:
+def kl_divergence(p, q):
     """Base-10 KL divergence sum(p * log10(p / q)) with zero smoothing.
 
     Both arguments are clamped below at PROB_FLOOR and renormalized, so the
     result is finite for any pair of probability vectors and non-negative up
-    to smoothing error.
+    to smoothing error. A 2-D ``q`` of shape (rows, classes) gives one float64
+    divergence per row, each byte-identical to the call on that row alone.
     """
     p = np.asarray(p, dtype=np.float64).reshape(-1)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if p.size != q.size:
-        raise ValueError(f"length mismatch: p has {p.size} entries, q has {q.size}")
+    q = np.asarray(q, dtype=np.float64)
+    rows = q.ndim == 2
+    if not rows:
+        q = q.reshape(-1)
+    if p.size != q.shape[-1]:
+        raise ValueError(f"length mismatch: p has {p.size} entries, q has {q.shape[-1]}")
     ps = np.maximum(p, PROB_FLOOR)
     qs = np.maximum(q, PROB_FLOOR)
     ps = ps / ps.sum()
-    qs = qs / qs.sum()
-    return float(np.sum(ps * np.log10(ps / qs)))
+    qs = qs / qs.sum(axis=-1, keepdims=True)
+    out = np.sum(ps * np.log10(ps / qs), axis=-1)
+    return out if rows else float(out)
 
 
 def uniform_baseline(p) -> float:
@@ -93,21 +102,6 @@ def uniform_baseline(p) -> float:
     mask = p > 0
     vals = p[mask]
     return float(np.sum(vals * np.log10(vals * n)))
-
-
-def epsilon_ratio(dist_with_ir: float, dist_background_only: float) -> float:
-    """Ratio of reconstruction distances with vs without an exposed tensor.
-
-    Callers compare the ratio against a confidentiality bound in [0, 1]:
-    a ratio at or below the bound means the exposure helped an attacker.
-    """
-    if dist_background_only <= 0:
-        raise ValueError(
-            f"background-only distance must be positive, got {dist_background_only}"
-        )
-    if dist_with_ir < 0:
-        raise ValueError(f"distances must be non-negative, got {dist_with_ir}")
-    return dist_with_ir / dist_background_only
 
 
 @dataclass(frozen=True)
@@ -130,26 +124,24 @@ class AssessmentReport:
     chosen: int | None
 
 
-def project_feature_maps(
-    ir: Tensor, oracle_input_shape: tuple[int, int, int]
-) -> tuple[Tensor, ...]:
-    """Turn each channel of a layer output into an oracle-ready image.
+def project_feature_maps(ir: np.ndarray, oracle_input_shape: tuple[int, int, int]) -> np.ndarray:
+    """Turn each channel of a ``(c, h, w)`` layer output into one oracle-sized
+    plane; returns a ``(c, oh, ow)`` float32 array.
 
     Each channel is min-max normalized to [0, 1] independently (a constant
-    channel becomes all zeros), resized with corner-aligned bilinear
-    sampling, and replicated across the oracle's input channels. Positive
-    rescaling of a channel therefore leaves its projection unchanged.
+    channel becomes all zeros) and resized with corner-aligned bilinear
+    sampling. Positive rescaling of a channel therefore leaves its plane
+    unchanged. The oracle sees a plane repeated across its input channels.
     """
-    ow, oh, oc = oracle_input_shape
-    maps = ir.array.astype(np.float64)
+    ow, oh, _ = oracle_input_shape
+    maps = np.asarray(ir, dtype=np.float64)
     lo = maps.min(axis=(1, 2))
     hi = maps.max(axis=(1, 2))
     varies = hi != lo
-    flat = np.zeros((ir.channels, oh, ow))
+    flat = np.zeros((len(maps), oh, ow))
     span = (hi[varies] - lo[varies])[:, None, None]
     flat[varies] = bilinear_resize((maps[varies] - lo[varies, None, None]) / span, oh, ow)
-    planes = np.clip(flat, 0.0, 1.0).astype(np.float32)
-    return tuple(Tensor.from_array(np.repeat(plane[None], oc, axis=0)) for plane in planes)
+    return np.clip(flat, 0.0, 1.0, out=flat).astype(np.float32)
 
 
 def _oracle_probs(irval: NetworkDef, image: Tensor) -> np.ndarray:
@@ -184,17 +176,19 @@ def _oracle_base(irval: NetworkDef, x: Tensor, zero_probs: np.ndarray) -> _Oracl
 
 
 def _score_images(
-    layer_i: int, images: tuple[Tensor, ...], irval: NetworkDef, base: _OracleBase
+    layer_i: int, planes: np.ndarray, irval: NetworkDef, base: _OracleBase
 ) -> LayerKLStats:
-    """Score one layer's projected maps. A map byte-identical to the all-zero
-    image takes the shared ``base.zero_kl`` (see the module docstring)."""
-    batch = np.stack([img.array for img in images])
-    scores = [base.zero_kl] * len(batch)
-    rest = np.flatnonzero(batch.reshape(len(batch), -1).view(np.uint32).any(axis=1))
+    """Score one layer's projected planes. A plane byte-identical to the
+    all-zero image takes the shared ``base.zero_kl`` (see the module
+    docstring); the rest go through the oracle ORACLE_BATCH at a time."""
+    oc = irval.input_shape[2]
+    scores = [base.zero_kl] * len(planes)
+    rest = np.flatnonzero(planes.reshape(len(planes), -1).view(np.uint32).any(axis=1))
     for lo in range(0, len(rest), ORACLE_BATCH):
         chunk = rest[lo : lo + ORACLE_BATCH]
-        for j, probs in zip(chunk, forward_batch(irval, batch[chunk])):
-            scores[j] = kl_divergence(base.probs, probs)
+        images = np.repeat(planes[chunk, None], oc, axis=1)
+        for j, kl in zip(chunk, kl_divergence(base.probs, forward_batch(irval, images)).tolist()):
+            scores[j] = kl
     best = min(range(len(scores)), key=lambda j: (scores[j], j))
     return LayerKLStats(
         layer=layer_i,
@@ -229,7 +223,7 @@ def _score_layers(
 ) -> list[LayerKLStats]:
     """Score every assessable generator layer against the input's oracle ``base``."""
     return [
-        _score_images(layer_i, project_feature_maps(ir, irval.input_shape), irval, base)
+        _score_images(layer_i, project_feature_maps(ir.array, irval.input_shape), irval, base)
         for layer_i, ir in enumerate(_generator_outputs(x, irgen, irgen.n_layers - 1), start=1)
     ]
 
@@ -241,7 +235,7 @@ def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) 
         raise ValueError(f"assessable layers are 1..{n - 1}, got {layer_i}")
     ir = _generator_outputs(x, irgen, layer_i)[-1]
     base = _oracle_base(irval, x, _zero_image_probs(irval))
-    return _score_images(layer_i, project_feature_maps(ir, irval.input_shape), irval, base)
+    return _score_images(layer_i, project_feature_maps(ir.array, irval.input_shape), irval, base)
 
 
 def valid_partition_points(net: NetworkDef) -> set[int]:

@@ -20,84 +20,85 @@ from dataclasses import replace
 
 import numpy as np
 
-from .netdef import layer_weights, parse_config, serialize_network, weights_layout
+from .netdef import LayerSpec, build_network, layer_weights, serialize_network, weights_layout
 
 __all__ = ["gen_fixture_model", "FIXTURE_ARCHS"]
 
-FIXTURE_ARCHS = ("plain17", "plain28", "denseblock")
+# Layer indices are assigned in order by gen_fixture_model; route sources
+# are absolute 1-based indices.
 
 
-def _conv(filters, size=3, pad=1, activation="leaky", bn=False) -> str:
-    lines = [
-        "[convolutional]",
-        f"filters={filters}",
-        f"size={size}",
-        f"pad={pad}",
-        f"activation={activation}",
-    ]
-    if bn:
-        lines.append("batch_normalize=1")
-    return "\n".join(lines)
+def _conv(filters, size=3, pad=1, activation="leaky", bn=False) -> LayerSpec:
+    return LayerSpec(
+        index=0, kind="convolutional", filters=filters, size=size, pad=pad,
+        activation=activation, batch_normalize=bn,
+    )
 
 
-def _maxpool(size=2, stride=2) -> str:
-    return f"[maxpool]\nsize={size}\nstride={stride}"
+_MAXPOOL = LayerSpec(index=0, kind="maxpool", size=2, stride=2)
+_GLOBAL_AVGPOOL = LayerSpec(index=0, kind="avgpool", stride=0)
+_SOFTMAX = LayerSpec(index=0, kind="softmax")
 
 
-def _plain17(classes: int) -> list[str]:
-    return [
-        "[net]\nwidth=32\nheight=32\nchannels=3",
+def _route(*sources: int) -> LayerSpec:
+    return LayerSpec(index=0, kind="route", sources=sources)
+
+
+def _plain17(classes: int) -> tuple[tuple[int, int, int], list[LayerSpec]]:
+    return (32, 32, 3), [
         _conv(4, bn=True),
-        _maxpool(),
+        _MAXPOOL,
         _conv(8, bn=True),
-        _maxpool(),
+        _MAXPOOL,
         _conv(8, bn=True),
-        _maxpool(),
+        _MAXPOOL,
         _conv(16, bn=True),
-        _maxpool(),
+        _MAXPOOL,
         _conv(16),
         _conv(8, size=1, pad=0, activation="relu"),
         _conv(16),
-        _maxpool(),
+        _MAXPOOL,
         _conv(24),
         _conv(16, size=1, pad=0, activation="relu"),
         _conv(classes, size=1, pad=0, activation="linear"),
-        "[avgpool]",
-        "[softmax]",
+        _GLOBAL_AVGPOOL,
+        _SOFTMAX,
     ]
 
 
-def _plain28(classes: int) -> list[str]:
-    blocks = ["[net]\nwidth=32\nheight=32\nchannels=3"]
+def _plain28(classes: int) -> tuple[tuple[int, int, int], list[LayerSpec]]:
+    layers = []
     for filters in (4, 8, 8, 16):
-        blocks.append(_conv(filters, bn=True))
-        blocks.append(_maxpool())
+        layers.append(_conv(filters, bn=True))
+        layers.append(_MAXPOOL)
     for i in range(17):  # layers 9..25
         if i % 2 == 0:
-            blocks.append(_conv(16))
+            layers.append(_conv(16))
         else:
-            blocks.append(_conv(8, size=1, pad=0, activation="relu"))
-    blocks.append(_conv(classes, size=1, pad=0, activation="linear"))
-    blocks.append("[avgpool]")
-    blocks.append("[softmax]")
-    return blocks
+            layers.append(_conv(8, size=1, pad=0, activation="relu"))
+    layers.append(_conv(classes, size=1, pad=0, activation="linear"))
+    layers.append(_GLOBAL_AVGPOOL)
+    layers.append(_SOFTMAX)
+    return (32, 32, 3), layers
 
 
-def _denseblock(classes: int) -> list[str]:
+def _denseblock(classes: int) -> tuple[tuple[int, int, int], list[LayerSpec]]:
     # Block 1: convs at layers 1-4, closed by route 5 over all of them.
     # Block 2: convs at layers 6-10, closed by route 11. Tail: 1x1 class
     # head, global average pool, softmax.
-    blocks = ["[net]\nwidth=16\nheight=16\nchannels=3"]
-    for _ in range(4):
-        blocks.append(_conv(4, bn=True))
-    blocks.append("[route]\nlayers=1,2,3,4")
-    for _ in range(5):
-        blocks.append(_conv(4, bn=True))
-    blocks.append("[route]\nlayers=6,7,8,9,10")
-    blocks.append(_conv(classes, size=1, pad=0, activation="linear"))
-    blocks.append("[avgpool]")
-    blocks.append("[softmax]")
-    return blocks
+    return (16, 16, 3), [
+        *[_conv(4, bn=True) for _ in range(4)],
+        _route(1, 2, 3, 4),
+        *[_conv(4, bn=True) for _ in range(5)],
+        _route(6, 7, 8, 9, 10),
+        _conv(classes, size=1, pad=0, activation="linear"),
+        _GLOBAL_AVGPOOL,
+        _SOFTMAX,
+    ]
+
+
+_ARCHS = {"plain17": _plain17, "plain28": _plain28, "denseblock": _denseblock}
+FIXTURE_ARCHS = tuple(_ARCHS)
 
 
 def _draw(rng: np.random.Generator, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -116,16 +117,13 @@ def gen_fixture_model(arch: str, seed: int, classes: int) -> tuple[str, bytes]:
     """Generate (config text, weights blob) for a fixture architecture."""
     if classes < 2:
         raise ValueError(f"classes must be >= 2, got {classes}")
-    if arch == "plain17":
-        blocks = _plain17(classes)
-    elif arch == "plain28":
-        blocks = _plain28(classes)
-    elif arch == "denseblock":
-        blocks = _denseblock(classes)
-    else:
+    if arch not in _ARCHS:
         raise ValueError(f"unknown fixture arch {arch!r}; expected one of {FIXTURE_ARCHS}")
 
-    net = parse_config("\n\n".join(blocks) + "\n")
+    input_shape, layers = _ARCHS[arch](classes)
+    net = build_network(
+        input_shape, tuple(replace(layer, index=i) for i, layer in enumerate(layers, start=1))
+    )
     rng = np.random.default_rng(seed)
     per_layer = []
     for layer, in_shape in zip(net.layers, net.layer_input_shapes):

@@ -31,19 +31,24 @@ def bilinear_resize(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     coordinate 0. Leading axes are independent maps, each resampled with the
     same elementwise arithmetic as on its own. Returns float64; values stay
     within [min, max] of the source up to rounding.
+
+    The gather is separable: source rows are taken first, then columns of
+    those rows, one ``np.take`` per axis. Each corner value is the same
+    source element a joint 2-D index would pick, so the bytes match.
     """
     h, w = maps.shape[-2:]
-    src = maps.astype(np.float64)
+    src = np.asarray(maps, dtype=np.float64)
     sy = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
     sx = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
-    y0 = np.floor(sy).astype(int)[:, None]
+    y0 = np.floor(sy).astype(int)
     x0 = np.floor(sx).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = sy[:, None] - y0
+    fy = (sy - y0)[:, None]
     fx = sx - x0
-    top = src[..., y0, x0] * (1 - fx) + src[..., y0, x1] * fx
-    bottom = src[..., y1, x0] * (1 - fx) + src[..., y1, x1] * fx
+    rows0, rows1 = np.take(src, y0, axis=-2), np.take(src, y1, axis=-2)
+    top = np.take(rows0, x0, axis=-1) * (1 - fx) + np.take(rows0, x1, axis=-1) * fx
+    bottom = np.take(rows1, x0, axis=-1) * (1 - fx) + np.take(rows1, x1, axis=-1) * fx
     return top * (1 - fy) + bottom * fy
 
 

@@ -47,7 +47,7 @@ the input index runs over the flattened (channel-major) input tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "parse_config",
     "parse_network",
     "serialize_network",
+    "build_network",
     "layer_output_shape",
     "weights_layout",
     "layer_weights",
@@ -301,9 +302,9 @@ def layer_output_shape(
     raise ShapeError(f"{name}: unknown kind {layer.kind!r}")
 
 
-def _propagate_shapes(
-    input_shape: tuple[int, int, int], layers: tuple[LayerSpec, ...]
-) -> tuple[list, list]:
+def build_network(input_shape: tuple[int, int, int], layers: tuple[LayerSpec, ...]) -> NetworkDef:
+    """A structure-only NetworkDef over ``layers`` (1-based indices in
+    order), with every layer's input and output shape propagated and checked."""
     in_shapes: list[tuple[int, int, int]] = []
     out_shapes: list[tuple[int, int, int]] = []
     for layer in layers:
@@ -311,7 +312,13 @@ def _propagate_shapes(
         sources = tuple(out_shapes[s - 1] for s in layer.sources)
         in_shapes.append(in_shape)
         out_shapes.append(layer_output_shape(layer, in_shape, sources))
-    return in_shapes, out_shapes
+    return NetworkDef(
+        input_shape=input_shape,
+        layers=tuple(layers),
+        weights=None,
+        layer_input_shapes=tuple(in_shapes),
+        layer_output_shapes=tuple(out_shapes),
+    )
 
 
 def weights_layout(
@@ -361,15 +368,7 @@ def parse_config(config_text: str) -> NetworkDef:
         if layer.kind == "softmax" and layer.index != len(layers):
             raise ConfigError("softmax must be the final layer", lline)
 
-    layers = tuple(layers)
-    in_shapes, out_shapes = _propagate_shapes((width, height, channels), layers)
-    return NetworkDef(
-        input_shape=(width, height, channels),
-        layers=layers,
-        weights=None,
-        layer_input_shapes=tuple(in_shapes),
-        layer_output_shapes=tuple(out_shapes),
-    )
+    return build_network((width, height, channels), tuple(layers))
 
 
 def _frozen(arr: np.ndarray, shape) -> np.ndarray:
@@ -411,13 +410,7 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
             cursor += n
         per_layer.append(layer_weights(layer, arrays))
 
-    return NetworkDef(
-        input_shape=net.input_shape,
-        layers=net.layers,
-        weights=tuple(per_layer),
-        layer_input_shapes=net.layer_input_shapes,
-        layer_output_shapes=net.layer_output_shapes,
-    )
+    return replace(net, weights=tuple(per_layer))
 
 
 # --- serialization ----------------------------------------------------------

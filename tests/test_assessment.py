@@ -12,7 +12,6 @@ from irshield.assessment import (
     assess_layer,
     assess_model,
     choose_partition,
-    epsilon_ratio,
     kl_divergence,
     project_feature_maps,
     report_table,
@@ -80,6 +79,49 @@ class TestKLDivergence:
             assert kl_divergence(p, q) == pytest.approx(kl_oneline(p, q), abs=1e-12)
 
 
+def kl_rows_cases(n, rng):
+    """Rows of q over n classes: exact zeros, one-hot, near-uniform, all-zero,
+    float32-valued and random."""
+    zeros = rng.dirichlet(np.ones(n))
+    zeros[rng.random(n) < 0.5] = 0.0
+    one_hot = np.zeros(n)
+    one_hot[n // 3] = 1.0
+    near_uniform = np.full(n, 1.0 / n) + rng.uniform(-1e-9, 1e-9, n)
+    float32_row = rng.dirichlet(np.full(n, 0.3)).astype(np.float32)
+    return np.stack(
+        [zeros, one_hot, near_uniform, np.zeros(n), float32_row, *rng.dirichlet(np.ones(n), 4)]
+    )
+
+
+class TestKLDivergenceRows:
+    """A 2-D q scores each row with the bytes of the 1-D call on that row."""
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 10, 17, 128, 129, 1000])
+    def test_rows_match_single_calls_bytewise(self, n):
+        rng = np.random.default_rng(n)
+        q = kl_rows_cases(n, rng)
+        for p in kl_rows_cases(n, rng):
+            for rows in range(1, len(q) + 1):
+                got = kl_divergence(p, q[:rows])
+                assert got.shape == (rows,)
+                want = [kl_divergence(p, row).hex() for row in q[:rows]]
+                assert [float(v).hex() for v in got] == want
+
+    def test_float32_oracle_rows(self, plain17):
+        q = engine.forward_batch(plain17, np.stack([seed_image(plain17.input_shape, s).array
+                                                    for s in range(90, 90 + ORACLE_BATCH)]))
+        p = q[0]
+        got = kl_divergence(p, q)
+        assert [v.hex() for v in got.tolist()] == [kl_divergence(p, row).hex() for row in q]
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            kl_divergence([0.5, 0.5], np.full((3, 3), 1 / 3))
+
+    def test_one_dimensional_call_returns_float(self):
+        assert type(kl_divergence([0.25, 0.75], [0.5, 0.5])) is float
+
+
 class TestUniformBaseline:
     def test_uniform_scores_zero(self):
         assert uniform_baseline(np.full(8, 1 / 8)) == pytest.approx(0.0, abs=1e-12)
@@ -110,36 +152,19 @@ class TestUniformBaseline:
             assert abs(uniform_baseline(p) - kl_divergence(p, np.full(n, 1 / n))) < 1e-9
 
 
-class TestEpsilonRatio:
-    def test_no_advantage(self):
-        assert epsilon_ratio(0.8, 0.8) == 1.0
-
-    def test_violation_candidate(self):
-        assert epsilon_ratio(0.2, 0.8) == pytest.approx(0.25)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            epsilon_ratio(0.1, 0.0)
-
-    def test_negative_numerator_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            epsilon_ratio(-0.1, 0.5)
-
-
 def project_one_channel_at_a_time(ir, oracle_input_shape):
-    """Per-channel reference for project_feature_maps."""
-    ow, oh, oc = oracle_input_shape
-    images = []
-    for ci in range(ir.channels):
-        channel = ir.array[ci].astype(np.float64)
+    """Per-channel reference for project_feature_maps: one (oh, ow) float32
+    plane per channel of a (c, h, w) array."""
+    ow, oh, _ = oracle_input_shape
+    planes = []
+    for channel in np.asarray(ir, dtype=np.float64):
         lo, hi = channel.min(), channel.max()
         if hi == lo:
             flat = np.zeros((oh, ow))
         else:
             flat = bilinear_resize((channel - lo) / (hi - lo), oh, ow)
-        plane = np.clip(flat, 0.0, 1.0).astype(np.float32)
-        images.append(np.repeat(plane[None, :, :], oc, axis=0))
-    return images
+        planes.append(np.clip(flat, 0.0, 1.0).astype(np.float32))
+    return planes
 
 
 class TestProjection:
@@ -149,26 +174,26 @@ class TestProjection:
         arr = rng.standard_normal((6, 5, 7)).astype(np.float32)
         arr[2] = 1.5  # a constant channel
         arr[4, 0, 0] = np.inf
-        ir = Tensor.from_array(arr)
         for shape in ((7, 5, 1), (32, 32, 3), (3, 2, 2)):
-            got = project_feature_maps(ir, shape)
-            want = project_one_channel_at_a_time(ir, shape)
-            assert [img.array.tobytes() for img in got] == [w.tobytes() for w in want]
+            got = project_feature_maps(arr, shape)
+            want = project_one_channel_at_a_time(arr, shape)
+            assert got.dtype == np.float32 and got.shape == (6, shape[1], shape[0])
+            assert [plane.tobytes() for plane in got] == [w.tobytes() for w in want]
 
     def test_constant_map_projects_to_zeros(self):
-        ir = Tensor(3, 3, 1, np.full(9, 5.0))
-        out = project_feature_maps(ir, (3, 3, 1))
-        assert np.all(out[0].array == 0)
+        out = project_feature_maps(np.full((1, 3, 3), 5.0, np.float32), (3, 3, 1))
+        assert out.shape == (1, 3, 3)
+        assert np.all(out == 0)
 
     def test_normalization_only_when_already_at_size(self):
-        ir = Tensor(2, 2, 1, [0.0, 10.0, 10.0, 0.0])
-        out = project_feature_maps(ir, (2, 2, 1))
-        assert out[0].data.tolist() == [0.0, 1.0, 1.0, 0.0]
+        arr = np.array([[[0.0, 10.0], [10.0, 0.0]]], np.float32)
+        out = project_feature_maps(arr, (2, 2, 1))
+        assert out.reshape(-1).tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_bilinear_upscale_hand_oracle(self):
         # corner-aligned 2x2 -> 4x4: sample coords are k/3 for k=0..3
-        ir = Tensor(2, 2, 1, [0.0, 1.0, 0.0, 0.0])  # top-right corner hot
-        out = project_feature_maps(ir, (4, 4, 1))[0].array[0]
+        arr = np.array([[[0.0, 1.0], [0.0, 0.0]]], np.float32)  # top-right corner hot
+        out = project_feature_maps(arr, (4, 4, 1))[0]
         xs = np.arange(4) / 3.0
         expected = np.empty((4, 4))
         for yi, fy in enumerate(xs):
@@ -181,30 +206,27 @@ class TestProjection:
 
     def test_image_count_matches_depth_and_range(self):
         rng = np.random.default_rng(4)
-        ir = Tensor.from_array(rng.normal(0, 3, (7, 5, 6)).astype(np.float32))
-        out = project_feature_maps(ir, (8, 8, 3))
-        assert len(out) == 7
-        for img in out:
-            assert img.shape == (8, 8, 3)
-            assert float(img.array.min()) >= 0.0
-            assert float(img.array.max()) <= 1.0
+        arr = rng.normal(0, 3, (7, 5, 6)).astype(np.float32)
+        out = project_feature_maps(arr, (8, 8, 3))
+        assert out.shape == (7, 8, 8)
+        assert out.dtype == np.float32
+        assert float(out.min()) >= 0.0
+        assert float(out.max()) <= 1.0
 
     def test_positive_scaling_invariance_exact_for_pow2(self):
         rng = np.random.default_rng(5)
         arr = rng.normal(0, 2, (4, 6, 6)).astype(np.float32)
-        base = project_feature_maps(Tensor.from_array(arr), (6, 6, 3))
+        base = project_feature_maps(arr, (6, 6, 3))
         for scale in (4.0, 0.5):
-            scaled = project_feature_maps(Tensor.from_array(arr * np.float32(scale)), (6, 6, 3))
-            for a, b in zip(base, scaled):
-                assert a.data.tobytes() == b.data.tobytes()
+            scaled = project_feature_maps(arr * np.float32(scale), (6, 6, 3))
+            assert base.tobytes() == scaled.tobytes()
 
     def test_positive_scaling_invariance_close_for_any_constant(self):
         rng = np.random.default_rng(6)
         arr = rng.normal(0, 2, (3, 5, 5)).astype(np.float32)
-        base = project_feature_maps(Tensor.from_array(arr), (5, 5, 1))
-        scaled = project_feature_maps(Tensor.from_array(arr * np.float32(3.7)), (5, 5, 1))
-        for a, b in zip(base, scaled):
-            np.testing.assert_allclose(a.array, b.array, atol=1e-6)
+        base = project_feature_maps(arr, (5, 5, 1))
+        scaled = project_feature_maps(arr * np.float32(3.7), (5, 5, 1))
+        np.testing.assert_allclose(base, scaled, atol=1e-6)
 
 
 IDENTITY_GEN_CFG = """\
@@ -294,8 +316,8 @@ class TestAssessLayer:
     def test_stats_invariant_under_feature_map_scaling(self, plain17):
         x = seed_image(plain17.input_shape, 52)
         base = _oracle_base(plain17, x, _zero_image_probs(plain17))
-        ir = forward_range(plain17, 1, 3, x)
-        scaled = Tensor.from_array(ir.array * np.float32(4.0))
+        ir = forward_range(plain17, 1, 3, x).array
+        scaled = ir * np.float32(4.0)
         a = _score_images(3, project_feature_maps(ir, plain17.input_shape), plain17, base)
         b = _score_images(3, project_feature_maps(scaled, plain17.input_shape), plain17, base)
         assert a == b
@@ -415,14 +437,16 @@ activation=leaky
 def assess_one_map_at_a_time(xs, irgen, irval):
     """Reference for assess_model: every layer from a pass from layer 1, and
     every projected map through its own lone oracle forward."""
+    oc = irval.input_shape[2]
     per_input, baselines = [], []
     for x in xs:
         base = forward(irval, resize_to_shape(x, irval.input_shape))
         baseline = uniform_baseline(base)
         rows = []
         for i in range(1, irgen.n_layers):
-            maps = project_feature_maps(forward_range(irgen, 1, i, x), irval.input_shape)
-            scores = [kl_divergence(base, forward(irval, img)) for img in maps]
+            planes = project_one_channel_at_a_time(forward_range(irgen, 1, i, x).array, irval.input_shape)
+            images = [Tensor.from_array(np.repeat(plane[None], oc, axis=0)) for plane in planes]
+            scores = [kl_divergence(base, forward(irval, img)) for img in images]
             best = scores.index(min(scores))
             rows.append(LayerKLStats(i, scores[best], max(scores), best + 1, scores[best] / baseline))
         per_input.append(rows)

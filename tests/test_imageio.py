@@ -93,6 +93,62 @@ class TestNetpbm:
             write_pgm(color, tmp_path / "x.pgm")
 
 
+def bilinear_two_index_arrays(maps, out_h, out_w):
+    """Reference: the joint gather through two broadcast index arrays."""
+    h, w = maps.shape[-2:]
+    src = maps.astype(np.float64)
+    sy = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
+    sx = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
+    y0 = np.floor(sy).astype(int)[:, None]
+    x0 = np.floor(sx).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = sy[:, None] - y0
+    fx = sx - x0
+    top = src[..., y0, x0] * (1 - fx) + src[..., y0, x1] * fx
+    bottom = src[..., y1, x0] * (1 - fx) + src[..., y1, x1] * fx
+    return top * (1 - fy) + bottom * fy
+
+
+class TestSeparableGather:
+    """The row-then-column gather reproduces the joint gather's bytes."""
+
+    @pytest.mark.parametrize(
+        "shape,out",
+        [
+            ((3, 5), (9, 13)),  # upsample
+            ((8, 16), (32, 32)),  # upsample by whole factors
+            ((17, 11), (5, 4)),  # downsample
+            ((32, 32), (7, 32)),  # one axis down, one unchanged
+            ((6, 9), (1, 5)),  # output height 1
+            ((6, 9), (4, 1)),  # output width 1
+            ((6, 9), (1, 1)),
+            ((1, 7), (5, 6)),  # source height 1
+            ((7, 1), (5, 6)),  # source width 1
+            ((1, 1), (3, 4)),
+            ((2, 3, 5, 6), (7, 4)),  # leading axes
+            ((4, 1, 9), (12, 3)),
+        ],
+    )
+    def test_bytes_match_two_index_arrays(self, shape, out):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        for maps in (rng.random(shape), rng.standard_normal(shape).astype(np.float32)):
+            got = bilinear_resize(maps, *out)
+            want = bilinear_two_index_arrays(maps, *out)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_values_land_in_the_same_places(self):
+        maps = np.random.default_rng(5).random((3, 4, 5))
+        maps[0, 1, 2] = np.inf
+        maps[1, 3, 4] = np.nan
+        maps[2, 0, 0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got = bilinear_resize(maps, 9, 7)
+            want = bilinear_two_index_arrays(maps, 9, 7)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestResize:
     def test_identity_when_same_size(self):
         rng = np.random.default_rng(1)
