@@ -1,20 +1,17 @@
 """Deterministic forward passes over a NetworkDef.
 
-Every layer is evaluated as a pure float32 function of its input, one layer
-at a time, so running layers ``1..i`` and then ``i+1..n`` reproduces the
-full pass bit for bit. Convolution lowers each output position to a column
-ordered channel-major then kernel-row-major, matching the filter weight
-layout, so the accumulation order never depends on where the range starts.
+Each layer is a pure float32 function of its input, evaluated one at a time, so layers
+``1..i`` then ``i+1..n`` reproduce the full pass bit for bit. Convolution columns are
+ordered channel-major then kernel-row-major, as the filters are laid out, so no summation
+order depends on the range start. Layers take a leading batch axis, ``(n, c, h, w)``, and
+each row comes out byte-identical to a lone pass: products are stacked ``np.matmul``
+calls, one per image, never one flattened GEMM, whose blocking changes the bytes.
 
-Layers work on a leading batch axis, ``(n, c, h, w)``, and a single image is
-the n = 1 case. Every image of a batch comes out byte-identical to a pass
-over that image alone: products are stacked ``np.matmul`` calls, one per
-image, and the batch is never flattened into one larger GEMM, whose
-blocking would change the summation order.
-
-Conventions fixed here: leaky activation slope is 0.1; batch normalization
-folds into a per-filter scale and shift using the stored mean/variance with
-epsilon 1e-6; pooling windows never extend past the input edge.
+Each network compiles once to ``net.plan``, cached on the immutable NetworkDef: one
+step per layer, with its gather index, weights, windows and batch-norm fold bound. Byte
+rules: the fold is computed once, in float32; the convolution epilogue runs in place on
+the contiguous copy made after the transpose; the transposed weights stay a view (a
+contiguous copy changes the BLAS kernel, and with it the bytes).
 """
 
 from __future__ import annotations
@@ -25,32 +22,30 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PartitionError, ShapeError, WeightsError
-from .netdef import ConnectedWeights, ConvWeights, LayerSpec, NetworkDef
+from .netdef import ConvWeights, NetworkDef
 from .tensor import Tensor
 
 __all__ = ["forward", "forward_range", "forward_batch", "top_k", "LEAKY_SLOPE", "BN_EPSILON"]
 
 LEAKY_SLOPE = np.float32(0.1)
-BN_EPSILON = np.float32(1e-6)
+BN_EPSILON = np.float32(1e-6)  # added to the stored variance in the batch-norm fold
 
 
-def _activate(out: np.ndarray, activation: str) -> np.ndarray:
+def _activate(out: np.ndarray, activation: str) -> None:
+    """Apply ``activation`` to ``out`` in place."""
     if activation == "relu":
-        return np.maximum(out, np.float32(0))
-    if activation == "leaky":
-        # max(0.1x, x) is x for x > 0 and 0.1x otherwise: the bytes of the
-        # select, signed zeros included; a NaN comes back as the product's
-        # (quieted) NaN, as from the select, because the product goes first
-        return np.maximum(out * LEAKY_SLOPE, out)
-    return out
+        np.maximum(out, np.float32(0), out=out)
+    elif activation == "leaky":
+        # max(0.1x, x) has the bytes of the select where(x > 0, x, 0.1x), signed zeros
+        # included; the product goes first, so a NaN comes back quieted, as from the select
+        np.maximum(out * LEAKY_SLOPE, out, out=out)
 
 
 @functools.lru_cache(maxsize=32)
 def _im2col_index(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
-    """Flat source index of each convolution column entry of a (c, h, w)
-    image: a row per output position, entries ordered (c, ky, kx), padding at
-    index c*h*w (an appended zero). Gathering through it is several times
-    faster than copying a transposed window view. Shared, so read-only."""
+    """Flat source index of each column entry of a (c, h, w) image: a row per output
+    position, entries ordered (c, ky, kx), padding at index c*h*w (an appended zero).
+    Gathering is several times faster than copying a window view. Shared, so read-only."""
     src = np.pad(np.arange(c * h * w).reshape(c, h, w), ((0, 0), (p, p), (p, p)),
                  constant_values=c * h * w)
     windows = sliding_window_view(src, (k, k), axis=(1, 2))[:, ::s, ::s]
@@ -59,102 +54,109 @@ def _im2col_index(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
     return index
 
 
-def _conv(layer: LayerSpec, lw: ConvWeights, x: np.ndarray) -> np.ndarray:
-    n, c_in, h, w = x.shape
-    k, s, p = layer.size, layer.stride, layer.pad_pixels()
-    f = layer.filters
-    oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-    flat = np.concatenate([x.reshape(n, -1), np.zeros((n, 1), np.float32)], axis=1)
-    cols = np.take(flat, _im2col_index(c_in, h, w, k, s, p), axis=1)
-    wmat = lw.filters.reshape(f, c_in * k * k)
-    out = (cols @ wmat.T).transpose(0, 2, 1).reshape(n, f, oh, ow)
-
-    if layer.batch_normalize:
-        denom = np.sqrt(lw.bn_var + BN_EPSILON)
-        gamma = lw.bn_scale / denom
-        beta = lw.biases - lw.bn_scale * lw.bn_mean / denom
-        out = out * gamma[:, None, None] + beta[:, None, None]
-    else:
-        out = out + lw.biases[:, None, None]
-    return _activate(out, layer.activation)
+def _im2col(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``(n, positions, c*k*k)`` columns; the index is in range, so "wrap" skips bounds checks."""
+    flat = np.concatenate([x.reshape(len(x), -1), np.zeros((len(x), 1), np.float32)], axis=1)
+    return np.take(flat, index, axis=1, mode="wrap")
 
 
-def _maxpool(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
-    # elementwise max over the k*k strided offsets of the window: max is
-    # exact, so any order gives the window-reduction bytes
-    k, s = layer.size, layer.stride
-    oh, ow = (x.shape[2] - k) // s + 1, (x.shape[3] - k) // s + 1
-    offsets = (x[:, :, dy : dy + s * oh : s, dx : dx + s * ow : s]
-               for dy in range(k) for dx in range(k))
-    return functools.reduce(np.maximum, offsets)
+def _bn_fold(lw: ConvWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Per-filter (scale, shift) of a batch-normalized convolution, (f, 1, 1)."""
+    denom = np.sqrt(lw.bn_var + BN_EPSILON)
+    beta = lw.biases - lw.bn_scale * lw.bn_mean / denom
+    return (lw.bn_scale / denom)[:, None, None], beta[:, None, None]
 
 
-def _avgpool(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
-    if layer.size:
-        k, s = layer.size, layer.stride
+def _conv(index, wmat_t, out_shape, gamma, beta, activation, x: np.ndarray) -> np.ndarray:
+    out = (_im2col(x, index) @ wmat_t).transpose(0, 2, 1).reshape(len(x), *out_shape).copy()
+    if gamma is not None:
+        np.multiply(out, gamma, out=out)
+    np.add(out, beta, out=out)
+    _activate(out, activation)
+    return out
+
+
+def _maxpool(windows, x: np.ndarray) -> np.ndarray:
+    # max is exact, so folding the k*k strided window offsets gives the window max bytes
+    first, *rest = (x[:, :, ys, xs] for ys, xs in windows)
+    out = np.maximum(first, rest[0]) if rest else first
+    for offset in rest[1:]:
+        np.maximum(out, offset, out=out)
+    return out
+
+
+def _avgpool(k: int, s: int, x: np.ndarray) -> np.ndarray:
+    if k:
         windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
         return windows.mean(axis=(4, 5), dtype=np.float32)
-    n, c = x.shape[:2]
-    return x.mean(axis=(2, 3), dtype=np.float32).reshape(n, c, 1, 1)
+    return x.mean(axis=(2, 3), dtype=np.float32, keepdims=True)
 
 
-def _connected(lw: ConnectedWeights, x: np.ndarray) -> np.ndarray:
+def _connected(weights: np.ndarray, biases: np.ndarray, x: np.ndarray) -> np.ndarray:
     # one matrix-vector product per image, as in a lone pass
-    n = x.shape[0]
-    out = np.matmul(lw.weights, x.reshape(n, -1, 1))[..., 0] + lw.biases
-    return out.reshape(n, -1, 1, 1)
+    out = np.matmul(weights, x.reshape(len(x), -1, 1))[..., 0] + biases
+    return out.reshape(len(x), -1, 1, 1)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    flat = x.reshape(x.shape[0], -1)
+    flat = x.reshape(len(x), -1)
     e = np.exp(flat - flat.max(axis=1, keepdims=True))
-    return (e / e.sum(axis=1, keepdims=True)).reshape(x.shape[0], -1, 1, 1)
+    return (e / e.sum(axis=1, keepdims=True)).reshape(len(x), -1, 1, 1)
+
+
+def _route(*sources: np.ndarray) -> np.ndarray:
+    return np.concatenate(sources, axis=1)
+
+
+def compile_plan(net: NetworkDef) -> tuple:
+    """One ``(sources, run)`` step per layer, ``run`` taking layers ``sources``' outputs."""
+    steps = []
+    shapes = zip(net.layers, net.weights, net.layer_input_shapes, net.layer_output_shapes)
+    for layer, lw, (iw, ih, ic), (ow, oh, oc) in shapes:
+        k, s = layer.size, layer.stride
+        if layer.kind == "convolutional":
+            gamma, beta = _bn_fold(lw) if layer.batch_normalize else (None, lw.biases[:, None, None])
+            index = _im2col_index(ic, ih, iw, k, s, layer.pad_pixels())
+            run = functools.partial(_conv, index, lw.filters.reshape(oc, -1).T, (oc, oh, ow),
+                                    gamma, beta, layer.activation)
+        elif layer.kind == "maxpool":
+            run = functools.partial(_maxpool, [(slice(dy, dy + s * oh, s), slice(dx, dx + s * ow, s))
+                                               for dy in range(k) for dx in range(k)])
+        elif layer.kind == "avgpool":
+            run = functools.partial(_avgpool, k, s)
+        elif layer.kind == "connected":
+            run = functools.partial(_connected, lw.weights, lw.biases)
+        else:
+            run = {"softmax": _softmax, "route": _route}[layer.kind]
+        steps.append((layer.sources or (layer.index - 1,), run))
+    return tuple(steps)
 
 
 def _run_range(net: NetworkDef, from_layer: int, to_layer: int, x: np.ndarray) -> np.ndarray:
     """Run layers ``from_layer..to_layer`` on an ``(n, c, h, w)`` batch."""
     if net.weights is None:
         raise WeightsError("network carries no weights; load it with parse_network")
-    n = net.n_layers
-    if not (1 <= from_layer <= to_layer <= n):
-        raise ShapeError(
-            f"invalid layer range [{from_layer}, {to_layer}] for a {n}-layer network"
-        )
+    if not (1 <= from_layer <= to_layer <= net.n_layers):
+        raise ShapeError(f"invalid layer range [{from_layer}, {to_layer}] "
+                         f"for a {net.n_layers}-layer network")
     w, h, c = net.layer_input_shapes[from_layer - 1]
     if x.ndim != 4 or x.shape[1:] != (c, h, w):
-        got = "x".join(str(d) for d in x.shape[:0:-1])
-        raise ShapeError(
-            f"input shape {got} does not match layer {from_layer}'s expected input {w}x{h}x{c}"
-        )
-
-    outputs: dict[int, np.ndarray] = {from_layer - 1: np.ascontiguousarray(x, dtype=np.float32)}
-    for pos in range(from_layer, to_layer + 1):
-        layer = net.layers[pos - 1]
-        if layer.kind == "route":
-            for src in layer.sources:
-                if src < from_layer:
-                    raise PartitionError(
-                        f"cross-boundary route: layer {pos} routes from layer {src}, "
-                        f"before the start of the range at layer {from_layer}"
-                    )
-            arr = np.concatenate([outputs[src] for src in layer.sources], axis=1)
-        elif layer.kind == "convolutional":
-            arr = _conv(layer, net.weights[pos - 1], outputs[pos - 1])
-        elif layer.kind == "maxpool":
-            arr = _maxpool(layer, outputs[pos - 1])
-        elif layer.kind == "avgpool":
-            arr = _avgpool(layer, outputs[pos - 1])
-        elif layer.kind == "connected":
-            arr = _connected(net.weights[pos - 1], outputs[pos - 1])
-        elif layer.kind == "softmax":
-            arr = _softmax(outputs[pos - 1])
-        else:
-            raise ShapeError(f"layer {pos}: unknown kind {layer.kind!r}")
-        # Canonicalize the layout: later layers must see bit-identical inputs
-        # in bit-identical memory order whether this output was computed in
-        # process or re-entered through a range boundary, or reductions could
-        # pick a different summation order.
-        outputs[pos] = np.ascontiguousarray(arr)
+        got = "x".join(str(d) for d in x.shape[:0:-1]) if x.ndim == 4 else str(x.shape)
+        raise ShapeError(f"input shape {got} does not match layer {from_layer}'s "
+                         f"expected input {w}x{h}x{c}")
+    if not len(x):
+        raise ShapeError("empty batch: at least one image is required")
+    for layer in net.layers[from_layer - 1 : to_layer]:
+        for src in layer.sources:
+            if src < from_layer:
+                raise PartitionError(
+                    f"cross-boundary route: layer {layer.index} routes from layer {src}, "
+                    f"before the start of the range at layer {from_layer}")
+    outputs = {from_layer - 1: np.ascontiguousarray(x, dtype=np.float32)}
+    for pos, (sources, run) in enumerate(net.plan[from_layer - 1 : to_layer], start=from_layer):
+        # contiguous, so a later layer sees the same memory order (and its
+        # reductions the same summation order) as after a range boundary
+        outputs[pos] = np.ascontiguousarray(run(*[outputs[i] for i in sources]))
     return outputs[to_layer]
 
 
@@ -176,8 +178,7 @@ def forward_batch(net: NetworkDef, x: np.ndarray) -> np.ndarray:
     """
     if net.layers[-1].kind != "softmax":
         raise ShapeError("forward requires a softmax-terminated network")
-    out = _run_range(net, 1, net.n_layers, np.asarray(x))
-    return out.reshape(out.shape[0], -1)
+    return _run_range(net, 1, net.n_layers, np.asarray(x)).reshape(len(x), -1)
 
 
 def forward(net: NetworkDef, x: Tensor) -> np.ndarray:
@@ -198,8 +199,7 @@ def top_k(p: np.ndarray, k: int) -> list[tuple[int, float]]:
     Ties break toward the smaller class index.
     """
     p = np.asarray(p).reshape(-1)
-    n = p.size
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not (1 <= k <= p.size):
+        raise ValueError(f"k must be in [1, {p.size}], got {k}")
     order = np.argsort(-p, kind="stable")[:k]
     return [(int(i) + 1, float(p[i])) for i in order]

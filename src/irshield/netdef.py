@@ -47,6 +47,7 @@ the input index runs over the flattened (channel-major) input tensor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,6 +140,14 @@ class NetworkDef:
     def class_count(self) -> int:
         w, h, c = self.output_shape
         return w * h * c
+
+    @functools.cached_property
+    def plan(self) -> tuple:
+        """The engine's compiled steps for this network, built on first use
+        and kept for its lifetime (see :func:`irshield.engine.compile_plan`)."""
+        from .engine import compile_plan
+
+        return compile_plan(self)
 
 
 # --- config parsing ---------------------------------------------------------

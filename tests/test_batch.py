@@ -16,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from irshield.engine import (
     LEAKY_SLOPE,
     _activate,
+    _im2col,
     _im2col_index,
     _run_range,
     forward,
@@ -139,8 +140,7 @@ def test_im2col_gather_equals_window_copy(case, seed):
     windows = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), (k, k), axis=(2, 3))
     windows = windows[:, :, ::s, ::s]
     want = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, -1, c * k * k)
-    flat = np.concatenate([x.reshape(n, -1), np.zeros((n, 1), np.float32)], axis=1)
-    assert np.take(flat, _im2col_index(c, h, w, k, s, p), axis=1).tobytes() == want.tobytes()
+    assert _im2col(x, _im2col_index(c, h, w, k, s, p)).tobytes() == want.tobytes()
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
@@ -155,10 +155,10 @@ def test_maxpool_equals_scalar_reference(case, seed):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0.1 and NaN arithmetic
 def test_leaky_matches_select_bytes():
-    """Leaky is max(0.1x, x); it must give the bytes of the select
-    where(x > 0, x, 0.1x) on signed zeros, subnormals, extremes, infinities
-    and quiet and signalling NaNs of either sign, at every array length, so
-    both numpy's vector loops and their scalar tails are covered."""
+    """Leaky is max(0.1x, x), written in place; it must give the bytes of
+    the select where(x > 0, x, 0.1x) on signed zeros, subnormals, extremes,
+    infinities and quiet and signalling NaNs of either sign, at every array
+    length, so both numpy's vector loops and their scalar tails are covered."""
     edges = np.concatenate([
         np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40, 1.2e-38, -1.2e-38,
                   3e38, -3e38, 3.4028235e38, -3.4028235e38, np.inf, -np.inf, 1.0, -1.0],
@@ -171,4 +171,5 @@ def test_leaky_matches_select_bytes():
     cases.append(rng.standard_normal((8, 4, 32, 32)).astype(np.float32) * np.float32(10))
     for x in cases:
         want = np.where(x > 0, x, x * LEAKY_SLOPE)
-        assert _activate(x, "leaky").tobytes() == want.tobytes()
+        _activate(x, "leaky")
+        assert x.tobytes() == want.tobytes()

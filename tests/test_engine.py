@@ -1,12 +1,15 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from irshield.engine import forward, forward_range, top_k
-from irshield.errors import PartitionError, ShapeError
+from irshield import engine
+from irshield.engine import forward, forward_batch, forward_range, top_k
+from irshield.errors import PartitionError, ShapeError, WeightsError
 from irshield.fixtures import gen_fixture_model
-from irshield.netdef import parse_network
+from irshield.netdef import parse_config, parse_network
 from irshield.tensor import Tensor
 
 from conftest import GOLDEN_DIR, seed_image
@@ -41,6 +44,17 @@ def test_forward_requires_softmax():
 def test_forward_rejects_wrong_input_shape(plain17):
     with pytest.raises(ShapeError, match="does not match"):
         forward(plain17, Tensor(4, 4, 3, np.zeros(48)))
+
+
+def test_empty_batch_refused(plain17):
+    w, h, c = plain17.input_shape
+    with pytest.raises(ShapeError, match="empty batch"):
+        forward_batch(plain17, np.zeros((0, c, h, w), np.float32))
+
+
+def test_wrong_rank_input_names_the_shape_received(plain17):
+    with pytest.raises(ShapeError, match=r"input shape \(3, 32, 32\) does not match"):
+        forward_batch(plain17, np.zeros((3, 32, 32), np.float32))
 
 
 def test_forward_deterministic(plain17):
@@ -207,3 +221,60 @@ class TestLayerProperties:
         for t in threads:
             t.join()
         assert results == sequential
+
+
+def fresh_plain17():
+    """A plain17 network whose plan has not been compiled yet."""
+    return parse_network(*gen_fixture_model("plain17", 42, 10))
+
+
+class TestPlan:
+    def test_compiled_once_per_network(self, monkeypatch):
+        folds = []
+        fold = engine._bn_fold
+        monkeypatch.setattr(engine, "_bn_fold", lambda lw: folds.append(lw) or fold(lw))
+        net = fresh_plain17()
+        x = seed_image(net.input_shape, 3)
+        first = forward(net, x)
+        plan = net.plan
+        convs_with_bn = sum(layer.batch_normalize for layer in net.layers)
+        assert len(folds) == convs_with_bn > 0
+        assert forward(net, x).tobytes() == first.tobytes()
+        forward_range(net, 1, 12, x)
+        forward_batch(net, np.stack([x.array, x.array]))
+        assert net.plan is plan
+        assert len(folds) == convs_with_bn
+        assert fresh_plain17().plan is not plan
+
+    def test_structure_only_network_refused_at_forward(self):
+        net = parse_config(gen_fixture_model("plain17", 42, 10)[0])
+        x = seed_image(net.input_shape, 5)
+        with pytest.raises(WeightsError, match="no weights"):
+            forward(net, x)
+        with pytest.raises(WeightsError, match="no weights"):
+            forward_range(net, 1, 3, x)
+
+    def test_threads_compile_and_share_one_plan(self):
+        inputs = [seed_image((32, 32, 3), 60 + i) for i in range(4)]
+        lone = [forward(fresh_plain17(), x).tobytes() for x in inputs]
+        net = fresh_plain17()
+        start = threading.Barrier(len(inputs))
+        results = [[] for _ in inputs]
+
+        def run(i):
+            start.wait(timeout=30)
+            for _ in range(50):
+                results[i].append(forward(net, inputs[i]).tobytes())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[want] * 50 for want in lone]

@@ -20,6 +20,7 @@ from irshield.assessment import valid_partition_points
 from irshield.engine import forward, forward_range
 from irshield.fixtures import _draw
 from irshield.netdef import (
+    ACTIVATIONS,
     LayerSpec,
     build_network,
     layer_output_shape,
@@ -32,8 +33,6 @@ from irshield.tensor import Tensor
 
 from reference import ref_forward_range
 from test_batch import SIZES, _images, assert_batch_matches_lone_passes
-
-ACTIVATIONS = ("linear", "relu", "leaky")
 
 
 def _body_layer(draw, index: int, shape, out_shapes) -> LayerSpec:
