@@ -10,17 +10,18 @@ the divergence between the input's own classification and the discrete
 uniform distribution, giving a per-layer ratio. Layers are safe to expose
 once the ratio stays above 1 from that layer onward.
 
-A layer's maps stay one array throughout: projection returns a float32
-``(maps, oh, ow)`` array of planes, and only the planes of one oracle batch
-at a time are repeated across the oracle's input channels.
-
-A constant channel projects to the all-zero plane, and so does any map whose
-projection is byte-identical to it. Those maps share one oracle pass of the
-zero image per call and one divergence per input; the rest go through the
-oracle in batches of at most ORACLE_BATCH, each batch scored by one row-form
-``kl_divergence`` call. The scores are exact, not approximate: an oracle
-batch row is byte-identical to a lone pass, and a divergence row to the
-1-D call, so every map scores the bytes it would have scored on its own.
+All of one input's maps go through the oracle as one stream. Each layer's
+projected planes (a float32 ``(maps, oh, ow)`` array) join a queue led by the
+all-zero image, which is the projection of every constant channel; a map whose
+projection is byte-identical to it is not queued and takes its score. The
+queue feeds the oracle's wide first layers ``1..s`` in chunks of at most
+ORACLE_BATCH rows, each repeated across the oracle's input channels; the
+narrow tail ``s+1..n`` then runs once over every row, and one row-form
+``kl_divergence`` call scores them all. ``s`` comes from the shapes: the first
+valid cut after which the whole stream needs no more memory at any layer than
+one chunk at the widest. The scores are exact: an oracle batch row is
+byte-identical to a lone pass, ranges compose bit for bit, and a divergence
+row equals the 1-D call, so every map scores the bytes it would alone.
 
 All divergences use base-10 logarithms, so the uniform-distribution
 normalizer for a confidently classified input over N classes is log10(N)
@@ -29,12 +30,12 @@ normalizer for a confidently classified input over N classes is log10(N)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .engine import forward, forward_batch, forward_range
+from .engine import forward, forward_range, forward_range_batch
 from .imageio import bilinear_resize, resize_to_shape
 from .netdef import NetworkDef
 from .tensor import Tensor
@@ -54,9 +55,10 @@ __all__ = [
     "PROB_FLOOR",
 ]
 
-# Projected maps go through the oracle in batches of at most this many: large
-# enough to spread numpy's per-call overhead, small enough that the batch's
-# intermediates stay a small share of the assessing process's memory.
+# Projected maps go through the oracle's wide first layers in chunks of at most
+# this many: large enough to spread numpy's per-call overhead, small enough that
+# a chunk's intermediates stay a small share of the assessing process's memory.
+# The one-pass tail is sized to need no more than one such chunk.
 ORACLE_BATCH = 8
 
 # Probabilities are clamped below at this floor (then renormalized) before a
@@ -144,59 +146,20 @@ def project_feature_maps(ir: np.ndarray, oracle_input_shape: tuple[int, int, int
     return np.clip(flat, 0.0, 1.0, out=flat).astype(np.float32)
 
 
-def _oracle_probs(irval: NetworkDef, image: Tensor) -> np.ndarray:
-    if image.shape != irval.input_shape:
-        image = resize_to_shape(image, irval.input_shape)
-    return forward(irval, image)
-
-
-def _zero_image_probs(irval: NetworkDef) -> np.ndarray:
-    """The oracle's probabilities for the all-zero image, the projection of
-    every constant feature map."""
-    ow, oh, oc = irval.input_shape
-    return forward_batch(irval, np.zeros((1, oc, oh, ow), np.float32))[0]
-
-
-class _OracleBase(NamedTuple):
-    """The oracle's view of one input, against which its maps are scored."""
-
-    probs: np.ndarray
-    baseline: float  # uniform_baseline(probs)
-    zero_kl: float  # divergence of the all-zero projection from probs
-
-
-def _oracle_base(irval: NetworkDef, x: Tensor, zero_probs: np.ndarray) -> _OracleBase:
-    base_probs = _oracle_probs(irval, x)
-    baseline = uniform_baseline(base_probs)
+def _oracle_base(irval: NetworkDef, x: Tensor) -> tuple[np.ndarray, float]:
+    """The oracle's probabilities for input ``x`` and their uniform baseline."""
+    image = x if x.shape == irval.input_shape else resize_to_shape(x, irval.input_shape)
+    probs = forward(irval, image)
+    if not np.isfinite(probs).all():
+        bad = next(i for i in range(1, irval.n_layers + 1)
+                   if not forward_range(irval, 1, i, image).is_finite())
+        raise ValueError(f"oracle layer {bad} output is not finite (float32 overflow)")
+    baseline = uniform_baseline(probs)
     if baseline <= 0:
         raise ValueError(
             "oracle classified an input as exactly uniform; layer ratios are undefined"
         )
-    return _OracleBase(base_probs, baseline, kl_divergence(base_probs, zero_probs))
-
-
-def _score_images(
-    layer_i: int, planes: np.ndarray, irval: NetworkDef, base: _OracleBase
-) -> LayerKLStats:
-    """Score one layer's projected planes. A plane byte-identical to the
-    all-zero image takes the shared ``base.zero_kl`` (see the module
-    docstring); the rest go through the oracle ORACLE_BATCH at a time."""
-    oc = irval.input_shape[2]
-    scores = [base.zero_kl] * len(planes)
-    rest = np.flatnonzero(planes.reshape(len(planes), -1).view(np.uint32).any(axis=1))
-    for lo in range(0, len(rest), ORACLE_BATCH):
-        chunk = rest[lo : lo + ORACLE_BATCH]
-        images = np.repeat(planes[chunk, None], oc, axis=1)
-        for j, kl in zip(chunk, kl_divergence(base.probs, forward_batch(irval, images)).tolist()):
-            scores[j] = kl
-    best = min(range(len(scores)), key=lambda j: (scores[j], j))
-    return LayerKLStats(
-        layer=layer_i,
-        min_kl=scores[best],
-        max_kl=max(scores),
-        argmin_j=best + 1,
-        delta=scores[best] / base.baseline,
-    )
+    return probs, baseline
 
 
 def _generator_outputs(x: Tensor, irgen: NetworkDef, last: int) -> list[Tensor]:
@@ -218,14 +181,56 @@ def _generator_outputs(x: Tensor, irgen: NetworkDef, last: int) -> list[Tensor]:
     return outs[1:]
 
 
-def _score_layers(
-    x: Tensor, irgen: NetworkDef, irval: NetworkDef, base: _OracleBase
-) -> list[LayerKLStats]:
-    """Score every assessable generator layer against the input's oracle ``base``."""
-    return [
-        _score_images(layer_i, project_feature_maps(ir.array, irval.input_shape), irval, base)
-        for layer_i, ir in enumerate(_generator_outputs(x, irgen, irgen.n_layers - 1), start=1)
-    ]
+def _oracle_split(irval: NetworkDef, rows: int) -> int:
+    """Last layer of the oracle's chunked prefix: the first valid cut after which
+    ``rows`` rows at once need, at every layer, no larger working set than
+    ORACLE_BATCH rows at the oracle's widest layer; else the whole oracle. A row's
+    working set is its im2col columns at a convolution, input plus output elsewhere."""
+    shapes = zip(irval.layers, irval.layer_input_shapes, irval.layer_output_shapes)
+    per_row = [oh * ow * ic * layer.size**2 if layer.kind == "convolutional"
+               else iw * ih * ic + ow * oh * oc for layer, (iw, ih, ic), (ow, oh, oc) in shapes]
+    budget = ORACLE_BATCH * max(per_row)
+    cuts = (s for s in sorted(valid_partition_points(irval)) if rows * max(per_row[s:]) <= budget)
+    return next(cuts, irval.n_layers)
+
+
+def _score_layers(layers, irval: NetworkDef, probs, baseline: float) -> list[LayerKLStats]:
+    """Score ``(index, output)`` generator layers against the input's oracle ``probs``
+    in one oracle stream (see the module docstring)."""
+    if not layers:
+        return []
+    n, oc = irval.n_layers, irval.input_shape[2]
+    split = _oracle_split(irval, 1 + sum(out.channels for _, out in layers))
+    pending = np.zeros((1, *irval.input_shape[1::-1]), np.float32)  # row 0: the all-zero image
+    heads, varying = [], []
+    for k, (i, out) in enumerate(layers, start=1):
+        if not out.is_finite():
+            raise ValueError(f"generator layer {i} output is not finite (float32 overflow)")
+        planes = project_feature_maps(out.array, irval.input_shape)
+        varying.append(np.flatnonzero(planes.reshape(len(planes), -1).view(np.uint32).any(axis=1)))
+        pending = np.concatenate([pending, planes[varying[-1]]])
+        while len(pending) >= ORACLE_BATCH or (k == len(layers) and len(pending)):
+            chunk, pending = pending[:ORACLE_BATCH], pending[ORACLE_BATCH:]
+            heads.append(forward_range_batch(irval, 1, split, np.repeat(chunk[:, None], oc, 1)))
+    q = np.concatenate(heads)
+    q = forward_range_batch(irval, split + 1, n, q) if split < n else q
+    kls = kl_divergence(probs, q.reshape(len(q), -1)).tolist()
+    stats, at = [], 1
+    for (i, out), rows in zip(layers, varying):
+        scores = [kls[0]] * out.channels  # constant maps share the zero image's score
+        for j, kl in zip(rows.tolist(), kls[at : at + len(rows)]):
+            scores[j] = kl
+        at += len(rows)
+        if not math.isfinite(sum(scores)):
+            raise ValueError(f"oracle output for a map of generator layer {i} is not finite")
+        best = min(range(len(scores)), key=lambda j: (scores[j], j))
+        stats.append(LayerKLStats(i, scores[best], max(scores), best + 1, scores[best] / baseline))
+    return stats
+
+
+def _refuse_non_finite(x: Tensor, input_id: str) -> None:
+    if not x.is_finite():
+        raise ValueError(f"{input_id} has a non-finite pixel; assessment needs finite inputs")
 
 
 def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) -> LayerKLStats:
@@ -233,9 +238,9 @@ def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) 
     n = irgen.n_layers
     if not (1 <= layer_i < n):
         raise ValueError(f"assessable layers are 1..{n - 1}, got {layer_i}")
-    ir = _generator_outputs(x, irgen, layer_i)[-1]
-    base = _oracle_base(irval, x, _zero_image_probs(irval))
-    return _score_images(layer_i, project_feature_maps(ir.array, irval.input_shape), irval, base)
+    _refuse_non_finite(x, "input")
+    base = _oracle_base(irval, x)
+    return _score_layers([(layer_i, forward_range(irgen, 1, layer_i, x))], irval, *base)[0]
 
 
 def valid_partition_points(net: NetworkDef) -> set[int]:
@@ -293,10 +298,15 @@ def assess_model(
     if len(input_ids) != len(x_set):
         raise ValueError("input_ids must match the number of inputs")
 
+    for x, input_id in zip(x_set, input_ids):
+        _refuse_non_finite(x, input_id)
     valid = frozenset(valid_partition_points(irgen))
-    zero_probs = _zero_image_probs(irval)
-    bases = [_oracle_base(irval, x, zero_probs) for x in x_set]
-    per_input = [_score_layers(x, irgen, irval, base) for x, base in zip(x_set, bases)]
+    bases = [_oracle_base(irval, x) for x in x_set]
+    per_input = [
+        _score_layers(list(enumerate(_generator_outputs(x, irgen, irgen.n_layers - 1), start=1)),
+                      irval, *base)
+        for x, base in zip(x_set, bases)
+    ]
 
     # per layer, the worst-case input; ties keep the earliest input
     worst = [min(rows, key=lambda r: r.delta) for rows in zip(*per_input)]
@@ -304,7 +314,7 @@ def assess_model(
     chosen = choose_partition([r.delta for r in worst], valid) if worst else None
     return AssessmentReport(
         input_id=",".join(input_ids),
-        uniform_baseline=min(base.baseline for base in bases),
+        uniform_baseline=min(baseline for _, baseline in bases),
         layers=tuple(worst),
         valid_points=valid,
         chosen=chosen,

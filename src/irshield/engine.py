@@ -25,7 +25,8 @@ from .errors import PartitionError, ShapeError, WeightsError
 from .netdef import ConvWeights, NetworkDef
 from .tensor import Tensor
 
-__all__ = ["forward", "forward_range", "forward_batch", "top_k", "LEAKY_SLOPE", "BN_EPSILON"]
+__all__ = ["forward", "forward_range", "forward_range_batch", "forward_batch", "top_k",
+           "LEAKY_SLOPE", "BN_EPSILON"]
 
 LEAKY_SLOPE = np.float32(0.1)
 BN_EPSILON = np.float32(1e-6)  # added to the stored variance in the batch-norm fold
@@ -132,8 +133,10 @@ def compile_plan(net: NetworkDef) -> tuple:
     return tuple(steps)
 
 
-def _run_range(net: NetworkDef, from_layer: int, to_layer: int, x: np.ndarray) -> np.ndarray:
-    """Run layers ``from_layer..to_layer`` on an ``(n, c, h, w)`` batch."""
+def forward_range_batch(net: NetworkDef, from_layer: int, to_layer: int,
+                        x: np.ndarray) -> np.ndarray:
+    """``forward_range`` on an ``(n, c, h, w)`` batch; row ``j`` is byte-identical to a
+    lone pass over image ``j``."""
     if net.weights is None:
         raise WeightsError("network carries no weights; load it with parse_network")
     if not (1 <= from_layer <= to_layer <= net.n_layers):
@@ -167,7 +170,7 @@ def forward_range(net: NetworkDef, from_layer: int, to_layer: int, x: Tensor) ->
     inside the range may only reference layers inside the range; a reference
     back past ``from_layer`` raises :class:`PartitionError`.
     """
-    return Tensor.from_array(_run_range(net, from_layer, to_layer, x.array[None])[0])
+    return Tensor.from_array(forward_range_batch(net, from_layer, to_layer, x.array[None])[0])
 
 
 def forward_batch(net: NetworkDef, x: np.ndarray) -> np.ndarray:
@@ -178,7 +181,7 @@ def forward_batch(net: NetworkDef, x: np.ndarray) -> np.ndarray:
     """
     if net.layers[-1].kind != "softmax":
         raise ShapeError("forward requires a softmax-terminated network")
-    return _run_range(net, 1, net.n_layers, np.asarray(x)).reshape(len(x), -1)
+    return forward_range_batch(net, 1, net.n_layers, np.asarray(x)).reshape(len(x), -1)
 
 
 def forward(net: NetworkDef, x: Tensor) -> np.ndarray:

@@ -7,6 +7,7 @@ surface out of the serving path. Pixels load scaled to [0, 1].
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,20 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
+def _resize_tables(h: int, w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
+    """``(y0, y1, 1 - fy, fy, x0, x1, 1 - fx, fx)`` of a corner-aligned resize from
+    (h, w) to (out_h, out_w), row weights shaped (out_h, 1). Shared, so read-only."""
+    sy = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
+    sx = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
+    y0, x0 = np.floor(sy).astype(int), np.floor(sx).astype(int)
+    fy, fx = (sy - y0)[:, None], sx - x0
+    tables = (y0, np.minimum(y0 + 1, h - 1), 1 - fy, fy, x0, np.minimum(x0 + 1, w - 1), 1 - fx, fx)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def bilinear_resize(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample the last two axes with corner-aligned bilinear interpolation.
 
@@ -32,24 +47,14 @@ def bilinear_resize(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     same elementwise arithmetic as on its own. Returns float64; values stay
     within [min, max] of the source up to rounding.
 
-    The gather is separable: source rows are taken first, then columns of
-    those rows, one ``np.take`` per axis. Each corner value is the same
-    source element a joint 2-D index would pick, so the bytes match.
+    Columns are blended once per source row, then the blended rows are
+    gathered and blended. Each value is the same expression of the same four
+    source elements as with a joint 2-D gather, so the bytes match.
     """
-    h, w = maps.shape[-2:]
     src = np.asarray(maps, dtype=np.float64)
-    sy = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
-    sx = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
-    y0 = np.floor(sy).astype(int)
-    x0 = np.floor(sx).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (sy - y0)[:, None]
-    fx = sx - x0
-    rows0, rows1 = np.take(src, y0, axis=-2), np.take(src, y1, axis=-2)
-    top = np.take(rows0, x0, axis=-1) * (1 - fx) + np.take(rows0, x1, axis=-1) * fx
-    bottom = np.take(rows1, x0, axis=-1) * (1 - fx) + np.take(rows1, x1, axis=-1) * fx
-    return top * (1 - fy) + bottom * fy
+    y0, y1, gy, fy, x0, x1, gx, fx = _resize_tables(*src.shape[-2:], out_h, out_w)
+    rows = np.take(src, x0, axis=-1) * gx + np.take(src, x1, axis=-1) * fx
+    return np.take(rows, y0, axis=-2) * gy + np.take(rows, y1, axis=-2) * fy
 
 
 def _adapt_channels(arr: np.ndarray, out_c: int) -> np.ndarray:

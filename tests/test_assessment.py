@@ -20,12 +20,12 @@ from irshield.assessment import (
     valid_partition_points,
     _generator_outputs,
     _oracle_base,
-    _score_images,
-    _zero_image_probs,
+    _oracle_split,
+    _score_layers,
 )
 from irshield.fixtures import gen_fixture_model
 from irshield.imageio import bilinear_resize, resize_to_shape
-from irshield.engine import forward, forward_range
+from irshield.engine import forward, forward_range, forward_range_batch
 from irshield.netdef import parse_config, parse_network
 from irshield.tensor import Tensor
 
@@ -315,11 +315,11 @@ class TestAssessLayer:
 
     def test_stats_invariant_under_feature_map_scaling(self, plain17):
         x = seed_image(plain17.input_shape, 52)
-        base = _oracle_base(plain17, x, _zero_image_probs(plain17))
+        probs, baseline = _oracle_base(plain17, x)
         ir = forward_range(plain17, 1, 3, x).array
         scaled = ir * np.float32(4.0)
-        a = _score_images(3, project_feature_maps(ir, plain17.input_shape), plain17, base)
-        b = _score_images(3, project_feature_maps(scaled, plain17.input_shape), plain17, base)
+        a = _score_layers([(3, Tensor.from_array(ir))], plain17, probs, baseline)
+        b = _score_layers([(3, Tensor.from_array(scaled))], plain17, probs, baseline)
         assert a == b
 
 
@@ -487,19 +487,139 @@ class TestConstantMapsShareOnePass:
         assert all(row.min_kl == row.max_kl and row.argmin_j == 1 for row in report.layers)
 
     def test_layer_of_single_pixel_maps(self, plain17, oracle, monkeypatch):
-        batches = []
+        passes = []
 
-        def forward_batch(net, x):
-            batches.append(len(x))
-            return engine.forward_batch(net, x)
+        def range_batch(net, lo, hi, x):
+            passes.append((net is oracle, lo, hi, len(x)))
+            return engine.forward_range_batch(net, lo, hi, x)
 
-        monkeypatch.setattr(assessment, "forward_batch", forward_batch)
+        monkeypatch.setattr(assessment, "forward_range_batch", range_batch)
         x = seed_image(plain17.input_shape, 83)
         assert plain17.layer_output_shapes[13][:2] == (1, 1)
         stats = assess_layer(x, plain17, oracle, 14)
-        assert batches == [1]  # the zero image, and nothing else
+        split = _oracle_split(oracle, 17)
+        # the zero image, and nothing else, through the prefix and the suffix
+        assert passes == [(True, 1, split, 1), (True, split + 1, 17, 1)]
         assert stats == assess_one_map_at_a_time([x], plain17, oracle).layers[13]
         assert stats.min_kl == stats.max_kl and stats.argmin_j == 1
+
+    @pytest.mark.parametrize("oracle_arch", ["plain17", "denseblock"])
+    def test_multi_input_report_with_a_constant_image(self, oracle_arch, plain17, denseblock):
+        oracle = plain17 if oracle_arch == "plain17" else denseblock
+        xs = [seed_image(plain17.input_shape, 84), Tensor(32, 32, 3, np.full(32 * 32 * 3, 0.4)),
+              seed_image(plain17.input_shape, 85)]
+        want = assess_one_map_at_a_time(xs, plain17, oracle)
+        assert report_tsv(assess_model(xs, plain17, oracle)) == report_tsv(want)
+
+    def test_assess_layer_matches_lone_passes(self, denseblock, oracle):
+        x = seed_image(denseblock.input_shape, 86)
+        want = assess_one_map_at_a_time([x], denseblock, oracle).layers
+        assert [assess_layer(x, denseblock, oracle, i) for i in range(1, denseblock.n_layers)] == list(want)
+
+    def test_report_without_a_suffix_pass(self, plain17, oracle, monkeypatch):
+        xs = [seed_image(plain17.input_shape, s) for s in (87, 88)]
+        want = report_tsv(assess_model(xs, plain17, oracle))
+        monkeypatch.setattr(assessment, "_oracle_split", lambda irval, rows: irval.n_layers)
+        assert report_tsv(assess_model(xs, plain17, oracle)) == want
+
+
+def _working_set(net, j):
+    """Elements one row needs at 0-based layer ``j``: the im2col columns of a
+    convolution, taken from the engine's gather index, or input plus output."""
+    layer = net.layers[j]
+    (iw, ih, ic), (ow, oh, oc) = net.layer_input_shapes[j], net.layer_output_shapes[j]
+    if layer.kind == "convolutional":
+        return engine._im2col_index(ic, ih, iw, layer.size, layer.stride, layer.pad_pixels()).size
+    return iw * ih * ic + ow * oh * oc
+
+
+class TestOracleSplit:
+    """The oracle's chunked prefix ends at a valid cut, derived from shapes."""
+
+    ROWS = (1, 2, 17, 93, 111, 189, 10**6)
+
+    @pytest.fixture(params=["plain17", "plain28", "denseblock", "small"])
+    def oracle(self, request):
+        return _small_oracle() if request.param == "small" else request.getfixturevalue(request.param)
+
+    def test_split_is_a_valid_cut_or_the_whole_oracle(self, oracle):
+        for rows in self.ROWS:
+            split = _oracle_split(oracle, rows)
+            assert split in valid_partition_points(oracle) | {oracle.n_layers}
+            if split < oracle.n_layers:  # the suffix starts cleanly at the cut
+                forward_range_batch(oracle, split + 1, oracle.n_layers,
+                                    np.zeros((1, *oracle.layer_output_shapes[split - 1][::-1]), np.float32))
+
+    def test_suffix_working_set_within_budget(self, oracle):
+        sets = [_working_set(oracle, j) for j in range(oracle.n_layers)]
+        budget = ORACLE_BATCH * max(sets)
+        for rows in self.ROWS:
+            split = _oracle_split(oracle, rows)
+            assert all(rows * ws <= budget for ws in sets[split:])
+            for cut in valid_partition_points(oracle):  # and no earlier cut qualifies
+                if cut < split:
+                    assert any(rows * ws > budget for ws in sets[cut:])
+
+    def test_plain17_prefix_is_five_layers(self, plain17):
+        assert [_oracle_split(plain17, rows) for rows in (111, 188, 189)] == [5, 5, 5]
+
+    def test_denseblock_routes_respected(self, denseblock):
+        assert valid_partition_points(denseblock) == {5, 11, 12, 13}
+        assert _oracle_split(denseblock, 189) == 13
+        assert _oracle_split(denseblock, 2) == 5  # two rows of layers 6..14 fit the budget
+
+    def test_no_qualifying_cut_means_no_suffix(self):
+        oracle = _small_oracle()
+        assert _oracle_split(oracle, 144) == 2
+        assert _oracle_split(oracle, 145) == oracle.n_layers
+        single = parse_config("[net]\nwidth=2\nheight=2\nchannels=1\n\n[softmax]\n")
+        assert _oracle_split(single, 1) == 1
+
+
+class TestNonFiniteInput:
+    """Non-finite pixels are refused up front; an overflow names its layer."""
+
+    def test_nan_pixel_refused_before_any_pass(self, plain17, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass ran on a non-finite input")
+
+        monkeypatch.setattr(assessment, "forward_range_batch", no_pass)
+        monkeypatch.setattr(assessment, "forward", no_pass)
+        monkeypatch.setattr(assessment, "forward_range", no_pass)
+        arr = seed_image(plain17.input_shape, 66).array.copy()
+        arr[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="input-2 has a non-finite pixel"):
+            assess_model([seed_image(plain17.input_shape, 67), Tensor.from_array(arr)], plain17, plain17)
+        arr[1, 2, 3] = -np.inf
+        with pytest.raises(ValueError, match="non-finite pixel"):
+            assess_layer(Tensor.from_array(arr), plain17, plain17, 3)
+
+    def test_oracle_overflow_names_the_oracle_layer(self, plain17):
+        big = Tensor.from_array(np.full((3, 32, 32), 3e38, np.float32))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"oracle layer 1 output is not finite"):
+            assess_model([big], plain17, plain17)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"oracle layer 1 output is not finite"):
+            assess_layer(big, plain17, plain17, 5)
+
+    def test_generator_overflow_names_the_generator_layer(self, plain17, denseblock):
+        # the denseblock oracle takes 16x16 inputs, so its copy is resized into [0, 1]
+        big = Tensor.from_array(np.full((3, 32, 32), 3e38, np.float32))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"generator layer 1 output is not finite"):
+            assess_model([big], plain17, denseblock)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"generator layer 4 output is not finite"):
+            assess_layer(big, plain17, denseblock, 4)
+
+    def test_oracle_overflow_on_a_map_names_the_generator_layer(self, plain17, monkeypatch):
+        def range_batch(net, lo, hi, x):
+            out = engine.forward_range_batch(net, lo, hi, x)
+            if net is oracle and hi == net.n_layers:
+                out[1] = np.nan  # row 0 is the zero image, row 1 a map of layer 1
+            return out
+
+        oracle = parse_network(*gen_fixture_model("plain17", 2, 10))
+        monkeypatch.setattr(assessment, "forward_range_batch", range_batch)
+        with pytest.raises(ValueError, match="oracle output for a map of generator layer 1 is not finite"):
+            assess_model([seed_image(plain17.input_shape, 68)], plain17, oracle)
 
 
 class TestAssessModel:
@@ -571,8 +691,8 @@ class TestAssessModel:
 
     def test_work_per_image_plain17(self, plain17, monkeypatch):
         """One generator pass of one-layer ranges, one oracle forward for the
-        baseline, one oracle pass for the all-zero image, and every map that
-        is not constant scored in bounded oracle batches."""
+        baseline, the oracle's prefix in chunks of at most ORACLE_BATCH rows,
+        and one suffix pass over every varying map plus the all-zero image."""
         ranges, forwards, batches = [], [], []
         real_range, real_forward = assessment.forward_range, assessment.forward
 
@@ -584,23 +704,30 @@ class TestAssessModel:
             forwards.append(x)
             return real_forward(net, x)
 
-        def forward_batch(net, x):
-            batches.append(np.array(x))
-            return engine.forward_batch(net, x)
+        def range_batch(net, lo, hi, x):
+            batches.append((net, lo, hi, np.array(x)))
+            return engine.forward_range_batch(net, lo, hi, x)
 
         x = seed_image(plain17.input_shape, 64)
         monkeypatch.setattr(assessment, "forward_range", forward_range)
         monkeypatch.setattr(assessment, "forward", forward)
-        monkeypatch.setattr(assessment, "forward_batch", forward_batch)
+        monkeypatch.setattr(assessment, "forward_range_batch", range_batch)
         oracle = parse_network(*gen_fixture_model("plain17", 2, 10))
         assess_model([x], plain17, oracle)
         monkeypatch.undo()
 
         assert ranges == [(i, i) for i in range(1, 17)]
         assert len(forwards) == 1
+        assert all(net is oracle for net, _, _, _ in batches)
+        assert _oracle_split(oracle, 189) == 5
+        prefix = [b for _, lo, hi, b in batches if (lo, hi) == (1, 5)]
+        suffix = [b for _, lo, hi, b in batches if (lo, hi) == (6, 17)]
+        assert len(prefix) + len(suffix) == len(batches)
         assert ORACLE_BATCH == 8
-        assert all(1 <= len(b) <= ORACLE_BATCH for b in batches)
-        rows = [row for b in batches for row in b]
+        assert all(1 <= len(b) <= ORACLE_BATCH for b in prefix)
+        assert all(len(b) == ORACLE_BATCH for b in prefix[:-1])  # chunks span layers
+        rows = [row for b in prefix for row in b]
+        assert not rows[0].any()  # the all-zero image leads the stream
         assert sum(not row.any() for row in rows) == 1
         varying = sum(
             int((out.array.max(axis=(1, 2)) > out.array.min(axis=(1, 2))).sum())
@@ -610,6 +737,7 @@ class TestAssessModel:
         assert maps == 188
         assert 0 < varying < maps
         assert len(rows) == varying + 1
+        assert len(suffix) == 1 and len(suffix[0]) == len(rows)
 
     def test_route_generator_outputs_match_pass_from_layer_1(self, denseblock):
         x = seed_image(denseblock.input_shape, 65)

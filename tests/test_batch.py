@@ -18,10 +18,10 @@ from irshield.engine import (
     _activate,
     _im2col,
     _im2col_index,
-    _run_range,
     forward,
     forward_batch,
     forward_range,
+    forward_range_batch,
 )
 from irshield.netdef import (
     layer_weights,
@@ -93,7 +93,7 @@ def _images(shape, n: int, seed: int) -> np.ndarray:
 
 
 def assert_batch_matches_lone_passes(net, batch: np.ndarray, last: int) -> None:
-    out = _run_range(net, 1, last, batch)
+    out = forward_range_batch(net, 1, last, batch)
     for j, image in enumerate(batch):
         lone = forward_range(net, 1, last, Tensor.from_array(image))
         assert out[j].tobytes() == lone.array.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irshield import imageio
 from irshield.errors import ShapeError
 from irshield.imageio import (
     bilinear_resize,
@@ -147,6 +148,36 @@ class TestSeparableGather:
             got = bilinear_resize(maps, 9, 7)
             want = bilinear_two_index_arrays(maps, 9, 7)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("out", [(9, 7), (2, 3), (1, 7), (9, 1), (1, 1), (4, 5)])
+    def test_non_finite_rows_and_columns_at_every_output_size(self, out):
+        maps = np.random.default_rng(5).random((5, 4, 5))
+        maps[0, 1, 2] = np.inf
+        maps[1, 3, 4] = np.nan
+        maps[2, 0, 0] = -np.inf
+        maps[3, 2, :] = np.inf  # a whole source row
+        maps[4, :, 0] = np.nan  # a whole source column
+        with np.errstate(invalid="ignore"):
+            got = bilinear_resize(maps, *out)
+            want = bilinear_two_index_arrays(maps, *out)
+        assert got.shape == want.shape == (5, *out)
+        assert got.tobytes() == want.tobytes()
+
+    def test_size_one_sources_with_non_finite_values(self):
+        for shape in ((1, 6), (6, 1), (1, 1)):
+            maps = np.stack([np.full(shape, np.inf), np.full(shape, np.nan), np.full(shape, -2.5)])
+            for out in ((1, 1), (3, 1), (1, 4), (5, 6)):
+                with np.errstate(invalid="ignore"):
+                    got = bilinear_resize(maps, *out)
+                    want = bilinear_two_index_arrays(maps, *out)
+                assert got.tobytes() == want.tobytes()
+
+    def test_tables_are_shared_and_read_only(self):
+        a = bilinear_resize(np.ones((4, 5)), 7, 3)
+        assert a.tobytes() == np.ones((7, 3)).tobytes()
+        tables = imageio._resize_tables(4, 5, 7, 3)
+        assert tables is imageio._resize_tables(4, 5, 7, 3)
+        assert not any(t.flags.writeable for t in tables)
 
 
 class TestResize:
