@@ -51,17 +51,14 @@ def client_predict(
     root_key: bytes,
     expected_measurement: bytes | None = None,
     timeout: float = 30.0,
-    attest_nonce: bytes | None = None,
-    key_msg_nonce: bytes | None = None,
-    image_nonce: bytes | None = None,
 ) -> list[tuple[str, float]]:
     """Round-trip one image: attest, provision, predict, open the result.
 
     Returns (label, score) pairs in descending score order. Aborts before
     any key bytes leave this process if the evidence MAC fails or the
     measurement differs from ``expected_measurement`` (when given). The
-    nonce arguments exist so tests can pin the whole transcript; production
-    callers leave them unset for fresh randomness.
+    attestation nonce, the key message and the image seal each draw fresh
+    randomness per call.
     """
     image = load_image(image_path)
 
@@ -72,7 +69,7 @@ def client_predict(
         if image.shape != info["input_shape"]:
             image = resize_to_shape(image, info["input_shape"])
 
-        nonce = attest_nonce if attest_nonce is not None else os.urandom(32)
+        nonce = os.urandom(32)
         evidence = _exchange(
             sock, protocol.MSG_ATTEST_REQUEST, nonce, protocol.MSG_ATTEST_EVIDENCE, "attestation"
         )
@@ -87,15 +84,13 @@ def client_predict(
                 "aborting before key transfer"
             )
 
-        key_msg = build_key_message(
-            root_key, measurement, nonce, mac, model_key, img_key, nonce=key_msg_nonce
-        )
+        key_msg = build_key_message(root_key, measurement, nonce, mac, model_key, img_key)
         _exchange(
             sock, protocol.MSG_PROVISION_KEYS, key_msg, protocol.MSG_PROVISION_KEYS,
             "key provisioning",
         )
 
-        sealed = seal(image.encode(), img_key, "image", nonce=image_nonce)
+        sealed = seal(image.encode(), img_key, "image")
         result_payload = _exchange(
             sock, protocol.MSG_PREDICT, sealed.encode(), protocol.MSG_RESULT, "predict"
         )

@@ -29,7 +29,6 @@ import hmac
 import os
 import struct
 import threading
-import uuid
 from dataclasses import dataclass
 
 from . import protocol
@@ -82,15 +81,20 @@ def verify_evidence(root_key: bytes, measurement: bytes, client_nonce: bytes, ma
     return hmac.compare_digest(expected, mac)
 
 
+def _measurement(fn_digest: bytes, lbl_digest: bytes) -> bytes:
+    """The code identity and the two sealed artifacts' SHA-256 digests, hashed."""
+    return hashlib.sha256(CODE_IDENTITY + fn_digest + lbl_digest).digest()
+
+
 def measurement_from_manifest(manifest: dict[str, str]) -> bytes:
     """Expected enclave measurement, computed from artifact manifest hashes.
 
     Lets a client that holds only the manifest verify it is talking to an
     enclave loaded with exactly the artifacts it produced.
     """
-    fn_digest = bytes.fromhex(manifest["frontnet.sealed"])
-    lbl_digest = bytes.fromhex(manifest["labels.sealed"])
-    return hashlib.sha256(CODE_IDENTITY + fn_digest + lbl_digest).digest()
+    return _measurement(
+        bytes.fromhex(manifest["frontnet.sealed"]), bytes.fromhex(manifest["labels.sealed"])
+    )
 
 
 def _wrap_key(root_key: bytes, measurement: bytes, client_nonce: bytes, evidence_mac: bytes) -> bytes:
@@ -168,14 +172,12 @@ class EnclaveSession:
     def __init__(
         self, fn_sealed: SealedContainer, lbl_sealed: SealedContainer, audit: list | None = None
     ):
-        self.enclave_id = uuid.uuid4().hex
         self._fn_sealed = fn_sealed
         self._lbl_sealed = lbl_sealed
-        self.measurement = hashlib.sha256(
-            CODE_IDENTITY
-            + hashlib.sha256(fn_sealed.encode()).digest()
-            + hashlib.sha256(lbl_sealed.encode()).digest()
-        ).digest()
+        self.measurement = _measurement(
+            hashlib.sha256(fn_sealed.encode()).digest(),
+            hashlib.sha256(lbl_sealed.encode()).digest(),
+        )
         self.state = "created"
         self._lock = threading.Lock()
         self._root_key: bytes | None = None
@@ -314,33 +316,20 @@ class EnclaveSession:
         return protocol.pack_frame(MSG_IR, ir.encode())
 
     def _handle_map(self, payload: bytes) -> bytes:
+        # u32 count, then count (u32 index, f32 score) entries; the seal
+        # nonce is always drawn here, never taken from the host
         self._require_state("ready", "map_classes")
-        if len(payload) < 1:
+        if len(payload) < 4:
             raise ProtocolError("class-mapping request truncated")
-        has_nonce = payload[0]
-        pos = 1
-        nonce = None
-        if has_nonce:
-            nonce = payload[pos : pos + NONCE_LEN]
-            if len(nonce) != NONCE_LEN:
-                raise ProtocolError("class-mapping nonce truncated")
-            pos += NONCE_LEN
-        if len(payload) < pos + 4:
-            raise ProtocolError("class-mapping request truncated")
-        (count,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        if len(payload) != pos + count * 8:
-            raise ProtocolError("class-mapping entries truncated")
+        (count,) = struct.unpack_from("<I", payload, 0)
+        if len(payload) != 4 + count * 8:
+            raise ProtocolError("class-mapping request length does not match its entry count")
         entries = []
-        for _ in range(count):
-            index, score = struct.unpack_from("<If", payload, pos)
-            pos += 8
+        for index, score in struct.iter_unpack("<If", payload[4:]):
             if not (1 <= index <= len(self._labels)):
-                raise ShapeError(
-                    f"class index {index} outside 1..{len(self._labels)}"
-                )
+                raise ShapeError(f"class index {index} outside 1..{len(self._labels)}")
             entries.append((index, self._labels[index - 1], score))
-        result = seal(encode_result_payload(entries), self._img_key, "result", nonce)
+        result = seal(encode_result_payload(entries), self._img_key, "result")
         return protocol.pack_frame(MSG_RESULT, result.encode())
 
 
@@ -392,21 +381,11 @@ def infer_encrypted_image(session: EnclaveSession, img_sealed) -> Tensor:
     return Tensor.decode(payload)
 
 
-def map_classes(
-    session: EnclaveSession,
-    pv_top: list[tuple[int, float]],
-    result_nonce: bytes | None = None,
-) -> SealedContainer:
+def map_classes(session: EnclaveSession, pv_top: list[tuple[int, float]]) -> SealedContainer:
     """Translate (class index, score) pairs to labeled results, sealed under
-    the session's image key."""
-    if result_nonce is None:
-        head = b"\x00"
-    else:
-        if len(result_nonce) != NONCE_LEN:
-            raise ValueError(f"result nonce must be {NONCE_LEN} bytes")
-        head = b"\x01" + result_nonce
+    the session's image key with a nonce the enclave draws."""
     body = struct.pack("<I", len(pv_top))
     for index, score in pv_top:
         body += struct.pack("<If", index, score)
-    payload = _call(session, MSG_MAP, head + body, MSG_RESULT)
+    payload = _call(session, MSG_MAP, body, MSG_RESULT)
     return SealedContainer.decode(payload)

@@ -101,11 +101,11 @@ class _TokenReader:
         return self.blob[start : self.pos]
 
     def int_token(self, name: str) -> int:
+        # ASCII decimal digits only: int() would also take signs and underscores
         tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise ShapeError(f"bad netpbm {name}: {tok!r}") from None
+        if not tok.isdigit():
+            raise ShapeError(f"bad netpbm {name}: {tok!r}")
+        return int(tok)
 
 
 def load_image(path: str | Path) -> Tensor:

@@ -65,10 +65,12 @@ def resolve_root_key(explicit: bytes | str | None = None) -> bytes:
 @dataclass
 class Deployment:
     artifacts: PartitionArtifacts
-    backnet: NetworkDef
-    session: EnclaveSession
     k: int
     root_key: bytes = field(repr=False)
+
+    @property
+    def backnet(self) -> NetworkDef:
+        return self.artifacts.backnet
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
@@ -80,15 +82,16 @@ class Deployment:
         return int(self.artifacts.meta["classes"])
 
     def new_session(self) -> EnclaveSession:
+        """A fresh, unprovisioned enclave session over the sealed artifacts."""
         return enclave_create(self.artifacts.frontnet_sealed, self.artifacts.labels_sealed)
 
 
 def deploy(model_dir: str | Path, k: int = 5, root_key: bytes | str | None = None) -> Deployment:
-    """Load a partition artifact directory and stand up the enclave side.
+    """Load a partition artifact directory for serving.
 
-    Verifies every manifest hash, loads the plaintext back model, checks it
-    accepts the front model's output shape, and creates (but does not yet
-    provision) an enclave session over the sealed artifacts.
+    Verifies every manifest hash, loads the plaintext back model and checks
+    it accepts the front model's output shape. No enclave session is made
+    here: each connection gets its own from :meth:`Deployment.new_session`.
     """
     artifacts = load_artifacts(model_dir)
     ir_shape = tuple(artifacts.meta["ir_shape"])
@@ -100,14 +103,7 @@ def deploy(model_dir: str | Path, k: int = 5, root_key: bytes | str | None = Non
     classes = int(artifacts.meta["classes"])
     if not (1 <= k <= classes):
         raise ValueError(f"k must be in [1, {classes}], got {k}")
-    session = enclave_create(artifacts.frontnet_sealed, artifacts.labels_sealed)
-    return Deployment(
-        artifacts=artifacts,
-        backnet=artifacts.backnet,
-        session=session,
-        k=k,
-        root_key=resolve_root_key(root_key),
-    )
+    return Deployment(artifacts=artifacts, k=k, root_key=resolve_root_key(root_key))
 
 
 def handle_predict(

@@ -1,11 +1,15 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from irshield import protocol
 from irshield.enclave import (
     MSG_ERROR,
     MSG_IR,
+    MSG_MAP,
+    MSG_RESULT,
     AttestationEvidence,
     attest,
     build_key_message,
@@ -74,7 +78,6 @@ class TestCreate:
         b = enclave_create(setup["fn_sealed"], setup["lbl_sealed"])
         assert a.measurement == b.measurement
         assert a.state == "created"
-        assert a.enclave_id != b.enclave_id
 
     def test_measurement_tracks_artifacts(self, plain17):
         s1 = build_setup(plain17, 4)
@@ -287,12 +290,35 @@ class TestMapClasses:
         with pytest.raises(ProtocolError, match="class index 11"):
             map_classes(session, [(11, 0.5)])
 
-    def test_result_nonce_injectable_and_deterministic(self, plain17):
+    def test_each_result_gets_a_fresh_nonce(self, plain17):
         session = ready_session(build_setup(plain17, 4))
-        nonce = bytes(range(12))
-        a = map_classes(session, [(1, 0.25)], result_nonce=nonce)
-        b = map_classes(session, [(1, 0.25)], result_nonce=nonce)
-        assert a == b
+        a = map_classes(session, [(1, 0.25)])
+        b = map_classes(session, [(1, 0.25)])
+        assert a.nonce != b.nonce
+        assert open_container(a, IMG_KEY) == open_container(b, IMG_KEY)
+
+    ENTRY = struct.pack("<If", 1, 0.25)
+
+    @pytest.mark.parametrize("payload", [
+        # the removed layout: a flag byte and a host-chosen 12-byte nonce
+        b"\x01" + bytes(range(12)) + struct.pack("<I", 1) + ENTRY,
+        b"",
+        b"\x01\x00\x00",
+        struct.pack("<I", 1) + ENTRY + b"\x00",
+    ], ids=["old-layout-with-nonce", "empty", "three-bytes", "trailing-byte"])
+    def test_malformed_map_request_refused(self, plain17, payload):
+        session = ready_session(build_setup(plain17, 4))
+        msg_type, reply = protocol.unpack_frame(session.call(protocol.pack_frame(MSG_MAP, payload)))
+        assert msg_type == MSG_ERROR
+        assert protocol.decode_error(reply)[0] == protocol.ERR_MALFORMED
+        assert session.state == "ready"
+        # the request layout is u32 count, then (u32 index, f32 score) entries
+        msg_type, reply = protocol.unpack_frame(
+            session.call(protocol.pack_frame(MSG_MAP, struct.pack("<I", 1) + self.ENTRY))
+        )
+        assert msg_type == MSG_RESULT
+        opened = open_container(SealedContainer.decode(reply), IMG_KEY)
+        assert decode_result_payload(opened) == [(1, LABELS10[0], 0.25)]
 
 
 def assert_no_shared_window(secret: bytes, haystack: bytes, window: int = 16):

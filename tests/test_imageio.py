@@ -75,6 +75,24 @@ class TestNetpbm:
         with pytest.raises(ShapeError, match="exceeds declared maxval"):
             load_image(path)
 
+    def test_negative_ascii_sample_rejected(self, tmp_path):
+        path = tmp_path / "h.pgm"
+        path.write_text("P2\n2 1\n255\n-5 7\n")
+        with pytest.raises(ShapeError, match=r"bad netpbm sample: b'-5'"):
+            load_image(path)
+
+    def test_negative_dimensions_rejected(self, tmp_path):
+        path = tmp_path / "i.pgm"
+        path.write_text("P2\n-2 -1\n255\n1 2\n")
+        with pytest.raises(ShapeError, match=r"bad netpbm width: b'-2'"):
+            load_image(path)
+
+    def test_underscored_maxval_rejected(self, tmp_path):
+        path = tmp_path / "j.pgm"
+        path.write_bytes(b"P5\n2 1\n2_5_5\n" + bytes([3, 4]))
+        with pytest.raises(ShapeError, match=r"bad netpbm maxval: b'2_5_5'"):
+            load_image(path)
+
     def test_empty_raster_rejected(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5 0 0 255\n")

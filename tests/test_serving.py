@@ -13,6 +13,7 @@ from irshield.enclave import (
     attest,
     build_key_message,
     enclave_create,
+    measurement_from_manifest,
     provision_keys,
     verify_evidence,
 )
@@ -64,10 +65,22 @@ def expected_topk(plain17, image_path, k):
 class TestDeploy:
     def test_happy_path(self, artifact_dir):
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
+        assert dep.backnet is dep.artifacts.backnet
         assert dep.backnet.n_layers == 13
-        assert dep.session.state == "created"
         assert dep.input_shape == (32, 32, 3)
         assert dep.classes == 10
+        session = dep.new_session()
+        assert session.state == "created"
+        assert session.measurement == measurement_from_manifest(dep.artifacts.manifest)
+
+    def test_deploy_creates_no_session(self, artifact_dir, monkeypatch):
+        import irshield.server as server_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("deploy created an enclave session")
+
+        monkeypatch.setattr(server_mod, "enclave_create", refuse)
+        deploy(artifact_dir, k=3, root_key=ROOT_KEY)
 
     def test_root_key_from_environment(self, artifact_dir, monkeypatch):
         monkeypatch.setenv("IRSHIELD_ROOT_KEY", ROOT_KEY.hex())
@@ -119,22 +132,24 @@ class TestDeploy:
             deploy(directory, k=3, root_key=ROOT_KEY)
 
 
-def provision_deployment_session(dep, img_key=IMG_KEY):
+def provisioned_session(dep, img_key=IMG_KEY):
+    session = dep.new_session()
     nonce = os.urandom(32)
-    evidence = attest(dep.session, nonce, dep.root_key)
+    evidence = attest(session, nonce, dep.root_key)
     key_msg = build_key_message(
         dep.root_key, evidence.measurement, nonce, evidence.mac, MODEL_KEY, img_key
     )
-    provision_keys(dep.session, key_msg)
+    provision_keys(session, key_msg)
+    return session
 
 
 class TestHandlePredict:
     def test_matches_local_full_model(self, artifact_dir, plain17, test_image):
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
-        provision_deployment_session(dep)
+        session = provisioned_session(dep)
         image = load_image(test_image)
         sealed = seal(image.encode(), IMG_KEY, "image")
-        result = handle_predict(dep, dep.session, sealed)
+        result = handle_predict(dep, session, sealed)
         opened = open_container(result, IMG_KEY)
         from irshield.enclave import decode_result_payload
 
@@ -145,16 +160,16 @@ class TestHandlePredict:
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
         sealed = seal(seed_image(plain17.input_shape, 501).encode(), IMG_KEY, "image")
         with pytest.raises(StateError):
-            handle_predict(dep, dep.session, sealed)
+            handle_predict(dep, dep.new_session(), sealed)
 
     def test_tampered_image_denied(self, artifact_dir, plain17):
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
-        provision_deployment_session(dep)
+        session = provisioned_session(dep)
         box = seal(seed_image(plain17.input_shape, 502).encode(), IMG_KEY, "image")
         blob = bytearray(box.encode())
         blob[-1] ^= 0x40
         with pytest.raises(AuthError):
-            handle_predict(dep, dep.session, bytes(blob))
+            handle_predict(dep, session, bytes(blob))
 
 
 class WireDriver:
@@ -207,7 +222,7 @@ class TestServing:
     def test_round_trip_equals_local_inference(self, server, plain17, test_image):
         got = client_predict(
             server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY,
-            expected_measurement=server.dep.session.measurement,
+            expected_measurement=measurement_from_manifest(server.dep.artifacts.manifest),
         )
         assert got == expected_topk(plain17, test_image, 3)
 
@@ -485,12 +500,13 @@ class TestGoldenTranscript:
     def test_byte_exact_transcript(self, plain17, tmp_path, monkeypatch):
         golden = json.loads((GOLDEN_DIR / "transcript.json").read_text())
 
-        counter = {"n": 0}
+        # the one random draw on the serving side is the enclave's 12-byte
+        # result-seal nonce; the golden was recorded with this value
+        draws = []
 
         def scripted_urandom(n):
-            out = hashlib.sha256(b"transcript-entropy-%d" % counter["n"]).digest()[:n]
-            counter["n"] += 1
-            return out
+            draws.append(n)
+            return hashlib.sha256(b"transcript-entropy-2").digest()[:n]
 
         import irshield.sealing as sealing_mod
 
@@ -518,3 +534,4 @@ class TestGoldenTranscript:
         )
         assert transcript.hex() == golden["transcript_hex"]
         assert hashlib.sha256(transcript).hexdigest() == golden["sha256"]
+        assert draws == [12]

@@ -5,19 +5,23 @@ engine implements: convolutions (batch norm on and off, every activation,
 size 1 and 3, stride 1 and 2, with and without padding), max and average
 pools (global average included), routes over layers of matching spatial
 size, and an optional connected layer and softmax head. Every network is
-checked three ways: batch rows equal lone passes byte for byte, the two
-halves of every valid cut compose bit for bit, and the engine agrees with
-the scalar oracle in ``reference.py``.
+checked five ways: batch rows equal lone passes byte for byte, the two
+halves of every valid cut compose bit for bit, the engine agrees with the
+scalar oracle in ``reference.py``, ``valid_partition_points`` equals a
+brute-force route-span check, and parse and serialize round-trip byte for
+byte.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irshield.assessment import valid_partition_points
 from irshield.engine import forward, forward_range
+from irshield.errors import PartitionError
 from irshield.fixtures import _draw
 from irshield.netdef import (
     ACTIVATIONS,
@@ -124,3 +128,34 @@ def test_engine_agrees_with_scalar_reference(net, seed):
         got = forward_range(net, 1, last, Tensor.from_array(image)).array
         want = ref_forward_range(net, 1, last, image)
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-6, err_msg=f"layer {last}")
+
+
+def _route_span_cuts(net) -> set[int]:
+    """Cuts after which no layer reads a layer at or before the cut, found by
+    checking every (cut, later layer, source) triple."""
+    return {
+        cut for cut in range(1, net.n_layers)
+        if all(src > cut for layer in net.layers[cut:] for src in layer.sources)
+    }
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks())
+def test_valid_partition_points_match_brute_force(net):
+    valid = valid_partition_points(net)
+    assert valid == _route_span_cuts(net)
+    # the engine agrees: a back half that starts after an invalid cut is refused
+    w, h, c = net.layer_input_shapes[0]
+    for cut in set(range(1, net.n_layers)) - valid:
+        front = forward_range(net, 1, cut, Tensor.from_array(np.zeros((c, h, w), np.float32)))
+        with pytest.raises(PartitionError, match="cross-boundary route"):
+            forward_range(net, cut + 1, net.n_layers, front)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks())
+def test_parse_serialize_round_trips_byte_for_byte(net):
+    config_text, weights = serialize_network(net)
+    again = parse_network(config_text, weights)
+    assert again.layers == net.layers
+    assert serialize_network(again) == (config_text, weights)
