@@ -27,8 +27,9 @@ from .netdef import (
     parse_config,
     parse_network,
     serialize_network,
+    valid_partition_points,
 )
-from .engine import forward, forward_batch, forward_range, top_k
+from .engine import forward, forward_range, top_k
 from .fixtures import gen_fixture_model
 from .assessment import (
     AssessmentReport,
@@ -41,7 +42,6 @@ from .assessment import (
     report_table,
     report_tsv,
     uniform_baseline,
-    valid_partition_points,
 )
 
 # Workload accounting and the serving stack (sealing, partitioning, the
@@ -84,8 +84,8 @@ __all__ = [
     "parse_config",
     "parse_network",
     "serialize_network",
+    "valid_partition_points",
     "forward",
-    "forward_batch",
     "forward_range",
     "top_k",
     "gen_fixture_model",
@@ -99,7 +99,6 @@ __all__ = [
     "report_table",
     "report_tsv",
     "uniform_baseline",
-    "valid_partition_points",
     "FlopProfile",
     "flop_profile",
     "frontnet_fraction",

@@ -37,7 +37,7 @@ import numpy as np
 
 from .engine import forward, forward_range, forward_range_batch
 from .imageio import bilinear_resize, resize_to_shape
-from .netdef import NetworkDef
+from .netdef import NetworkDef, route_crossings, valid_partition_points
 from .tensor import Tensor
 
 __all__ = [
@@ -172,11 +172,8 @@ def _generator_outputs(x: Tensor, irgen: NetworkDef, last: int) -> list[Tensor]:
     outs = [x]
     for i in range(1, last + 1):
         start = i
-        while True:
-            srcs = [s for layer in irgen.layers[start - 1 : i] for s in layer.sources]
-            if min(srcs, default=start) >= start:
-                break
-            start = min(srcs)
+        while crossings := route_crossings(irgen, start - 1, i):
+            start = min(src for _, src in crossings)
         outs.append(forward_range(irgen, start, i, outs[start - 1]))
     return outs[1:]
 
@@ -241,19 +238,6 @@ def assess_layer(x: Tensor, irgen: NetworkDef, irval: NetworkDef, layer_i: int) 
     _refuse_non_finite(x, "input")
     base = _oracle_base(irval, x)
     return _score_layers([(layer_i, forward_range(irgen, 1, layer_i, x))], irval, *base)[0]
-
-
-def valid_partition_points(net: NetworkDef) -> set[int]:
-    """Cut indices i where no route layer after i reads a layer at or
-    before i. For a plain chain this is every i in [1, n)."""
-    n = net.n_layers
-    valid = set(range(1, n))
-    for layer in net.layers:
-        if layer.kind == "route":
-            for src in layer.sources:
-                for i in range(src, layer.index):
-                    valid.discard(i)
-    return valid
 
 
 def choose_partition(deltas, valid) -> int | None:

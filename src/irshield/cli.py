@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import hmac
 import logging
 import sys
 from pathlib import Path
@@ -24,20 +25,21 @@ from .fixtures import FIXTURE_ARCHS, gen_fixture_model
 from .imageio import load_image, resize_to_shape
 from .netdef import parse_config, parse_network
 from .partition import parse_manifest, write_artifacts
-from .sealing import CONTENT_TYPES, SealedContainer, open_container, seal
+from .sealing import CONTENT_TYPES, NONCE_LEN, SealedContainer, open_container, seal
 from .server import deploy, resolve_root_key, serve
 from .workload import flop_profile, profile_tsv
 
 log = logging.getLogger("irshield.cli")
 
 
-def _seeded_bytes(seed: int, purpose: str, n: int) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < n:
-        out += hashlib.sha256(f"irshield:{purpose}:{seed}:{counter}".encode()).digest()
-        counter += 1
-    return out[:n]
+def _seeded_nonce(key: bytes, seed: int, purpose: str, *content: bytes) -> bytes:
+    """A container nonce for ``--seed``: HMAC-SHA256 under the sealing key over the
+    purpose, the seed and the inputs the plaintext comes from. The same inputs give
+    the same bytes; other content under the same key and seed gets another nonce."""
+    mac = hmac.new(key, f"irshield:{purpose}:{seed}".encode(), hashlib.sha256)
+    for part in content:
+        mac.update(len(part).to_bytes(8, "little") + part)
+    return mac.digest()[:NONCE_LEN]
 
 
 def _key_arg(value: str) -> bytes:
@@ -120,10 +122,10 @@ def _cmd_partition(args) -> int:
     labels = Path(args.labels).read_text().splitlines()
     nonces = None
     if args.seed is not None:
-        nonces = (
-            _seeded_bytes(args.seed, "frontnet-nonce", 12),
-            _seeded_bytes(args.seed, "labels-nonce", 12),
-        )
+        inputs = [Path(p).read_bytes() for p in (args.model, args.weights, args.labels)]
+        inputs.append(str(args.cut).encode())
+        nonces = tuple(_seeded_nonce(args.model_key, args.seed, purpose, *inputs)
+                       for purpose in ("frontnet-nonce", "labels-nonce"))
     artifacts = write_artifacts(
         args.out, net, args.cut, labels, args.model_key, nonces=nonces
     )
@@ -159,8 +161,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_seal(args) -> int:
-    nonce = _seeded_bytes(args.seed, "seal-nonce", 12) if args.seed is not None else None
-    box = seal(Path(args.infile).read_bytes(), args.key, args.type, nonce=nonce)
+    data = Path(args.infile).read_bytes()
+    nonce = None if args.seed is None else _seeded_nonce(args.key, args.seed, "seal-nonce", data)
+    box = seal(data, args.key, args.type, nonce=nonce)
     Path(args.out).write_bytes(box.encode())
     print(args.out)
     return 0
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="text file, one label per line")
     p.add_argument("--model-key", type=_key_arg, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="pin container nonces for reproducible output")
+    p.add_argument("--seed", type=int, help="reproducible nonces from the key, this seed and the inputs")
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("serve", help="run the model-serving daemon")
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=sorted(CONTENT_TYPES), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="pin the nonce for reproducible output")
+    p.add_argument("--seed", type=int, help="reproducible nonce from the key, this seed and the input")
     p.set_defaults(func=_cmd_seal)
 
     p = sub.add_parser("open", help="verify and open a sealed container")

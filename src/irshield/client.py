@@ -32,12 +32,12 @@ class ResultAuthError(AuthError):
 def _exchange(
     sock: socket.socket, msg_type: int, payload: bytes, reply_type: int, phase: str
 ) -> bytes:
-    """Send one frame and return the payload of the expected reply."""
+    """Send one frame and return the payload of the expected reply; an error
+    frame raises the exception type its code stands for."""
     protocol.send_frame(sock, msg_type, payload)
     got_type, reply = protocol.read_frame(sock)
     if got_type == protocol.MSG_ERROR:
-        code, message = protocol.decode_error(reply)
-        raise ProtocolError(f"server error during {phase} (code {code}): {message}")
+        protocol.raise_error(reply)
     if got_type != reply_type:
         raise ProtocolError(f"unexpected message type {got_type} during {phase}")
     return reply

@@ -17,9 +17,9 @@ nonce. Key provisioning wraps the model and image keys under a key derived
 from the root key and that attestation transcript, so keys can only be
 provisioned to the attested enclave instance.
 
-Session states move strictly created -> attested -> provisioned -> ready;
-any failure parks the session in a terminal failed state with all partial
-secrets discarded.
+Session states move strictly created -> attested -> ready, or failed: any
+failure to provision parks the session in that terminal state with all
+partial secrets discarded.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ MSG_IR = 0x15
 MSG_MAP = 0x16
 MSG_RESULT = 0x17
 MSG_ERROR = 0x1F
-
-STATES = ("created", "attested", "provisioned", "ready", "failed")
-
 
 def _mac(root_key: bytes, *parts: bytes) -> bytes:
     return hmac.new(root_key, b"".join(parts), hashlib.sha256).digest()
@@ -252,24 +249,22 @@ class EnclaveSession:
 
     def _handle_provision(self, payload: bytes) -> bytes:
         self._require_state("attested", "provision_keys")
-        if len(payload) < NONCE_LEN + 16:
-            self._fail()
-            raise AuthError("key message too short")
         from cryptography.exceptions import InvalidTag
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-        wrap = _wrap_key(self._root_key, self.measurement, self._client_nonce, self._evidence_mac)
         try:
-            keys = AESGCM(wrap).decrypt(payload[:NONCE_LEN], payload[NONCE_LEN:], b"irshield-keys")
-        except InvalidTag:
-            self._fail()
-            raise AuthError("key message rejected: not bound to this session") from None
-        if len(keys) != 2 * KEY_LEN:
-            self._fail()
-            raise AuthError("key message carried malformed key material")
-        self.state = "provisioned"
-        model_key, img_key = keys[:KEY_LEN], keys[KEY_LEN:]
-        try:
+            if len(payload) < NONCE_LEN + 16:
+                raise AuthError("key message too short")
+            wrap = _wrap_key(self._root_key, self.measurement, self._client_nonce,
+                             self._evidence_mac)
+            try:
+                keys = AESGCM(wrap).decrypt(payload[:NONCE_LEN], payload[NONCE_LEN:],
+                                            b"irshield-keys")
+            except InvalidTag:
+                raise AuthError("key message rejected: not bound to this session") from None
+            if len(keys) != 2 * KEY_LEN:
+                raise AuthError("key message carried malformed key material")
+            model_key, img_key = keys[:KEY_LEN], keys[KEY_LEN:]
             if self._fn_sealed.content_name != "frontnet":
                 raise AuthError(
                     f"frontnet artifact declares content type {self._fn_sealed.content_name}"
@@ -286,7 +281,8 @@ class EnclaveSession:
                 labels = labels_blob.decode().splitlines()
             except UnicodeDecodeError:
                 raise AuthError("labels artifact is not UTF-8 text") from None
-        except IrshieldError:
+        except BaseException:
+            # fail closed: whatever went wrong, no partial secret stays
             self._fail()
             raise
         self._model_key = model_key

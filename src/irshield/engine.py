@@ -22,11 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PartitionError, ShapeError, WeightsError
-from .netdef import ConvWeights, NetworkDef
+from .netdef import ConvWeights, NetworkDef, route_crossings
 from .tensor import Tensor
 
-__all__ = ["forward", "forward_range", "forward_range_batch", "forward_batch", "top_k",
-           "LEAKY_SLOPE", "BN_EPSILON"]
+__all__ = ["forward", "forward_range", "forward_range_batch", "top_k", "LEAKY_SLOPE", "BN_EPSILON"]
 
 LEAKY_SLOPE = np.float32(0.1)
 BN_EPSILON = np.float32(1e-6)  # added to the stored variance in the batch-norm fold
@@ -149,12 +148,10 @@ def forward_range_batch(net: NetworkDef, from_layer: int, to_layer: int,
                          f"expected input {w}x{h}x{c}")
     if not len(x):
         raise ShapeError("empty batch: at least one image is required")
-    for layer in net.layers[from_layer - 1 : to_layer]:
-        for src in layer.sources:
-            if src < from_layer:
-                raise PartitionError(
-                    f"cross-boundary route: layer {layer.index} routes from layer {src}, "
-                    f"before the start of the range at layer {from_layer}")
+    if crossings := route_crossings(net, from_layer - 1, to_layer):
+        index, src = crossings[0]
+        raise PartitionError(f"cross-boundary route: layer {index} routes from layer {src}, "
+                             f"before the start of the range at layer {from_layer}")
     outputs = {from_layer - 1: np.ascontiguousarray(x, dtype=np.float32)}
     for pos, (sources, run) in enumerate(net.plan[from_layer - 1 : to_layer], start=from_layer):
         # contiguous, so a later layer sees the same memory order (and its
@@ -173,17 +170,6 @@ def forward_range(net: NetworkDef, from_layer: int, to_layer: int, x: Tensor) ->
     return Tensor.from_array(forward_range_batch(net, from_layer, to_layer, x.array[None])[0])
 
 
-def forward_batch(net: NetworkDef, x: np.ndarray) -> np.ndarray:
-    """Full inference on an ``(n, c, h, w)`` batch; returns ``(n, classes)``.
-
-    The network's final layer must be a softmax. Row ``j`` is byte-identical
-    to ``forward`` on image ``j`` alone.
-    """
-    if net.layers[-1].kind != "softmax":
-        raise ShapeError("forward requires a softmax-terminated network")
-    return forward_range_batch(net, 1, net.n_layers, np.asarray(x)).reshape(len(x), -1)
-
-
 def forward(net: NetworkDef, x: Tensor) -> np.ndarray:
     """Full inference; returns the softmax probability vector.
 
@@ -191,7 +177,9 @@ def forward(net: NetworkDef, x: Tensor) -> np.ndarray:
     flat view of ``forward_range(net, 1, n, x)``, so chaining partial passes
     reproduces it bit for bit.
     """
-    probs = forward_batch(net, x.array[None])[0]
+    if net.layers[-1].kind != "softmax":
+        raise ShapeError("forward requires a softmax-terminated network")
+    probs = forward_range_batch(net, 1, net.n_layers, x.array[None]).reshape(-1)
     probs.flags.writeable = False
     return probs
 

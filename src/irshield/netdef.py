@@ -63,6 +63,8 @@ __all__ = [
     "parse_network",
     "serialize_network",
     "build_network",
+    "route_crossings",
+    "valid_partition_points",
     "layer_output_shape",
     "weights_layout",
     "layer_weights",
@@ -328,6 +330,20 @@ def build_network(input_shape: tuple[int, int, int], layers: tuple[LayerSpec, ..
         layer_input_shapes=tuple(in_shapes),
         layer_output_shapes=tuple(out_shapes),
     )
+
+
+def route_crossings(net: NetworkDef, cut: int, last: int | None = None) -> list[tuple[int, int]]:
+    """``(layer, source)`` pairs of the routes in layers ``cut+1..last`` (default: to
+    the end) that read layer ``cut`` or earlier, which a range starting after ``cut``
+    cannot run."""
+    return [(layer.index, src) for layer in net.layers[cut:last] for src in layer.sources
+            if src <= cut]
+
+
+def valid_partition_points(net: NetworkDef) -> set[int]:
+    """Cut indices i where no route layer after i reads a layer at or
+    before i. For a plain chain this is every i in [1, n)."""
+    return {i for i in range(1, net.n_layers) if not route_crossings(net, i)}
 
 
 def weights_layout(

@@ -16,9 +16,8 @@ import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .assessment import valid_partition_points
 from .errors import PartitionError, ProtocolError
-from .netdef import NetworkDef, parse_network, serialize_network
+from .netdef import NetworkDef, parse_network, route_crossings, serialize_network
 from .sealing import SealedContainer, seal
 
 __all__ = [
@@ -55,14 +54,7 @@ def split_network(net: NetworkDef, cut: int) -> tuple[NetworkDef, NetworkDef]:
     n = net.n_layers
     if not (1 <= cut < n):
         raise PartitionError(f"cut must be in [1, {n - 1}], got {cut}")
-    if cut not in valid_partition_points(net):
-        offenders = [
-            (layer.index, src)
-            for layer in net.layers
-            if layer.kind == "route"
-            for src in layer.sources
-            if src <= cut < layer.index
-        ]
+    if offenders := route_crossings(net, cut):
         detail = ", ".join(f"layer {t} routes from layer {s}" for t, s in offenders)
         raise PartitionError(f"cut {cut} crosses a route span: {detail}")
 

@@ -109,13 +109,12 @@ def deploy(model_dir: str | Path, k: int = 5, root_key: bytes | str | None = Non
 def handle_predict(
     dep: Deployment, session: EnclaveSession, img_sealed, tap: list | None = None
 ) -> SealedContainer:
-    """One prediction through a provisioned enclave session.
+    """One prediction through a provisioned enclave session; the enclave
+    refuses a session that is not ready with StateError.
 
     ``tap``, when given, collects the host-visible intermediate tensor and
     top-k pairs.
     """
-    if session.state != "ready":
-        raise StateError(f"session is {session.state!r}, not ready")
     ir = infer_encrypted_image(session, img_sealed)
     if tap is not None:
         tap.append(ir.encode())

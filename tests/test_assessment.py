@@ -108,8 +108,9 @@ class TestKLDivergenceRows:
                 assert [float(v).hex() for v in got] == want
 
     def test_float32_oracle_rows(self, plain17):
-        q = engine.forward_batch(plain17, np.stack([seed_image(plain17.input_shape, s).array
-                                                    for s in range(90, 90 + ORACLE_BATCH)]))
+        x = np.stack([seed_image(plain17.input_shape, s).array
+                      for s in range(90, 90 + ORACLE_BATCH)])
+        q = engine.forward_range_batch(plain17, 1, plain17.n_layers, x).reshape(len(x), -1)
         p = q[0]
         got = kl_divergence(p, q)
         assert [v.hex() for v in got.tolist()] == [kl_divergence(p, row).hex() for row in q]

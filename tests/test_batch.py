@@ -19,7 +19,6 @@ from irshield.engine import (
     _im2col,
     _im2col_index,
     forward,
-    forward_batch,
     forward_range,
     forward_range_batch,
 )
@@ -98,7 +97,7 @@ def assert_batch_matches_lone_passes(net, batch: np.ndarray, last: int) -> None:
         lone = forward_range(net, 1, last, Tensor.from_array(image))
         assert out[j].tobytes() == lone.array.tobytes()
     if net.layers[-1].kind == "softmax":
-        probs = forward_batch(net, batch)
+        probs = forward_range_batch(net, 1, net.n_layers, batch).reshape(len(batch), -1)
         for j, image in enumerate(batch):
             assert probs[j].tobytes() == forward(net, Tensor.from_array(image)).tobytes()
 

@@ -9,6 +9,7 @@ from irshield.cli import main
 from irshield.engine import forward, top_k
 from irshield.imageio import load_image, write_ppm
 from irshield.netdef import parse_network
+from irshield.sealing import SealedContainer
 
 from conftest import seed_image
 
@@ -178,6 +179,23 @@ def test_partition_deterministic_with_seed(model_files, labels_file, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_partition_seed_nonce_depends_on_cut(model_files, labels_file, tmp_path):
+    # one model key and seed at two cuts seal two front halves: they must not share a nonce
+    cfg, weights = model_files
+    nonces = []
+    for cut in ("4", "8"):
+        out = tmp_path / f"cut{cut}"
+        assert main([
+            "partition",
+            "--model", str(cfg), "--weights", str(weights),
+            "--cut", cut, "--labels", str(labels_file),
+            "--model-key", MODEL_KEY_HEX,
+            "--out", str(out), "--seed", "5",
+        ]) == 0
+        nonces.append(SealedContainer.decode((out / "frontnet.sealed").read_bytes()).nonce)
+    assert nonces[0] != nonces[1]
+
+
 def test_bad_key_usage_error(model_files, labels_file, tmp_path):
     cfg, weights = model_files
     with pytest.raises(SystemExit) as excinfo:
@@ -211,6 +229,16 @@ class TestSealOpenCli:
             main(["seal", "--key", IMG_KEY_HEX, "--type", "labels",
                   "--in", str(src), "--out", str(out), "--seed", "3"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_nonce_depends_on_content(self, tmp_path):
+        nonces = []
+        for name, data in (("x", b"first payload"), ("y", b"other payload")):
+            src, out = tmp_path / f"{name}.bin", tmp_path / f"{name}.sealed"
+            src.write_bytes(data)
+            assert main(["seal", "--key", IMG_KEY_HEX, "--type", "labels",
+                         "--in", str(src), "--out", str(out), "--seed", "5"]) == 0
+            nonces.append(SealedContainer.decode(out.read_bytes()).nonce)
+        assert nonces[0] != nonces[1]
 
     def test_wrong_key_exit_1(self, tmp_path, capsys):
         src = tmp_path / "p.bin"

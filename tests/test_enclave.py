@@ -146,6 +146,24 @@ class TestProvision:
         with pytest.raises(StateError):
             provision_keys(session, key_msg)
 
+    def test_any_provisioning_failure_fails_closed(self, plain17):
+        # a front model whose config bytes are not UTF-8 fails outside IrshieldError
+        setup = build_setup(plain17, 4)
+        weights = serialize_network(setup["front"])[1]
+        fn_sealed = seal(struct.pack("<Q", 2) + b"\xff\xfe" + weights, MODEL_KEY, "frontnet")
+        session = enclave_create(fn_sealed, setup["lbl_sealed"])
+        nonce = os.urandom(32)
+        evidence = attest(session, nonce, ROOT_KEY)
+        key_msg = build_key_message(
+            ROOT_KEY, evidence.measurement, nonce, evidence.mac, MODEL_KEY, IMG_KEY
+        )
+        with pytest.raises(IrshieldError, match="UnicodeDecodeError"):
+            provision_keys(session, key_msg)
+        assert session.state == "failed"
+        assert session._model_key is None and session._img_key is None
+        with pytest.raises(StateError):
+            provision_keys(session, key_msg)
+
     def test_swapped_labels_container_fails(self, plain17):
         setup = build_setup(plain17, 4)
         other = build_setup(plain17, 4, model_key=WRONG_KEY)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from irshield import engine
-from irshield.engine import forward, forward_batch, forward_range, top_k
+from irshield.engine import forward, forward_range, forward_range_batch, top_k
 from irshield.errors import PartitionError, ShapeError, WeightsError
 from irshield.fixtures import gen_fixture_model
 from irshield.netdef import parse_config, parse_network
@@ -49,12 +49,12 @@ def test_forward_rejects_wrong_input_shape(plain17):
 def test_empty_batch_refused(plain17):
     w, h, c = plain17.input_shape
     with pytest.raises(ShapeError, match="empty batch"):
-        forward_batch(plain17, np.zeros((0, c, h, w), np.float32))
+        forward_range_batch(plain17, 1, plain17.n_layers, np.zeros((0, c, h, w), np.float32))
 
 
 def test_wrong_rank_input_names_the_shape_received(plain17):
     with pytest.raises(ShapeError, match=r"input shape \(3, 32, 32\) does not match"):
-        forward_batch(plain17, np.zeros((3, 32, 32), np.float32))
+        forward_range_batch(plain17, 1, plain17.n_layers, np.zeros((3, 32, 32), np.float32))
 
 
 def test_forward_deterministic(plain17):
@@ -241,7 +241,7 @@ class TestPlan:
         assert len(folds) == convs_with_bn > 0
         assert forward(net, x).tobytes() == first.tobytes()
         forward_range(net, 1, 12, x)
-        forward_batch(net, np.stack([x.array, x.array]))
+        forward_range_batch(net, 1, net.n_layers, np.stack([x.array, x.array]))
         assert net.plan is plan
         assert len(folds) == convs_with_bn
         assert fresh_plain17().plan is not plan

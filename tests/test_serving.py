@@ -371,6 +371,11 @@ class TestServing:
         # received payload of that size means no key message ever arrived
         assert all(len(chunk) != 92 for chunk in tap)
 
+    def test_wrong_model_key_raises_auth_error(self, server, test_image):
+        # the error frame's code picks the exception type, as on the enclave boundary
+        with pytest.raises(AuthError, match="frontnet"):
+            client_predict(server.address, test_image, b"\x5a" * 32, IMG_KEY, ROOT_KEY)
+
     def test_wrong_root_key_rejected_client_side(self, server, test_image):
         with pytest.raises(AttestationRejected):
             client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, b"\x13" * 32)

@@ -5,21 +5,26 @@ engine implements: convolutions (batch norm on and off, every activation,
 size 1 and 3, stride 1 and 2, with and without padding), max and average
 pools (global average included), routes over layers of matching spatial
 size, and an optional connected layer and softmax head. Every network is
-checked five ways: batch rows equal lone passes byte for byte, the two
+checked these ways: batch rows equal lone passes byte for byte, the two
 halves of every valid cut compose bit for bit, the engine agrees with the
 scalar oracle in ``reference.py``, ``valid_partition_points`` equals a
 brute-force route-span check, and parse and serialize round-trip byte for
-byte.
+byte. The route-span rule is also checked, against a scan of every (later
+layer, source) pair, where each of its users applies it: the engine refuses
+exactly the ranges that reach back past their start, the assessment
+generator's outputs equal passes from layer 1, and ``split_network`` names
+exactly the routes an invalid cut crosses.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irshield.assessment import valid_partition_points
+from irshield.assessment import _generator_outputs
 from irshield.engine import forward, forward_range
 from irshield.errors import PartitionError
 from irshield.fixtures import _draw
@@ -31,8 +36,10 @@ from irshield.netdef import (
     layer_weights,
     parse_network,
     serialize_network,
+    valid_partition_points,
     weights_layout,
 )
+from irshield.partition import split_network
 from irshield.tensor import Tensor
 
 from reference import ref_forward_range
@@ -86,13 +93,28 @@ def networks(draw):
             layers.append(LayerSpec(index=index, kind=kind, output=draw(st.integers(1, 5))))
         else:
             layers.append(LayerSpec(index=index, kind=kind))
+    return _weighted(input_shape, layers, draw(st.integers(0, 2**16)))
+
+
+def _weighted(input_shape, layers, seed: int):
+    """The parsed network over ``layers``, with weights drawn as the fixtures draw them."""
     net = build_network(input_shape, tuple(layers))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(seed)
     per_layer = [
         layer_weights(layer, {name: _draw(rng, name, dims) for name, dims in weights_layout(layer, s)})
         for layer, s in zip(net.layers, net.layer_input_shapes)
     ]
     return parse_network(*serialize_network(replace(net, weights=tuple(per_layer))))
+
+
+# Layer 4's route reads layer 2, and layer 3 inside that span reads layer 1, so
+# the span walk back from layer 4 takes two steps; few generated networks need two.
+CHAINED_ROUTES = _weighted((4, 4, 2), (
+    LayerSpec(index=1, kind="maxpool", size=1, stride=1),
+    LayerSpec(index=2, kind="convolutional", filters=2, size=1, activation="leaky"),
+    LayerSpec(index=3, kind="route", sources=(1,)),
+    LayerSpec(index=4, kind="route", sources=(2,)),
+), 0)
 
 
 def _full_pass(net, image: np.ndarray) -> bytes:
@@ -150,6 +172,57 @@ def test_valid_partition_points_match_brute_force(net):
         front = forward_range(net, 1, cut, Tensor.from_array(np.zeros((c, h, w), np.float32)))
         with pytest.raises(PartitionError, match="cross-boundary route"):
             forward_range(net, cut + 1, net.n_layers, front)
+
+
+def _crossing_pairs(net, start: int, last: int) -> list[tuple[int, int]]:
+    """(layer, source) pairs of layers ``start..last`` that read a layer before
+    ``start``, found by scanning every pair of the network."""
+    return [
+        (layer.index, src) for layer in net.layers for src in layer.sources
+        if start <= layer.index <= last and src < start
+    ]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(networks(), st.integers(0, 2**16))
+@example(CHAINED_ROUTES, 0)
+def test_engine_refuses_exactly_the_ranges_that_cross_a_route(net, seed):
+    x = Tensor.from_array(_images(net.input_shape, 1, seed)[0])
+    n = net.n_layers
+    inputs = [x] + [forward_range(net, 1, i, x) for i in range(1, n)]  # layer a's input
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            if _crossing_pairs(net, a, b):
+                with pytest.raises(PartitionError, match="cross-boundary route"):
+                    forward_range(net, a, b, inputs[a - 1])
+            else:
+                got = forward_range(net, a, b, inputs[a - 1]).array.tobytes()
+                assert got == forward_range(net, 1, b, x).array.tobytes(), f"[{a}, {b}]"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(networks(), st.integers(0, 2**16))
+@example(CHAINED_ROUTES, 0)
+def test_generator_outputs_equal_passes_from_layer_1(net, seed):
+    x = Tensor.from_array(_images(net.input_shape, 1, seed)[0])
+    outs = _generator_outputs(x, net, net.n_layers)
+    assert len(outs) == net.n_layers
+    for i, out in enumerate(outs, start=1):
+        assert out.array.tobytes() == forward_range(net, 1, i, x).array.tobytes(), f"layer {i}"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks())
+def test_split_names_exactly_the_crossed_routes(net):
+    for cut in range(1, net.n_layers):
+        crossed = _crossing_pairs(net, cut + 1, net.n_layers)
+        if not crossed:
+            split_network(net, cut)
+            continue
+        with pytest.raises(PartitionError, match=f"cut {cut} crosses a route span") as info:
+            split_network(net, cut)
+        named = re.findall(r"layer (\d+) routes from layer (\d+)", str(info.value))
+        assert [(int(t), int(s)) for t, s in named] == crossed
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
