@@ -33,9 +33,13 @@ declares the input shape; each following section declares one layer::
 Lines are ``key=value``; ``#`` starts a comment. Parsing is strict: unknown
 sections and unknown keys are errors. Route sources are absolute 1-based
 layer indices and concatenate their sources along the channel axis.
-``pad=1`` on a convolution means "pad by size // 2"; ``[avgpool]`` without a
-size is global average pooling. Pools use floor output sizing (windows never
-extend past the input edge).
+``pad=1`` on a convolution means "pad by size // 2". Defaults: a
+convolution's ``stride`` is 1, ``pad`` and ``batch_normalize`` are 0 and
+``activation`` is linear; a pool's ``stride`` is its ``size``; an
+``[avgpool]`` with neither key is global average pooling. Pools use floor
+output sizing (windows never extend past the input edge). One table,
+``_GRAMMAR``, holds every key with its default and check, and drives both
+parsing and serialization.
 
 Weights are a separate binary blob: magic ``IRSW``, a u32 little-endian
 format version, then raw f32 little-endian values in layer order. Within a
@@ -48,6 +52,7 @@ the input index runs over the flattened (channel-major) input tensor.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,7 +82,6 @@ WEIGHTS_VERSION = 1
 
 ACTIVATIONS = ("linear", "relu", "leaky")
 _BN_FIELDS = ("bn_scale", "bn_mean", "bn_var")
-LAYER_KINDS = ("convolutional", "maxpool", "avgpool", "route", "connected", "softmax")
 
 
 @dataclass(frozen=True)
@@ -152,16 +156,25 @@ class NetworkDef:
         return compile_plan(self)
 
 
-# --- config parsing ---------------------------------------------------------
+# --- config grammar ---------------------------------------------------------
 
-_SECTION_KEYS = {
-    "net": {"width", "height", "channels"},
-    "convolutional": {"filters", "size", "stride", "pad", "activation", "batch_normalize"},
-    "maxpool": {"size", "stride"},
-    "avgpool": {"size", "stride"},
-    "route": {"layers"},
-    "connected": {"output"},
-    "softmax": set(),
+_REQUIRED = object()  # the key must be written
+_SIZE = object()  # the key defaults to the section's own size
+
+# Every key of every section in written order, as key: (default, check). The
+# default is _REQUIRED, a constant or _SIZE. The check is a minimum, the allowed
+# values, or None; ``str`` marks text that the section's own rules read.
+_GRAMMAR = {
+    "net": {"width": (_REQUIRED, 1), "height": (_REQUIRED, 1), "channels": (_REQUIRED, 1)},
+    "convolutional": {
+        "filters": (_REQUIRED, 1), "size": (_REQUIRED, 1), "stride": (1, 1), "pad": (0, (0, 1)),
+        "activation": ("linear", ACTIVATIONS), "batch_normalize": (0, (0, 1)),
+    },
+    "maxpool": {"size": (_REQUIRED, 1), "stride": (_SIZE, 1)},
+    "avgpool": {"size": (0, None), "stride": (_SIZE, None)},
+    "route": {"layers": (_REQUIRED, str)},
+    "connected": {"output": (_REQUIRED, 1)},
+    "softmax": {},
 }
 
 
@@ -177,7 +190,7 @@ def _parse_sections(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]
             if not line.endswith("]"):
                 raise ConfigError(f"unterminated section header {line!r}", lineno)
             name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            if name not in _GRAMMAR:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             current = {}
             sections.append((name, lineno, current))
@@ -188,7 +201,7 @@ def _parse_sections(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]
                 raise ConfigError(f"expected key=value, got {line!r}", lineno)
             key, value = (part.strip() for part in line.split("=", 1))
             section_name = sections[-1][0]
-            if key not in _SECTION_KEYS[section_name]:
+            if key not in _GRAMMAR[section_name]:
                 raise ConfigError(f"unknown key {key!r} in section [{section_name}]", lineno)
             if key in current:
                 raise ConfigError(f"duplicate key {key!r}", lineno)
@@ -196,58 +209,46 @@ def _parse_sections(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]
     return sections
 
 
-def _take_int(keys: dict, name: str, lineno: int, *, required=False, default=None, minimum=None):
-    if name not in keys:
-        if required:
-            raise ConfigError(f"missing required key {name!r}", lineno)
-        return default
-    value, value_line = keys.pop(name)
-    try:
-        out = int(value)
-    except ValueError:
-        raise ConfigError(f"key {name!r} must be an integer, got {value!r}", value_line) from None
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"key {name!r} must be >= {minimum}, got {out}", value_line)
-    return out
+def _read_keys(name: str, lineno: int, keys: dict) -> dict[str, object]:
+    """The value of every key of one section, in written order, each defaulted
+    and checked as the grammar says."""
+    values: dict[str, object] = {}
+    for key, (default, check) in _GRAMMAR[name].items():
+        if key not in keys:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}", lineno)
+            values[key] = values["size"] if default is _SIZE else default
+            continue
+        text, value_line = keys[key]
+        if check is str or isinstance(check, tuple) and isinstance(check[0], str):
+            if check is not str and text not in check:
+                raise ConfigError(
+                    f"unknown {key} {text!r} (expected one of {', '.join(check)})", value_line
+                )
+            values[key] = text
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"key {key!r} must be an integer, got {text!r}", value_line) from None
+        if isinstance(check, int) and value < check:
+            raise ConfigError(f"key {key!r} must be >= {check}, got {value}", value_line)
+        if isinstance(check, tuple) and value not in check:
+            raise ConfigError(f"key {key!r} must be {' or '.join(map(str, check))}", lineno)
+        values[key] = value
+    return values
 
 
 def _layer_from_section(index: int, name: str, lineno: int, keys: dict) -> LayerSpec:
+    values = _read_keys(name, lineno, keys)
     if name == "convolutional":
-        filters = _take_int(keys, "filters", lineno, required=True, minimum=1)
-        size = _take_int(keys, "size", lineno, required=True, minimum=1)
-        stride = _take_int(keys, "stride", lineno, default=1, minimum=1)
-        pad = _take_int(keys, "pad", lineno, default=0)
-        if pad not in (0, 1):
-            raise ConfigError("key 'pad' must be 0 or 1", lineno)
-        bn = _take_int(keys, "batch_normalize", lineno, default=0)
-        if bn not in (0, 1):
-            raise ConfigError("key 'batch_normalize' must be 0 or 1", lineno)
-        activation = "linear"
-        if "activation" in keys:
-            activation, act_line = keys.pop("activation")
-            if activation not in ACTIVATIONS:
-                raise ConfigError(
-                    f"unknown activation {activation!r} (expected one of {', '.join(ACTIVATIONS)})",
-                    act_line,
-                )
-        return LayerSpec(
-            index=index, kind=name, filters=filters, size=size, stride=stride,
-            pad=pad, activation=activation, batch_normalize=bool(bn),
-        )
-    if name == "maxpool":
-        size = _take_int(keys, "size", lineno, required=True, minimum=1)
-        stride = _take_int(keys, "stride", lineno, default=size, minimum=1)
-        return LayerSpec(index=index, kind=name, size=size, stride=stride)
+        values["batch_normalize"] = bool(values["batch_normalize"])
     if name == "avgpool":
-        size = _take_int(keys, "size", lineno, default=0)
-        stride = _take_int(keys, "stride", lineno, default=size if size else 0)
+        size, stride = values["size"], values["stride"]
         if size < 0 or stride < 0 or (size == 0) != (stride == 0):
             raise ConfigError("avgpool needs both size and stride, or neither (global)", lineno)
-        return LayerSpec(index=index, kind=name, size=size, stride=stride)
     if name == "route":
-        if "layers" not in keys:
-            raise ConfigError("missing required key 'layers'", lineno)
-        value, value_line = keys.pop("layers")
+        value, value_line = keys["layers"]
         try:
             sources = tuple(int(part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
@@ -262,13 +263,8 @@ def _layer_from_section(index: int, name: str, lineno: int, keys: dict) -> Layer
                     f"route source must precede layer: source {src} not before layer {index}",
                     value_line,
                 )
-        return LayerSpec(index=index, kind=name, sources=sources)
-    if name == "connected":
-        output = _take_int(keys, "output", lineno, required=True, minimum=1)
-        return LayerSpec(index=index, kind=name, output=output)
-    if name == "softmax":
-        return LayerSpec(index=index, kind=name)
-    raise ConfigError(f"unknown section [{name}]", lineno)  # unreachable
+        values = {"sources": sources}
+    return LayerSpec(index=index, kind=name, **values)
 
 
 def layer_output_shape(
@@ -378,9 +374,7 @@ def parse_config(config_text: str) -> NetworkDef:
     name, lineno, keys = sections[0]
     if name != "net":
         raise ConfigError(f"first section must be [net], got [{name}]", lineno)
-    width = _take_int(keys, "width", lineno, required=True, minimum=1)
-    height = _take_int(keys, "height", lineno, required=True, minimum=1)
-    channels = _take_int(keys, "channels", lineno, required=True, minimum=1)
+    input_shape = tuple(_read_keys("net", lineno, keys).values())
 
     layers = []
     for index, (lname, lline, lkeys) in enumerate(sections[1:], start=1):
@@ -393,7 +387,7 @@ def parse_config(config_text: str) -> NetworkDef:
         if layer.kind == "softmax" and layer.index != len(layers):
             raise ConfigError("softmax must be the final layer", lline)
 
-    return build_network((width, height, channels), tuple(layers))
+    return build_network(input_shape, tuple(layers))
 
 
 def _frozen(arr: np.ndarray, shape) -> np.ndarray:
@@ -416,7 +410,7 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
         weights_layout(layer, in_shape)
         for layer, in_shape in zip(net.layers, net.layer_input_shapes)
     ]
-    total_floats = sum(int(np.prod(shape)) for layout in layouts for _, shape in layout)
+    total_floats = sum(math.prod(shape) for layout in layouts for _, shape in layout)
     expected_bytes = 8 + 4 * total_floats
     if len(weights_bytes) != expected_bytes:
         raise WeightsError(
@@ -430,7 +424,7 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
     for layer, layout in zip(net.layers, layouts):
         arrays = {}
         for name, shape in layout:
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             arrays[name] = _frozen(values[cursor : cursor + n], shape)
             cursor += n
         per_layer.append(layer_weights(layer, arrays))
@@ -441,32 +435,16 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
 # --- serialization ----------------------------------------------------------
 
 
-def _layer_to_text(layer: LayerSpec) -> str:
-    if layer.kind == "convolutional":
-        lines = [
-            "[convolutional]",
-            f"filters={layer.filters}",
-            f"size={layer.size}",
-            f"stride={layer.stride}",
-            f"pad={layer.pad}",
-            f"activation={layer.activation}",
-        ]
-        if layer.batch_normalize:
-            lines.append("batch_normalize=1")
-        return "\n".join(lines)
-    if layer.kind == "maxpool":
-        return f"[maxpool]\nsize={layer.size}\nstride={layer.stride}"
-    if layer.kind == "avgpool":
-        if layer.size:
-            return f"[avgpool]\nsize={layer.size}\nstride={layer.stride}"
+def _section_text(name: str, values: dict) -> str:
+    """One section with its keys in written order. Two render rules:
+    ``batch_normalize`` is written only when set, and a global ``[avgpool]``
+    is written bare."""
+    if name == "avgpool" and not values["size"]:
         return "[avgpool]"
-    if layer.kind == "route":
-        return "[route]\nlayers=" + ",".join(str(s) for s in layer.sources)
-    if layer.kind == "connected":
-        return f"[connected]\noutput={layer.output}"
-    if layer.kind == "softmax":
-        return "[softmax]"
-    raise ShapeError(f"cannot serialize layer kind {layer.kind!r}")
+    lines = [f"[{name}]"]
+    lines += [f"{key}={values[key]}" for key in _GRAMMAR[name]
+              if key != "batch_normalize" or values[key]]
+    return "\n".join(lines)
 
 
 def serialize_network(net: NetworkDef) -> tuple[str, bytes]:
@@ -477,9 +455,12 @@ def serialize_network(net: NetworkDef) -> tuple[str, bytes]:
     """
     if net.weights is None:
         raise WeightsError("cannot serialize a structure-only NetworkDef")
-    w, h, c = net.input_shape
-    blocks = [f"[net]\nwidth={w}\nheight={h}\nchannels={c}"]
-    blocks.extend(_layer_to_text(layer) for layer in net.layers)
+    blocks = [_section_text("net", dict(zip(_GRAMMAR["net"], net.input_shape)))]
+    blocks += [
+        _section_text(layer.kind, {**vars(layer), "batch_normalize": int(layer.batch_normalize),
+                                   "layers": ",".join(map(str, layer.sources))})
+        for layer in net.layers
+    ]
     config_text = "\n\n".join(blocks) + "\n"
 
     chunks = [WEIGHTS_MAGIC, WEIGHTS_VERSION.to_bytes(4, "little")]

@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import PartitionError, ProtocolError
+from .errors import AuthError, PartitionError, ProtocolError
 from .netdef import NetworkDef, parse_network, route_crossings, serialize_network
 from .sealing import SealedContainer, seal
 
@@ -94,7 +94,11 @@ def unpack_model(blob: bytes) -> tuple[str, bytes]:
     (cfg_len,) = struct.unpack_from("<Q", blob, 0)
     if len(blob) < 8 + cfg_len:
         raise ProtocolError("model bundle truncated")
-    return blob[8 : 8 + cfg_len].decode(), blob[8 + cfg_len :]
+    try:
+        config_text = blob[8 : 8 + cfg_len].decode()
+    except UnicodeDecodeError:
+        raise AuthError("front model config is not UTF-8 text") from None
+    return config_text, blob[8 + cfg_len :]
 
 
 def render_manifest(hashes: dict[str, str]) -> str:

@@ -4,11 +4,13 @@ import struct
 import numpy as np
 import pytest
 
+from irshield import enclave as enclave_module
 from irshield import protocol
 from irshield.enclave import (
     MSG_ERROR,
     MSG_IR,
     MSG_MAP,
+    MSG_PROVISION,
     MSG_RESULT,
     AttestationEvidence,
     attest,
@@ -146,8 +148,28 @@ class TestProvision:
         with pytest.raises(StateError):
             provision_keys(session, key_msg)
 
-    def test_any_provisioning_failure_fails_closed(self, plain17):
-        # a front model whose config bytes are not UTF-8 fails outside IrshieldError
+    def test_any_provisioning_failure_fails_closed(self, plain17, monkeypatch):
+        # a failure outside IrshieldError, raised while the model is loaded
+        def broken_parse(*_):
+            raise RuntimeError("parser fault")
+
+        monkeypatch.setattr(enclave_module, "parse_network", broken_parse)
+        setup = build_setup(plain17, 4)
+        session = enclave_create(setup["fn_sealed"], setup["lbl_sealed"])
+        nonce = os.urandom(32)
+        evidence = attest(session, nonce, ROOT_KEY)
+        key_msg = build_key_message(
+            ROOT_KEY, evidence.measurement, nonce, evidence.mac, MODEL_KEY, IMG_KEY
+        )
+        with pytest.raises(IrshieldError, match="RuntimeError"):
+            provision_keys(session, key_msg)
+        assert session.state == "failed"
+        assert session._model_key is None and session._img_key is None
+        with pytest.raises(StateError):
+            provision_keys(session, key_msg)
+
+    def test_non_utf8_front_config_is_an_auth_failure(self, plain17):
+        # the same fault in the labels artifact answers ERR_AUTH_FAILURE too
         setup = build_setup(plain17, 4)
         weights = serialize_network(setup["front"])[1]
         fn_sealed = seal(struct.pack("<Q", 2) + b"\xff\xfe" + weights, MODEL_KEY, "frontnet")
@@ -157,12 +179,14 @@ class TestProvision:
         key_msg = build_key_message(
             ROOT_KEY, evidence.measurement, nonce, evidence.mac, MODEL_KEY, IMG_KEY
         )
-        with pytest.raises(IrshieldError, match="UnicodeDecodeError"):
-            provision_keys(session, key_msg)
+        msg_type, reply = protocol.unpack_frame(
+            session.call(protocol.pack_frame(MSG_PROVISION, key_msg))
+        )
+        assert msg_type == MSG_ERROR
+        assert protocol.decode_error(reply) == (
+            protocol.ERR_AUTH_FAILURE, "front model config is not UTF-8 text"
+        )
         assert session.state == "failed"
-        assert session._model_key is None and session._img_key is None
-        with pytest.raises(StateError):
-            provision_keys(session, key_msg)
 
     def test_swapped_labels_container_fails(self, plain17):
         setup = build_setup(plain17, 4)

@@ -35,6 +35,13 @@ activation=linear
 """
 
 
+# 2**62 filters over 3 channels
+INT64_WRAP_CFG = (
+    "[net]\nwidth=1\nheight=1\nchannels=3\n\n"
+    "[convolutional]\nfilters=4611686018427387904\nsize=1\n"
+)
+
+
 def test_minimal_model_parses():
     net = parse_network(MINIMAL_CFG, pack_weights(0.0, 1.0))
     assert net.n_layers == 1
@@ -109,6 +116,55 @@ def test_softmax_only_final():
         parse_config(cfg)
 
 
+NET = "[net]\nwidth=4\nheight=4\nchannels=1\n\n"  # the next section is on line 6
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[convolutional]\nfilters=1\nsize=0\n", "line 8: key 'size' must be >= 1, got 0"),
+    ("[convolutional]\nfilters=1\nsize=1\nstride=x\n",
+     "line 9: key 'stride' must be an integer, got 'x'"),
+    ("[convolutional]\nfilters=1\nsize=1\npad=2\n", "line 6: key 'pad' must be 0 or 1"),
+    ("[convolutional]\nfilters=1\nsize=1\nbatch_normalize=2\n",
+     "line 6: key 'batch_normalize' must be 0 or 1"),
+    ("[convolutional]\nfilters=1\nsize=1\nactivation=tanh\n",
+     "line 9: unknown activation 'tanh' (expected one of linear, relu, leaky)"),
+    ("[maxpool]\nstride=2\n", "line 6: missing required key 'size'"),
+    ("[maxpool]\nsize=2\nstride=0\n", "line 8: key 'stride' must be >= 1, got 0"),
+    ("[avgpool]\nstride=2\n", "line 6: avgpool needs both size and stride, or neither (global)"),
+    ("[avgpool]\nsize=-1\n", "line 6: avgpool needs both size and stride, or neither (global)"),
+    ("[route]\n", "line 6: missing required key 'layers'"),
+    ("[route]\nlayers=a\n", "line 7: route layers must be integers, got 'a'"),
+    ("[route]\nlayers=,\n", "line 7: route needs at least one source layer"),
+    ("[softmax]\n\n[route]\nlayers=0\n", "line 9: route source 0 is not a 1-based layer index"),
+    ("[connected]\noutput=0\n", "line 7: key 'output' must be >= 1, got 0"),
+    ("[softmax]\nsize=1\n", "line 7: unknown key 'size' in section [softmax]"),
+])
+def test_config_error_messages(body, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(NET + body)
+    assert str(info.value) == message
+
+
+def test_net_keys_checked():
+    with pytest.raises(ConfigError, match=r"^line 2: key 'width' must be >= 1, got 0$"):
+        parse_config("[net]\nwidth=0\nheight=4\nchannels=1\n\n[softmax]\n")
+    with pytest.raises(ConfigError, match=r"^line 1: missing required key 'channels'$"):
+        parse_config("[net]\nwidth=4\nheight=4\n\n[softmax]\n")
+
+
+def test_defaults():
+    net = parse_config(
+        NET + "[convolutional]\nfilters=1\nsize=1\n\n[maxpool]\nsize=2\n\n"
+        "[avgpool]\nsize=1\n\n[avgpool]\n"
+    )
+    conv, maxpool, avgpool, global_pool = net.layers
+    assert (conv.stride, conv.pad, conv.activation, conv.batch_normalize) == (1, 0, "linear", False)
+    assert (maxpool.size, maxpool.stride) == (2, 2)
+    assert (avgpool.size, avgpool.stride) == (1, 1)
+    assert (global_pool.size, global_pool.stride) == (0, 0)
+    assert net.output_shape == (1, 1, 1)
+
+
 def test_route_sources_must_share_spatial_size():
     cfg = """\
 [net]
@@ -135,6 +191,13 @@ layers=1,2
 def test_weight_length_mismatch_reports_byte_counts():
     with pytest.raises(WeightsError, match=r"expected 16 bytes, got 12 bytes"):
         parse_network(MINIMAL_CFG, pack_weights(0.0))
+
+
+def test_weight_counts_do_not_wrap():
+    # the filter weights are 3 * 2**62 floats, which wraps to -2**62 in int64
+    # and would cancel the 2**62 biases against an empty blob
+    with pytest.raises(WeightsError, match=r"expected 73786976294838206472 bytes, got 8 bytes"):
+        parse_network(INT64_WRAP_CFG, pack_weights())
 
 
 def test_weights_magic_checked():

@@ -13,7 +13,8 @@ byte. The route-span rule is also checked, against a scan of every (later
 layer, source) pair, where each of its users applies it: the engine refuses
 exactly the ranges that reach back past their start, the assessment
 generator's outputs equal passes from layer 1, and ``split_network`` names
-exactly the routes an invalid cut crosses.
+exactly the routes an invalid cut crosses. Mutated config text either parses
+or fails with a config, shape or weights error, never another exception type.
 """
 
 import re
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from irshield.assessment import _generator_outputs
 from irshield.engine import forward, forward_range
-from irshield.errors import PartitionError
+from irshield.errors import ConfigError, PartitionError, ShapeError, WeightsError
 from irshield.fixtures import _draw
 from irshield.netdef import (
     ACTIVATIONS,
@@ -44,6 +45,7 @@ from irshield.tensor import Tensor
 
 from reference import ref_forward_range
 from test_batch import SIZES, _images, assert_batch_matches_lone_passes
+from test_netdef import INT64_WRAP_CFG, pack_weights
 
 
 def _body_layer(draw, index: int, shape, out_shapes) -> LayerSpec:
@@ -232,3 +234,58 @@ def test_parse_serialize_round_trips_byte_for_byte(net):
     again = parse_network(config_text, weights)
     assert again.layers == net.layers
     assert serialize_network(again) == (config_text, weights)
+
+
+_SECTIONS = ("net", "convolutional", "maxpool", "avgpool", "route", "connected", "softmax", "dropout")
+_KEYS = ("width", "height", "channels", "filters", "size", "stride", "pad", "activation",
+         "batch_normalize", "layers", "output", "momentum")
+_VALUES = ("-1", "0", "x", "9" * 5000, str(2**62))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A generated network's (config text, weights), the text mutated one to
+    three times: a line dropped, duplicated or swapped, a value replaced, a key
+    or section renamed, or the text truncated."""
+    text, weights = serialize_network(draw(networks()))
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.splitlines()
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "value", "key", "section", "truncate")))
+        if op in ("value", "key"):
+            targets = [k for k, line in enumerate(lines) if "=" in line]
+        elif op == "section":
+            targets = [k for k, line in enumerate(lines) if line.startswith("[")]
+        else:
+            targets = list(range(len(lines)))
+        if not targets:
+            continue
+        i = draw(st.sampled_from(targets))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.sampled_from(targets))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "value":
+            lines[i] = lines[i].split("=")[0] + "=" + draw(st.sampled_from(_VALUES))
+        elif op == "key":
+            lines[i] = draw(st.sampled_from(_KEYS)) + "=" + lines[i].split("=")[1]
+        elif op == "section":
+            lines[i] = f"[{draw(st.sampled_from(_SECTIONS))}]"
+        text = "\n".join(lines) + "\n"
+        if op == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+    return text, weights
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mutated_configs())
+@example((INT64_WRAP_CFG, pack_weights()))
+def test_mutated_configs_fail_only_with_model_errors(config):
+    try:
+        net = parse_network(*config)
+    except (ConfigError, ShapeError, WeightsError):
+        return
+    # what parses serializes to text that parses back to the same layers
+    assert parse_network(*serialize_network(net)).layers == net.layers
