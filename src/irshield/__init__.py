@@ -10,64 +10,32 @@ boundary inside authenticated-encryption containers.
 
 import importlib
 
-from .errors import (
-    AuthError,
-    ConfigError,
-    IrshieldError,
-    PartitionError,
-    ProtocolError,
-    ShapeError,
-    StateError,
-    WeightsError,
-)
-from .tensor import Tensor
-from .netdef import (
-    LayerSpec,
-    NetworkDef,
-    parse_config,
-    parse_network,
-    serialize_network,
-    valid_partition_points,
-)
-from .engine import forward, forward_range, top_k
-from .fixtures import gen_fixture_model
-from .assessment import (
-    AssessmentReport,
-    LayerKLStats,
-    assess_layer,
-    assess_model,
-    choose_partition,
-    kl_divergence,
-    project_feature_maps,
-    report_table,
-    report_tsv,
-    uniform_baseline,
-)
-
-# Workload accounting and the serving stack (sealing, partitioning, the
-# enclave, the daemon and its client) load on first use, so a process that
-# only assesses never imports sockets or key handling.
-_LAZY = {
+# Every public name, by the module that defines it. Each loads on first use,
+# so a process that only assesses never imports sockets or key handling.
+_EXPORTS = {
+    "tensor": ("Tensor",),
+    "netdef": ("LayerSpec", "NetworkDef", "parse_config", "parse_network", "serialize_network",
+               "valid_partition_points"),
+    "engine": ("forward", "forward_range", "top_k"),
+    "fixtures": ("gen_fixture_model",),
+    "assessment": ("AssessmentReport", "LayerKLStats", "assess_layer", "assess_model",
+                   "choose_partition", "kl_divergence", "project_feature_maps", "report_table",
+                   "report_tsv", "uniform_baseline"),
     "workload": ("FlopProfile", "flop_profile", "frontnet_fraction", "layer_flops", "profile_tsv"),
     "sealing": ("SealedContainer", "open_container", "seal"),
     "partition": ("PartitionArtifacts", "load_artifacts", "split_network", "write_artifacts"),
-    "enclave": (
-        "AttestationEvidence",
-        "EnclaveSession",
-        "attest",
-        "enclave_create",
-        "infer_encrypted_image",
-        "map_classes",
-        "provision_keys",
-    ),
+    "enclave": ("AttestationEvidence", "EnclaveSession", "attest", "enclave_create",
+                "infer_encrypted_image", "map_classes", "provision_keys"),
     "server": ("Deployment", "Server", "deploy", "handle_predict", "serve"),
     "client": ("client_predict",),
+    "errors": ("IrshieldError", "ConfigError", "ShapeError", "WeightsError", "PartitionError",
+               "AuthError", "StateError", "ProtocolError"),
 }
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    module = _LAZY_MODULE.get(name)
+    module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -77,60 +45,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Tensor",
-    "LayerSpec",
-    "NetworkDef",
-    "parse_config",
-    "parse_network",
-    "serialize_network",
-    "valid_partition_points",
-    "forward",
-    "forward_range",
-    "top_k",
-    "gen_fixture_model",
-    "AssessmentReport",
-    "LayerKLStats",
-    "assess_layer",
-    "assess_model",
-    "choose_partition",
-    "kl_divergence",
-    "project_feature_maps",
-    "report_table",
-    "report_tsv",
-    "uniform_baseline",
-    "FlopProfile",
-    "flop_profile",
-    "frontnet_fraction",
-    "layer_flops",
-    "profile_tsv",
-    "SealedContainer",
-    "open_container",
-    "seal",
-    "PartitionArtifacts",
-    "load_artifacts",
-    "split_network",
-    "write_artifacts",
-    "AttestationEvidence",
-    "EnclaveSession",
-    "attest",
-    "enclave_create",
-    "infer_encrypted_image",
-    "map_classes",
-    "provision_keys",
-    "Deployment",
-    "Server",
-    "deploy",
-    "handle_predict",
-    "serve",
-    "client_predict",
-    "IrshieldError",
-    "ConfigError",
-    "ShapeError",
-    "WeightsError",
-    "PartitionError",
-    "AuthError",
-    "StateError",
-    "ProtocolError",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

@@ -17,9 +17,12 @@ nonce. Key provisioning wraps the model and image keys under a key derived
 from the root key and that attestation transcript, so keys can only be
 provisioned to the attested enclave instance.
 
-Session states move strictly created -> attested -> ready, or failed: any
-failure to provision parks the session in that terminal state with all
-partial secrets discarded.
+The session alone orders its operations. One table, ``_REQUESTS``, pairs
+each boundary request type with its operation name, the state it needs, its
+handler and its reply type; the dispatcher checks the state and frames the
+reply, so handlers return payloads only. States move strictly created ->
+attested -> ready, or failed: any failure to provision parks the session in
+that terminal state with all partial secrets discarded.
 """
 
 from __future__ import annotations
@@ -89,9 +92,11 @@ def measurement_from_manifest(manifest: dict[str, str]) -> bytes:
     Lets a client that holds only the manifest verify it is talking to an
     enclave loaded with exactly the artifacts it produced.
     """
-    return _measurement(
-        bytes.fromhex(manifest["frontnet.sealed"]), bytes.fromhex(manifest["labels.sealed"])
-    )
+    try:
+        fn_hex, lbl_hex = manifest["frontnet.sealed"], manifest["labels.sealed"]
+    except KeyError as exc:
+        raise ProtocolError(f"manifest lacks an entry for {exc.args[0]}") from None
+    return _measurement(bytes.fromhex(fn_hex), bytes.fromhex(lbl_hex))
 
 
 def _wrap_key(root_key: bytes, measurement: bytes, client_nonce: bytes, evidence_mac: bytes) -> bytes:
@@ -149,7 +154,10 @@ def decode_result_payload(blob: bytes) -> list[tuple[int, str, float]]:
         pos += 10
         if len(blob) < pos + label_len:
             raise ProtocolError("result payload truncated")
-        label = blob[pos : pos + label_len].decode()
+        try:
+            label = blob[pos : pos + label_len].decode()
+        except UnicodeDecodeError:
+            raise ProtocolError("result payload label is not UTF-8") from None
         pos += label_len
         out.append((index, label, score))
     if pos != len(blob):
@@ -214,19 +222,12 @@ class EnclaveSession:
     # -- in-enclave handlers ----------------------------------------------
 
     def _dispatch(self, msg_type: int, payload: bytes) -> bytes:
-        if msg_type == MSG_ATTEST_REQ:
-            return self._handle_attest(payload)
-        if msg_type == MSG_PROVISION:
-            return self._handle_provision(payload)
-        if msg_type == MSG_INFER:
-            return self._handle_infer(payload)
-        if msg_type == MSG_MAP:
-            return self._handle_map(payload)
-        raise ProtocolError(f"unknown boundary message type {msg_type:#x}")
-
-    def _require_state(self, expected: str, op: str) -> None:
-        if self.state != expected:
-            raise StateError(f"{op} requires state {expected!r}, session is {self.state!r}")
+        if msg_type not in _REQUESTS:
+            raise ProtocolError(f"unknown boundary message type {msg_type:#x}")
+        op, state, handler, reply_type = _REQUESTS[msg_type]
+        if self.state != state:
+            raise StateError(f"{op} requires state {state!r}, session is {self.state!r}")
+        return protocol.pack_frame(reply_type, handler(self, payload))
 
     def _fail(self) -> None:
         self.state = "failed"
@@ -236,7 +237,6 @@ class EnclaveSession:
         self._labels = None
 
     def _handle_attest(self, payload: bytes) -> bytes:
-        self._require_state("created", "attest")
         if len(payload) != 64:
             raise ProtocolError("attest request must carry a 32-byte root key and nonce")
         root_key, client_nonce = payload[:32], payload[32:]
@@ -245,10 +245,9 @@ class EnclaveSession:
         self._client_nonce = client_nonce
         self._evidence_mac = mac
         self.state = "attested"
-        return protocol.pack_frame(MSG_ATTEST_EVIDENCE, self.measurement + mac)
+        return self.measurement + mac
 
     def _handle_provision(self, payload: bytes) -> bytes:
-        self._require_state("attested", "provision_keys")
         from cryptography.exceptions import InvalidTag
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -278,7 +277,8 @@ class EnclaveSession:
             cfg_text, weights = unpack_model(model_blob)
             front = parse_network(cfg_text, weights)
             try:
-                labels = labels_blob.decode().splitlines()
+                # write_artifacts joins with "\n" alone; other line breaks belong to a label
+                labels = labels_blob.decode().split("\n")
             except UnicodeDecodeError:
                 raise AuthError("labels artifact is not UTF-8 text") from None
         except BaseException:
@@ -290,10 +290,9 @@ class EnclaveSession:
         self._front = front
         self._labels = labels
         self.state = "ready"
-        return protocol.pack_frame(MSG_PROVISION_OK, b"")
+        return b""
 
     def _handle_infer(self, payload: bytes) -> bytes:
-        self._require_state("ready", "infer_encrypted_image")
         container = SealedContainer.decode(payload)
         image_blob = open_container(container, self._img_key)
         image = Tensor.decode(image_blob)
@@ -309,12 +308,11 @@ class EnclaveSession:
         if not ir.is_finite():
             # finite pixels can still overflow; such a tensor never leaves
             raise IrshieldError("front model produced non-finite activations")
-        return protocol.pack_frame(MSG_IR, ir.encode())
+        return ir.encode()
 
     def _handle_map(self, payload: bytes) -> bytes:
         # u32 count, then count (u32 index, f32 score) entries; the seal
         # nonce is always drawn here, never taken from the host
-        self._require_state("ready", "map_classes")
         if len(payload) < 4:
             raise ProtocolError("class-mapping request truncated")
         (count,) = struct.unpack_from("<I", payload, 0)
@@ -325,16 +323,25 @@ class EnclaveSession:
             if not (1 <= index <= len(self._labels)):
                 raise ShapeError(f"class index {index} outside 1..{len(self._labels)}")
             entries.append((index, self._labels[index - 1], score))
-        result = seal(encode_result_payload(entries), self._img_key, "result")
-        return protocol.pack_frame(MSG_RESULT, result.encode())
+        return seal(encode_result_payload(entries), self._img_key, "result").encode()
 
 
-def _call(session: EnclaveSession, msg_type: int, payload: bytes, expect: int) -> bytes:
+# request type -> (operation, required state, handler, reply type)
+_REQUESTS = {
+    MSG_ATTEST_REQ: ("attest", "created", EnclaveSession._handle_attest, MSG_ATTEST_EVIDENCE),
+    MSG_PROVISION: ("provision_keys", "attested", EnclaveSession._handle_provision,
+                    MSG_PROVISION_OK),
+    MSG_INFER: ("infer_encrypted_image", "ready", EnclaveSession._handle_infer, MSG_IR),
+    MSG_MAP: ("map_classes", "ready", EnclaveSession._handle_map, MSG_RESULT),
+}
+
+
+def _call(session: EnclaveSession, msg_type: int, payload: bytes) -> bytes:
     response = session.call(protocol.pack_frame(msg_type, payload))
     got_type, got_payload = protocol.unpack_frame(response)
     if got_type == MSG_ERROR:
         protocol.raise_error(got_payload)
-    if got_type != expect:
+    if got_type != _REQUESTS[msg_type][3]:
         raise ProtocolError(f"unexpected boundary response type {got_type:#x}")
     return got_payload
 
@@ -359,13 +366,13 @@ def attest(session: EnclaveSession, client_nonce: bytes, root_key: bytes) -> Att
         raise ValueError("client nonce must be 32 bytes")
     if len(root_key) != KEY_LEN:
         raise ValueError(f"root key must be {KEY_LEN} bytes")
-    payload = _call(session, MSG_ATTEST_REQ, root_key + client_nonce, MSG_ATTEST_EVIDENCE)
+    payload = _call(session, MSG_ATTEST_REQ, root_key + client_nonce)
     return AttestationEvidence(measurement=payload[:32], mac=payload[32:])
 
 
 def provision_keys(session: EnclaveSession, key_msg: bytes) -> None:
     """Install wrapped keys, then decrypt and load the model and labels."""
-    _call(session, MSG_PROVISION, key_msg, MSG_PROVISION_OK)
+    _call(session, MSG_PROVISION, key_msg)
 
 
 def infer_encrypted_image(session: EnclaveSession, img_sealed) -> Tensor:
@@ -373,7 +380,7 @@ def infer_encrypted_image(session: EnclaveSession, img_sealed) -> Tensor:
     tensor crosses back."""
     if isinstance(img_sealed, SealedContainer):
         img_sealed = img_sealed.encode()
-    payload = _call(session, MSG_INFER, bytes(img_sealed), MSG_IR)
+    payload = _call(session, MSG_INFER, bytes(img_sealed))
     return Tensor.decode(payload)
 
 
@@ -383,5 +390,5 @@ def map_classes(session: EnclaveSession, pv_top: list[tuple[int, float]]) -> Sea
     body = struct.pack("<I", len(pv_top))
     for index, score in pv_top:
         body += struct.pack("<If", index, score)
-    payload = _call(session, MSG_MAP, body, MSG_RESULT)
+    payload = _call(session, MSG_MAP, body)
     return SealedContainer.decode(payload)

@@ -127,16 +127,14 @@ def load_image(path: str | Path) -> Tensor:
         samples = np.array([reader.int_token("sample") for _ in range(count)], dtype=np.float64)
     else:
         # exactly one whitespace byte separates the header from the raster
-        offset = reader.pos + 1
-        if maxval < 256:
-            raw = np.frombuffer(blob, dtype=np.uint8, offset=offset)
-        else:
-            raw = np.frombuffer(blob, dtype=">u2", offset=offset)
-        if raw.size < count:
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        raster = blob[reader.pos + 1 : reader.pos + 1 + count * dtype.itemsize]
+        if len(raster) < count * dtype.itemsize:
             raise ShapeError(
-                f"netpbm raster too short: {raw.size} samples, expected {count}"
+                f"netpbm raster too short: {len(raster) // dtype.itemsize} samples, "
+                f"expected {count}"
             )
-        samples = raw[:count].astype(np.float64)
+        samples = np.frombuffer(raster, dtype=dtype).astype(np.float64)
     if samples.max(initial=0) > maxval:
         raise ShapeError("netpbm sample exceeds declared maxval")
 

@@ -145,6 +145,9 @@ def write_artifacts(
     for label in labels:
         if "\n" in label or not label:
             raise PartitionError(f"labels must be non-empty single lines, got {label!r}")
+        if len(label.encode()) > 0xFFFF:
+            # a result entry carries its label's length as a u16
+            raise PartitionError(f"label {label[:20]!r}... exceeds 65535 UTF-8 bytes")
 
     front, back = split_network(net, cut)
     front_cfg, front_weights = serialize_network(front)

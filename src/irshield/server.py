@@ -1,13 +1,14 @@
 """The untrusted host daemon: deployment loading and the serving loop.
 
 The host never sees plaintext images, labels, or results. Per connection it
-spawns a fresh enclave session over the deployed sealed artifacts, relays
-the attestation and key-provisioning exchange, and then serves predict
-requests: sealed image in, intermediate tensor out of the enclave, back
-model and top-k on the host, sealed result out of the enclave back to the
-client. Framing violations close the connection; per-request denials
-(tampered or foreign-key containers) answer with an error frame and keep
-the connection alive.
+spawns a fresh enclave session over the deployed sealed artifacts and runs
+one loop: read a client frame, answer it, send the reply. Hello is answered
+by the host; AttestRequest, ProvisionKeys and Predict are relayed to the
+enclave session, which alone decides whether they come in order. A Predict
+runs the front model in the enclave, the back model and top-k on the host,
+and seals the result in the enclave. A failed Predict answers with an error
+frame and keeps the connection; any other failure, framing faults included,
+answers with an error frame and closes it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .enclave import (
     provision_keys,
 )
 from .engine import forward, top_k
-from .errors import IrshieldError, ProtocolError, ShapeError, StateError
+from .errors import IrshieldError, ProtocolError, ShapeError
 from .netdef import NetworkDef
 from .partition import PartitionArtifacts, load_artifacts
 from .sealing import SealedContainer
@@ -141,8 +142,9 @@ class Server:
         self._sock = socket.create_server(listen_addr)
         self.address = self._sock.getsockname()[:2]
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._conns: set[socket.socket] = set()
+        # every open connection and the thread serving it; the accept loop
+        # adds an entry before the thread starts, the thread removes it
+        self._conns: dict[socket.socket, threading.Thread] = {}
         self._conn_lock = threading.Lock()
         self._accept_thread: threading.Thread | None = None
 
@@ -164,20 +166,17 @@ class Server:
             self._sock.close()
         except OSError:
             pass
+        # once the accept loop has ended, no connection is added behind this snapshot
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5)
         with self._conn_lock:
-            live = list(self._conns)
+            live = dict(self._conns)
         for conn in live:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        for thread in self._threads:
+        for thread in live.values():
             thread.join(timeout=5)
 
     def run_forever(self) -> None:
@@ -194,9 +193,9 @@ class Server:
                 conn.close()
                 break
             thread = threading.Thread(target=self._serve_connection, args=(conn, peer), daemon=True)
+            with self._conn_lock:
+                self._conns[conn] = thread
             thread.start()
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
 
     # -- per-connection protocol ---------------------------------------------
 
@@ -205,71 +204,54 @@ class Server:
             self.tap.append(payload)
 
     def _serve_connection(self, conn: socket.socket, peer) -> None:
-        session = self.dep.new_session()
-        with self._conn_lock:
-            self._conns.add(conn)
         try:
             with conn:
-                self._session_loop(conn, session)
+                self._session_loop(conn, self.dep.new_session())
         except (ConnectionError, OSError) as exc:
             log.info("connection %s dropped: %s", peer, exc)
         except Exception:
             log.exception("connection %s failed", peer)
         finally:
             with self._conn_lock:
-                self._conns.discard(conn)
-
-    def _send(self, conn: socket.socket, msg_type: int, payload: bytes) -> None:
-        self._record(payload)
-        protocol.send_frame(conn, msg_type, payload)
-
-    def _send_error(self, conn: socket.socket, exc: IrshieldError) -> None:
-        payload = protocol.error_payload(protocol.error_code(exc), str(exc))
-        self._send(conn, protocol.MSG_ERROR, payload)
-
-    def _expect(self, conn: socket.socket, msg_type: int, name: str) -> bytes:
-        """Read one frame of the expected type and return its payload.
-
-        A Predict before provisioning raises StateError, any other
-        unexpected type ProtocolError.
-        """
-        got_type, payload = protocol.read_frame(conn)
-        self._record(payload)
-        if got_type == msg_type:
-            return payload
-        if got_type == protocol.MSG_PREDICT:
-            raise StateError("session not provisioned")
-        raise ProtocolError(f"expected {name}")
+                self._conns.pop(conn, None)
 
     def _session_loop(self, conn: socket.socket, session: EnclaveSession) -> None:
-        # A failure in the prologue or in reading a frame answers with an
-        # error frame and ends the connection; a failed predict keeps it.
-        try:
-            self._expect(conn, protocol.MSG_HELLO, "Hello")
-            self._send(
-                conn,
-                protocol.MSG_HELLO,
-                protocol.server_hello_payload(self.dep.input_shape, self.dep.classes, self.dep.k),
-            )
-            nonce = self._expect(conn, protocol.MSG_ATTEST_REQUEST, "AttestRequest")
-            if len(nonce) != 32:
-                raise ProtocolError("expected a 32-byte AttestRequest")
-            evidence = attest(session, nonce, self.dep.root_key)
-            self._send(conn, protocol.MSG_ATTEST_EVIDENCE, evidence.measurement + evidence.mac)
-            key_msg = self._expect(conn, protocol.MSG_PROVISION_KEYS, "ProvisionKeys")
-            provision_keys(session, key_msg)
-            self._send(conn, protocol.MSG_PROVISION_KEYS, b"")
+        """Read a frame, answer it, send the reply, until a failure that is
+        not a Predict's closes the connection."""
+        while True:
+            msg_type = None
+            try:
+                msg_type, payload = protocol.read_frame(conn)
+                self._record(payload)
+                reply_type, reply = self._answer(session, msg_type, payload)
+            except IrshieldError as exc:
+                reply_type = protocol.MSG_ERROR
+                reply = protocol.error_payload(protocol.error_code(exc), str(exc))
+            self._record(reply)
+            protocol.send_frame(conn, reply_type, reply)
+            if reply_type == protocol.MSG_ERROR and msg_type != protocol.MSG_PREDICT:
+                return
 
-            while True:
-                payload = self._expect(conn, protocol.MSG_PREDICT, "Predict")
-                try:
-                    result = handle_predict(self.dep, session, payload, tap=self.tap)
-                except IrshieldError as exc:
-                    self._send_error(conn, exc)
-                    continue
-                self._send(conn, protocol.MSG_RESULT, result.encode())
-        except IrshieldError as exc:
-            self._send_error(conn, exc)
+    def _answer(self, session: EnclaveSession, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        """The reply (type, payload) to one client frame."""
+        dep = self.dep
+        if msg_type == protocol.MSG_HELLO:
+            version = protocol.PROTOCOL_VERSION
+            if payload != version.to_bytes(4, "little"):
+                raise ProtocolError(f"client hello must carry protocol version {version}")
+            return msg_type, protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
+        if msg_type == protocol.MSG_ATTEST_REQUEST:
+            if len(payload) != 32:
+                raise ProtocolError("expected a 32-byte AttestRequest")
+            evidence = attest(session, payload, dep.root_key)
+            return protocol.MSG_ATTEST_EVIDENCE, evidence.measurement + evidence.mac
+        if msg_type == protocol.MSG_PROVISION_KEYS:
+            provision_keys(session, payload)
+            return msg_type, b""
+        if msg_type == protocol.MSG_PREDICT:
+            result = handle_predict(dep, session, payload, tap=self.tap)
+            return protocol.MSG_RESULT, result.encode()
+        raise ProtocolError(f"unexpected client message type {msg_type}")
 
 
 def serve(listen_addr: tuple[str, int], dep: Deployment) -> None:

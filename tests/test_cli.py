@@ -278,6 +278,22 @@ def wait_for_port(port, timeout=15.0):
     raise TimeoutError(f"daemon never listened on port {port}")
 
 
+def test_predict_with_a_manifest_lacking_labels_fails_cleanly(image_dir, tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"frontnet.sealed\t{'ab' * 32}\n")
+    code = main([
+        "predict",
+        "--server", "127.0.0.1:1",
+        "--image", str(sorted(image_dir.iterdir())[0]),
+        "--model-key", MODEL_KEY_HEX,
+        "--img-key", IMG_KEY_HEX,
+        "--root-key", ROOT_KEY_HEX,
+        "--manifest", str(manifest),
+    ])
+    assert code == 1
+    assert "manifest lacks an entry for labels.sealed" in capsys.readouterr().err
+
+
 def test_serve_and_predict_end_to_end(model_files, labels_file, image_dir, tmp_path, capsys):
     cfg, weights = model_files
     artifacts = tmp_path / "artifacts"
@@ -313,7 +329,7 @@ def test_serve_and_predict_end_to_end(model_files, labels_file, image_dir, tmp_p
         out_lines = capsys.readouterr().out.strip().splitlines()
     finally:
         daemon.terminate()
-        daemon.wait(timeout=10)
+        daemon.communicate(timeout=10)
 
     net = parse_network(cfg.read_text(), weights.read_bytes())
     labels = labels_file.read_text().splitlines()

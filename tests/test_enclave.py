@@ -19,6 +19,7 @@ from irshield.enclave import (
     enclave_create,
     infer_encrypted_image,
     map_classes,
+    measurement_from_manifest,
     provision_keys,
     verify_evidence,
 )
@@ -361,6 +362,20 @@ class TestMapClasses:
         assert msg_type == MSG_RESULT
         opened = open_container(SealedContainer.decode(reply), IMG_KEY)
         assert decode_result_payload(opened) == [(1, LABELS10[0], 0.25)]
+
+
+class TestDecoders:
+    def test_result_label_not_utf8_is_a_protocol_error(self):
+        blob = struct.pack("<I", 1) + struct.pack("<IfH", 1, 0.25, 2) + b"\xff\xfe"
+        with pytest.raises(ProtocolError, match="not UTF-8"):
+            decode_result_payload(blob)
+
+    @pytest.mark.parametrize("missing", ["frontnet.sealed", "labels.sealed"])
+    def test_manifest_without_a_sealed_entry_is_a_protocol_error(self, missing):
+        manifest = {"frontnet.sealed": "ab" * 32, "labels.sealed": "cd" * 32}
+        del manifest[missing]
+        with pytest.raises(ProtocolError, match=f"lacks an entry for {missing}"):
+            measurement_from_manifest(manifest)
 
 
 def assert_no_shared_window(secret: bytes, haystack: bytes, window: int = 16):

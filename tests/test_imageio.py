@@ -69,6 +69,13 @@ class TestNetpbm:
         with pytest.raises(ShapeError, match="too short"):
             load_image(path)
 
+    @pytest.mark.parametrize("blob", [b"P5 2 2 255", b"P6 1 1 255", b"P5 1 1 65535\n\x01"])
+    def test_raster_missing_or_odd_is_too_short(self, tmp_path, blob):
+        path = tmp_path / "k.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ShapeError, match="netpbm raster too short"):
+            load_image(path)
+
     def test_sample_above_maxval(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_text("P2\n1 1\n10\n200\n")

@@ -3,6 +3,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from irshield.client import AttestationRejected, ResultAuthError, client_predict
 from irshield.enclave import (
     attest,
     build_key_message,
+    decode_result_payload,
     enclave_create,
     measurement_from_manifest,
     provision_keys,
     verify_evidence,
 )
 from irshield.engine import forward, top_k
-from irshield.errors import AuthError, ProtocolError, ShapeError, StateError, WeightsError
+from irshield.errors import (
+    AuthError, PartitionError, ProtocolError, ShapeError, StateError, WeightsError,
+)
 from irshield.imageio import load_image, write_ppm
 from irshield.partition import render_manifest, write_artifacts
 from irshield.sealing import SealedContainer, open_container, seal
@@ -322,7 +326,7 @@ class TestServing:
     def test_finished_connection_threads_are_pruned(self, server, test_image):
         for _ in range(50):
             client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
-        assert len(server._threads) <= 5
+        assert len(server._conns) <= 5
 
     def test_foreign_img_key_denied(self, server, plain17):
         driver = WireDriver(server.address)
@@ -499,6 +503,161 @@ class TestServing:
                     pass  # a reset from the server is a legal fuzz outcome
         got = client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
         assert got == expected_topk(plain17, test_image, 3)
+
+
+HELLO = protocol.PROTOCOL_VERSION.to_bytes(4, "little")
+
+
+def attest_and_provision(driver):
+    nonce = os.urandom(32)
+    driver.send(protocol.MSG_ATTEST_REQUEST, nonce)
+    msg_type, evidence = driver.recv()
+    assert msg_type == protocol.MSG_ATTEST_EVIDENCE
+    key_msg = build_key_message(ROOT_KEY, evidence[:32], nonce, evidence[32:], MODEL_KEY, IMG_KEY)
+    driver.send(protocol.MSG_PROVISION_KEYS, key_msg)
+    assert driver.recv() == (protocol.MSG_PROVISION_KEYS, b"")
+
+
+class TestSessionOrder:
+    """The enclave session alone orders attest, provision and predict; the
+    daemon answers each frame as it comes. Only a failed Predict keeps the
+    connection open."""
+
+    @staticmethod
+    def assert_error(driver, code):
+        msg_type, payload = driver.recv()
+        assert msg_type == protocol.MSG_ERROR
+        assert protocol.decode_error(payload)[0] == code
+
+    @staticmethod
+    def assert_closed(driver):
+        assert driver.sock.recv(1) == b""
+
+    @staticmethod
+    def assert_predicts(driver, plain17):
+        x = seed_image(plain17.input_shape, 550)
+        msg_type, _ = driver.predict(seal(x.encode(), IMG_KEY, "image").encode())
+        assert msg_type == protocol.MSG_RESULT
+
+    def test_predict_then_handshake_then_predict(self, server, plain17):
+        driver = WireDriver(server.address)
+        try:
+            x = seed_image(plain17.input_shape, 551)
+            driver.send(protocol.MSG_PREDICT, seal(x.encode(), IMG_KEY, "image").encode())
+            self.assert_error(driver, protocol.ERR_NOT_READY)
+            driver.handshake()
+            self.assert_predicts(driver, plain17)
+        finally:
+            driver.close()
+
+    def test_hello_after_provisioning_is_answered(self, server, plain17):
+        driver = WireDriver(server.address)
+        try:
+            info = driver.handshake()
+            driver.send(protocol.MSG_HELLO, HELLO)
+            msg_type, payload = driver.recv()
+            assert msg_type == protocol.MSG_HELLO
+            assert protocol.parse_server_hello(payload) == info
+            self.assert_predicts(driver, plain17)
+        finally:
+            driver.close()
+
+    def test_attest_request_without_hello_is_served(self, server, plain17):
+        driver = WireDriver(server.address)
+        try:
+            attest_and_provision(driver)
+            self.assert_predicts(driver, plain17)
+        finally:
+            driver.close()
+
+    @pytest.mark.parametrize("prologue, frame, code", [
+        pytest.param([(protocol.MSG_ATTEST_REQUEST, bytes(32))],
+                     (protocol.MSG_ATTEST_REQUEST, bytes(32)), protocol.ERR_NOT_READY,
+                     id="attest-twice"),
+        pytest.param([], (protocol.MSG_PROVISION_KEYS, bytes(92)), protocol.ERR_NOT_READY,
+                     id="provision-before-attest"),
+        pytest.param([(protocol.MSG_HELLO, HELLO)], (protocol.MSG_RESULT, bytes(40)),
+                     protocol.ERR_MALFORMED, id="client-sent-result"),
+        pytest.param([(protocol.MSG_HELLO, HELLO)], (protocol.MSG_ATTEST_REQUEST, bytes(31)),
+                     protocol.ERR_MALFORMED, id="31-byte-nonce"),
+    ])
+    def test_refused_and_closed(self, server, prologue, frame, code):
+        driver = WireDriver(server.address)
+        try:
+            for msg_type, payload in prologue:
+                driver.send(msg_type, payload)
+                assert driver.recv()[0] != protocol.MSG_ERROR
+            driver.send(*frame)
+            self.assert_error(driver, code)
+            self.assert_closed(driver)
+        finally:
+            driver.close()
+
+    @pytest.mark.parametrize("hello", [b"", (2).to_bytes(4, "little"), b"garbage-version"])
+    def test_hello_with_another_version_refused_and_closed(self, server, hello):
+        driver = WireDriver(server.address)
+        try:
+            driver.send(protocol.MSG_HELLO, hello)
+            self.assert_error(driver, protocol.ERR_MALFORMED)
+            self.assert_closed(driver)
+        finally:
+            driver.close()
+
+    def test_stop_closes_a_connection_whose_session_is_being_made(self, artifact_dir,
+                                                                   monkeypatch):
+        dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
+        making, release = threading.Event(), threading.Event()
+        real_new_session = dep.new_session
+
+        def slow_new_session():
+            making.set()
+            release.wait(10)
+            return real_new_session()
+
+        monkeypatch.setattr(dep, "new_session", slow_new_session)
+        srv = Server(("127.0.0.1", 0), dep).start()
+        timer = threading.Timer(0.3, release.set)
+        try:
+            with socket.create_connection(srv.address, timeout=3) as sock:
+                assert making.wait(10)
+                timer.start()
+                start = time.monotonic()
+                srv.stop()
+                assert time.monotonic() - start < 2
+                assert sock.recv(1) == b""
+        finally:
+            release.set()
+            timer.cancel()
+            srv.stop()
+
+
+class TestLabels:
+    def predict_all_classes(self, directory, plain17, seed):
+        dep = deploy(directory, k=10, root_key=ROOT_KEY)
+        x = seed_image(plain17.input_shape, seed)
+        result = handle_predict(dep, provisioned_session(dep), seal(x.encode(), IMG_KEY, "image"))
+        entries = decode_result_payload(open_container(result, IMG_KEY))
+        return [(label, score) for _, label, score in entries], top_k(forward(plain17, x), 10)
+
+    def test_labels_holding_other_line_breaks_round_trip(self, tmp_path, plain17):
+        labels = list(LABELS10)
+        labels[0] = "first\rhalf"
+        labels[3] = "vertical\x0btab"
+        labels[5] = "next\x85line"
+        labels[8] = "para\u2029graph"
+        write_artifacts(tmp_path / "m", plain17, 4, labels, MODEL_KEY)
+        got, pairs = self.predict_all_classes(tmp_path / "m", plain17, 560)
+        assert got == [(labels[i - 1], s) for i, s in pairs]
+
+    def test_label_beyond_a_result_entry_refused(self, tmp_path, plain17):
+        labels = list(LABELS10)
+        labels[2] = "\u00e9" * 32768  # 65,536 UTF-8 bytes
+        with pytest.raises(PartitionError, match="65535"):
+            write_artifacts(tmp_path / "long", plain17, 4, labels, MODEL_KEY)
+        labels[2] = "x" * 65535
+        write_artifacts(tmp_path / "m", plain17, 4, labels, MODEL_KEY)
+        got, pairs = self.predict_all_classes(tmp_path / "m", plain17, 561)
+        assert got == [(labels[i - 1], s) for i, s in pairs]
 
 
 class TestGoldenTranscript:
