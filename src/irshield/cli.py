@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import hmac
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .imageio import load_image, resize_to_shape
 from .netdef import parse_config, parse_network
 from .partition import parse_manifest, write_artifacts
 from .sealing import CONTENT_TYPES, NONCE_LEN, SealedContainer, open_container, seal
-from .server import deploy, resolve_root_key, serve
+from .server import deploy, serve
 from .workload import flop_profile, profile_tsv
 
 log = logging.getLogger("irshield.cli")
@@ -50,6 +51,14 @@ def _key_arg(value: str) -> bytes:
     if len(key) != 32:
         raise argparse.ArgumentTypeError("keys are 32 bytes (64 hex chars)")
     return key
+
+
+def _add_root_key(p: argparse.ArgumentParser) -> None:
+    # argparse runs a string default through ``type`` as well, so the
+    # environment value is checked like the flag; with neither, it is required
+    env = os.environ.get("IRSHIELD_ROOT_KEY")
+    p.add_argument("--root-key", type=_key_arg, default=env, required=env is None,
+                   help="attestation root, 64 hex chars (default: IRSHIELD_ROOT_KEY env)")
 
 
 def _addr_arg(value: str) -> tuple[str, int]:
@@ -152,7 +161,7 @@ def _cmd_predict(args) -> int:
         args.image,
         model_key=args.model_key,
         img_key=args.img_key,
-        root_key=resolve_root_key(args.root_key),
+        root_key=args.root_key,
         expected_measurement=expected,
     )
     for label, score in results:
@@ -224,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, help="partition artifact directory")
     p.add_argument("--listen", type=_addr_arg, default=("127.0.0.1", 4690))
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--root-key", type=_key_arg,
-                   help="attestation root (default: IRSHIELD_ROOT_KEY env)")
+    _add_root_key(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("predict", help="query a daemon with a sealed image")
@@ -233,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--model-key", type=_key_arg, required=True)
     p.add_argument("--img-key", type=_key_arg, required=True)
-    p.add_argument("--root-key", type=_key_arg,
-                   help="attestation root (default: IRSHIELD_ROOT_KEY env)")
+    _add_root_key(p)
     p.add_argument("--manifest", help="verify the server measurement against this manifest")
     p.set_defaults(func=_cmd_predict)
 

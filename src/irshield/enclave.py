@@ -15,7 +15,8 @@ knowledge of a pre-shared root key by MACing its measurement (a hash of the
 code identity and the loaded sealed artifacts) together with a client
 nonce. Key provisioning wraps the model and image keys under a key derived
 from the root key and that attestation transcript, so keys can only be
-provisioned to the attested enclave instance.
+provisioned to the attested enclave instance. A session holds one secret
+per state: the wrap key while attested, the image key once ready.
 
 The session alone orders its operations. One table, ``_REQUESTS``, pairs
 each boundary request type with its operation name, the state it needs, its
@@ -185,10 +186,7 @@ class EnclaveSession:
         )
         self.state = "created"
         self._lock = threading.Lock()
-        self._root_key: bytes | None = None
-        self._client_nonce: bytes | None = None
-        self._evidence_mac: bytes | None = None
-        self._model_key: bytes | None = None
+        self._wrap: bytes | None = None
         self._img_key: bytes | None = None
         self._front = None
         self._labels: list[str] | None = None
@@ -231,7 +229,7 @@ class EnclaveSession:
 
     def _fail(self) -> None:
         self.state = "failed"
-        self._model_key = None
+        self._wrap = None
         self._img_key = None
         self._front = None
         self._labels = None
@@ -241,9 +239,7 @@ class EnclaveSession:
             raise ProtocolError("attest request must carry a 32-byte root key and nonce")
         root_key, client_nonce = payload[:32], payload[32:]
         mac = _mac(root_key, b"attest", self.measurement, client_nonce)
-        self._root_key = root_key
-        self._client_nonce = client_nonce
-        self._evidence_mac = mac
+        self._wrap = _wrap_key(root_key, self.measurement, client_nonce, mac)
         self.state = "attested"
         return self.measurement + mac
 
@@ -251,11 +247,10 @@ class EnclaveSession:
         from cryptography.exceptions import InvalidTag
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+        wrap, self._wrap = self._wrap, None
         try:
             if len(payload) < NONCE_LEN + 16:
                 raise AuthError("key message too short")
-            wrap = _wrap_key(self._root_key, self.measurement, self._client_nonce,
-                             self._evidence_mac)
             try:
                 keys = AESGCM(wrap).decrypt(payload[:NONCE_LEN], payload[NONCE_LEN:],
                                             b"irshield-keys")
@@ -274,8 +269,11 @@ class EnclaveSession:
                 )
             model_blob = open_container(self._fn_sealed, model_key)
             labels_blob = open_container(self._lbl_sealed, model_key)
-            cfg_text, weights = unpack_model(model_blob)
-            front = parse_network(cfg_text, weights)
+            try:
+                front = parse_network(*unpack_model(model_blob))
+            except IrshieldError as exc:
+                # an artifact that authenticates but is no model answers like bad labels
+                raise AuthError(str(exc)) from None
             try:
                 # write_artifacts joins with "\n" alone; other line breaks belong to a label
                 labels = labels_blob.decode().split("\n")
@@ -285,7 +283,6 @@ class EnclaveSession:
             # fail closed: whatever went wrong, no partial secret stays
             self._fail()
             raise
-        self._model_key = model_key
         self._img_key = img_key
         self._front = front
         self._labels = labels

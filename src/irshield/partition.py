@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import AuthError, PartitionError, ProtocolError
+from .errors import PartitionError, ProtocolError
 from .netdef import NetworkDef, parse_network, route_crossings, serialize_network
 from .sealing import SealedContainer, seal
 
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.txt"
+_HEX_DIGITS = frozenset("0123456789abcdef")
 ARTIFACT_NAMES = (
     "backnet.cfg",
     "backnet.weights",
@@ -97,7 +98,7 @@ def unpack_model(blob: bytes) -> tuple[str, bytes]:
     try:
         config_text = blob[8 : 8 + cfg_len].decode()
     except UnicodeDecodeError:
-        raise AuthError("front model config is not UTF-8 text") from None
+        raise ProtocolError("front model config is not UTF-8 text") from None
     return config_text, blob[8 + cfg_len :]
 
 
@@ -111,7 +112,7 @@ def parse_manifest(text: str) -> dict[str, str]:
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 2 or len(parts[1]) != 64:
+        if len(parts) != 2 or len(parts[1]) != 64 or not set(parts[1]) <= _HEX_DIGITS:
             raise ProtocolError(f"manifest line {lineno} is not 'name<TAB>sha256-hex'")
         entries[parts[0]] = parts[1]
     return entries
@@ -145,7 +146,11 @@ def write_artifacts(
     for label in labels:
         if "\n" in label or not label:
             raise PartitionError(f"labels must be non-empty single lines, got {label!r}")
-        if len(label.encode()) > 0xFFFF:
+        try:
+            size = len(label.encode())
+        except UnicodeEncodeError:
+            raise PartitionError(f"label {label[:20]!r} is not valid UTF-8 text") from None
+        if size > 0xFFFF:
             # a result entry carries its label's length as a u16
             raise PartitionError(f"label {label[:20]!r}... exceeds 65535 UTF-8 bytes")
 

@@ -45,20 +45,6 @@ CONTENT_TYPES = {"frontnet": 1, "labels": 2, "image": 3, "result": 4}
 CONTENT_NAMES = {code: name for name, code in CONTENT_TYPES.items()}
 
 
-def _type_code(content_type: str | int) -> int:
-    if isinstance(content_type, str):
-        try:
-            return CONTENT_TYPES[content_type]
-        except KeyError:
-            raise ValueError(
-                f"unknown content type {content_type!r}; expected one of "
-                f"{sorted(CONTENT_TYPES)}"
-            ) from None
-    if content_type not in CONTENT_NAMES:
-        raise ValueError(f"unknown content type code {content_type}")
-    return int(content_type)
-
-
 def _check_key(key: bytes) -> bytes:
     if not isinstance(key, (bytes, bytearray)) or len(key) != KEY_LEN:
         raise ValueError(f"key must be exactly {KEY_LEN} bytes")
@@ -121,7 +107,7 @@ class SealedContainer:
 def seal(
     plaintext: bytes,
     key: bytes,
-    content_type: str | int,
+    content_type: str,
     nonce: bytes | None = None,
 ) -> SealedContainer:
     """Encrypt and authenticate plaintext under a 256-bit key.
@@ -132,7 +118,12 @@ def seal(
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
     key = _check_key(key)
-    code = _type_code(content_type)
+    try:
+        code = CONTENT_TYPES[content_type]
+    except KeyError:
+        raise ValueError(
+            f"unknown content type {content_type!r}; expected one of {sorted(CONTENT_TYPES)}"
+        ) from None
     if nonce is None:
         nonce = os.urandom(NONCE_LEN)
     elif len(nonce) != NONCE_LEN:

@@ -34,34 +34,11 @@ from .engine import forward, top_k
 from .errors import IrshieldError, ProtocolError, ShapeError
 from .netdef import NetworkDef
 from .partition import PartitionArtifacts, load_artifacts
-from .sealing import SealedContainer
+from .sealing import KEY_LEN, SealedContainer
 
-__all__ = ["Deployment", "deploy", "handle_predict", "serve", "Server", "resolve_root_key"]
+__all__ = ["Deployment", "deploy", "handle_predict", "serve", "Server"]
 
 log = logging.getLogger("irshield.server")
-
-ROOT_KEY_ENV = "IRSHIELD_ROOT_KEY"
-
-
-def resolve_root_key(explicit: bytes | str | None = None) -> bytes:
-    """Explicit key (bytes or hex) if given, else the IRSHIELD_ROOT_KEY env var."""
-    import os
-
-    if explicit is None:
-        explicit = os.environ.get(ROOT_KEY_ENV)
-        if not explicit:
-            raise ValueError(
-                f"no attestation root key: pass one or set {ROOT_KEY_ENV} (64 hex chars)"
-            )
-    if isinstance(explicit, str):
-        try:
-            explicit = bytes.fromhex(explicit)
-        except ValueError:
-            raise ValueError("root key must be hex") from None
-    if len(explicit) != 32:
-        raise ValueError(f"root key must be 32 bytes, got {len(explicit)}")
-    return bytes(explicit)
-
 
 @dataclass
 class Deployment:
@@ -87,13 +64,15 @@ class Deployment:
         return enclave_create(self.artifacts.frontnet_sealed, self.artifacts.labels_sealed)
 
 
-def deploy(model_dir: str | Path, k: int = 5, root_key: bytes | str | None = None) -> Deployment:
-    """Load a partition artifact directory for serving.
+def deploy(model_dir: str | Path, k: int = 5, *, root_key: bytes) -> Deployment:
+    """Load a partition artifact directory for serving with a 32-byte root key.
 
     Verifies every manifest hash, loads the plaintext back model and checks
     it accepts the front model's output shape. No enclave session is made
     here: each connection gets its own from :meth:`Deployment.new_session`.
     """
+    if not isinstance(root_key, bytes) or len(root_key) != KEY_LEN:
+        raise ValueError(f"root key must be {KEY_LEN} bytes")
     artifacts = load_artifacts(model_dir)
     ir_shape = tuple(artifacts.meta["ir_shape"])
     if artifacts.backnet.input_shape != ir_shape:
@@ -104,7 +83,7 @@ def deploy(model_dir: str | Path, k: int = 5, root_key: bytes | str | None = Non
     classes = int(artifacts.meta["classes"])
     if not (1 <= k <= classes):
         raise ValueError(f"k must be in [1, {classes}], got {k}")
-    return Deployment(artifacts=artifacts, k=k, root_key=resolve_root_key(root_key))
+    return Deployment(artifacts=artifacts, k=k, root_key=root_key)
 
 
 def handle_predict(

@@ -209,6 +209,60 @@ def test_bad_key_usage_error(model_files, labels_file, tmp_path):
     assert excinfo.value.code == 2
 
 
+ROOT_KEY_ARGS = {
+    "serve": ["serve", "--dir", "no-such-artifacts"],
+    "predict": ["predict", "--server", "127.0.0.1:1", "--image", "no-such.ppm",
+                "--model-key", MODEL_KEY_HEX, "--img-key", IMG_KEY_HEX],
+}
+
+
+def test_root_key_from_environment(model_files, labels_file, tmp_path, monkeypatch):
+    # serve and predict take IRSHIELD_ROOT_KEY when --root-key is absent
+    import irshield.cli as cli_mod
+
+    cfg, weights = model_files
+    artifacts = tmp_path / "artifacts"
+    assert main(["partition", "--model", str(cfg), "--weights", str(weights), "--cut", "4",
+                 "--labels", str(labels_file), "--model-key", MODEL_KEY_HEX,
+                 "--out", str(artifacts)]) == 0
+    seen = []
+
+    def fake_predict(*args, root_key, **kwargs):
+        seen.append(root_key)
+        return []
+
+    monkeypatch.setattr(cli_mod, "serve", lambda addr, dep: seen.append(dep.root_key))
+    monkeypatch.setattr(cli_mod, "client_predict", fake_predict)
+    serve_args = ["serve", "--dir", str(artifacts)]
+    monkeypatch.setenv("IRSHIELD_ROOT_KEY", ROOT_KEY_HEX)
+    assert main(serve_args) == 0
+    assert main(ROOT_KEY_ARGS["predict"]) == 0
+    assert seen == [bytes.fromhex(ROOT_KEY_HEX)] * 2
+    # the flag wins over the environment
+    monkeypatch.setenv("IRSHIELD_ROOT_KEY", MODEL_KEY_HEX)
+    assert main(serve_args + ["--root-key", ROOT_KEY_HEX]) == 0
+    assert main(ROOT_KEY_ARGS["predict"] + ["--root-key", ROOT_KEY_HEX]) == 0
+    assert seen == [bytes.fromhex(ROOT_KEY_HEX)] * 4
+
+
+@pytest.mark.parametrize("command", ["serve", "predict"])
+@pytest.mark.parametrize("env, flag", [
+    (None, None), ("zz" * 32, None), (ROOT_KEY_HEX[:-2], None), ("", None),
+    (None, "zz"), (ROOT_KEY_HEX, ROOT_KEY_HEX + "00"),
+])
+def test_root_key_missing_or_bad_is_a_usage_error(command, env, flag, monkeypatch, capsys):
+    # exit 2 comes before anything loads: neither the directory nor the image exists
+    if env is None:
+        monkeypatch.delenv("IRSHIELD_ROOT_KEY", raising=False)
+    else:
+        monkeypatch.setenv("IRSHIELD_ROOT_KEY", env)
+    argv = ROOT_KEY_ARGS[command] + ([] if flag is None else ["--root-key", flag])
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--root-key" in capsys.readouterr().err
+
+
 class TestSealOpenCli:
     def test_round_trip(self, tmp_path):
         src = tmp_path / "payload.bin"

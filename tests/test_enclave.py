@@ -26,7 +26,7 @@ from irshield.enclave import (
 from irshield.engine import forward, forward_range, top_k
 from irshield.errors import AuthError, IrshieldError, ProtocolError, StateError
 from irshield.netdef import serialize_network
-from irshield.partition import pack_model, split_network
+from irshield.partition import pack_model, parse_manifest, split_network
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.tensor import Tensor
 
@@ -72,6 +72,26 @@ def ready_session(setup, img_key=IMG_KEY, model_key=MODEL_KEY, root_key=ROOT_KEY
 
 def sealed_image(x: Tensor, img_key=IMG_KEY) -> SealedContainer:
     return seal(x.encode(), img_key, "image")
+
+
+def attested_session(setup, model_key=MODEL_KEY):
+    """An attested session, its key message and every secret of its handshake."""
+    session = enclave_create(setup["fn_sealed"], setup["lbl_sealed"])
+    nonce = os.urandom(32)
+    evidence = attest(session, nonce, ROOT_KEY)
+    key_msg = build_key_message(
+        ROOT_KEY, evidence.measurement, nonce, evidence.mac, model_key, IMG_KEY
+    )
+    wrap = enclave_module._wrap_key(ROOT_KEY, evidence.measurement, nonce, evidence.mac)
+    secrets = {"root key": ROOT_KEY, "nonce": nonce, "mac": evidence.mac,
+               "model key": model_key, "image key": IMG_KEY, "wrap key": wrap}
+    return session, key_msg, secrets
+
+
+def held_secrets(session, secrets: dict[str, bytes]) -> list[str]:
+    """The names of the secrets that some byte attribute of the session holds."""
+    held = [v for v in vars(session).values() if isinstance(v, (bytes, bytearray))]
+    return [name for name, secret in secrets.items() if any(secret in v for v in held)]
 
 
 class TestCreate:
@@ -165,9 +185,53 @@ class TestProvision:
         with pytest.raises(IrshieldError, match="RuntimeError"):
             provision_keys(session, key_msg)
         assert session.state == "failed"
-        assert session._model_key is None and session._img_key is None
+        wrap = enclave_module._wrap_key(ROOT_KEY, evidence.measurement, nonce, evidence.mac)
+        secrets = {"root key": ROOT_KEY, "model key": MODEL_KEY, "image key": IMG_KEY,
+                   "wrap key": wrap}
+        assert held_secrets(session, secrets) == []
         with pytest.raises(StateError):
             provision_keys(session, key_msg)
+
+    @pytest.mark.parametrize("key_msg_fault", ["tampered", "wrong model key"])
+    def test_failed_provisioning_holds_no_secret(self, plain17, key_msg_fault):
+        setup = build_setup(plain17, 4)
+        model_key = WRONG_KEY if key_msg_fault == "wrong model key" else MODEL_KEY
+        session, key_msg, secrets = attested_session(setup, model_key)
+        if key_msg_fault == "tampered":
+            key_msg = key_msg[:-1] + bytes([key_msg[-1] ^ 1])
+        with pytest.raises(AuthError):
+            provision_keys(session, key_msg)
+        assert session.state == "failed"
+        assert held_secrets(session, secrets) == []
+
+    def test_ready_session_holds_only_the_image_key(self, plain17):
+        session, key_msg, secrets = attested_session(build_setup(plain17, 4))
+        assert held_secrets(session, secrets) == ["wrap key"]
+        provision_keys(session, key_msg)
+        assert session.state == "ready"
+        assert held_secrets(session, secrets) == ["image key"]
+
+    @pytest.mark.parametrize("fault", ["config not UTF-8", "unknown config key",
+                                       "weights length wrong", "bundle truncated"])
+    def test_sealed_front_model_that_is_no_model_is_an_auth_failure(self, plain17, fault):
+        # each bundle authenticates under the model key, but does not load
+        setup = build_setup(plain17, 4)
+        cfg, weights = serialize_network(setup["front"])
+        bundle = {
+            "config not UTF-8": struct.pack("<Q", 2) + b"\xff\xfe" + weights,
+            "unknown config key": pack_model(cfg.replace("[net]\n", "[net]\nbogus=1\n", 1),
+                                             weights),
+            "weights length wrong": pack_model(cfg, weights[:-4]),
+            "bundle truncated": pack_model(cfg, weights)[: 8 + len(cfg) // 2],
+        }[fault]
+        setup["fn_sealed"] = seal(bundle, MODEL_KEY, "frontnet")
+        session, key_msg, _ = attested_session(setup)
+        msg_type, reply = protocol.unpack_frame(
+            session.call(protocol.pack_frame(MSG_PROVISION, key_msg))
+        )
+        assert msg_type == MSG_ERROR
+        assert protocol.decode_error(reply)[0] == protocol.ERR_AUTH_FAILURE
+        assert session.state == "failed"
 
     def test_non_utf8_front_config_is_an_auth_failure(self, plain17):
         # the same fault in the labels artifact answers ERR_AUTH_FAILURE too
@@ -376,6 +440,12 @@ class TestDecoders:
         del manifest[missing]
         with pytest.raises(ProtocolError, match=f"lacks an entry for {missing}"):
             measurement_from_manifest(manifest)
+
+    @pytest.mark.parametrize("digest", ["zz" * 32, "AB" * 32, "ab" * 31 + " a"])
+    def test_manifest_digest_not_lowercase_hex_is_a_protocol_error(self, digest):
+        text = f"frontnet.sealed\t{digest}\nlabels.sealed\t{'cd' * 32}\n"
+        with pytest.raises(ProtocolError, match="manifest line 1 "):
+            measurement_from_manifest(parse_manifest(text))
 
 
 def assert_no_shared_window(secret: bytes, haystack: bytes, window: int = 16):

@@ -86,10 +86,10 @@ class TestDeploy:
         monkeypatch.setattr(server_mod, "enclave_create", refuse)
         deploy(artifact_dir, k=3, root_key=ROOT_KEY)
 
-    def test_root_key_from_environment(self, artifact_dir, monkeypatch):
-        monkeypatch.setenv("IRSHIELD_ROOT_KEY", ROOT_KEY.hex())
-        dep = deploy(artifact_dir, k=3)
-        assert dep.root_key == ROOT_KEY
+    @pytest.mark.parametrize("root_key", [ROOT_KEY.hex(), ROOT_KEY[:31], None])
+    def test_root_key_is_32_bytes_only(self, artifact_dir, root_key):
+        with pytest.raises(ValueError, match="root key must be 32 bytes"):
+            deploy(artifact_dir, k=3, root_key=root_key)
 
     def test_k_bounds(self, artifact_dir):
         with pytest.raises(ValueError, match="k must be"):
@@ -648,6 +648,12 @@ class TestLabels:
         write_artifacts(tmp_path / "m", plain17, 4, labels, MODEL_KEY)
         got, pairs = self.predict_all_classes(tmp_path / "m", plain17, 560)
         assert got == [(labels[i - 1], s) for i, s in pairs]
+
+    def test_label_not_encodable_as_utf8_refused(self, tmp_path, plain17):
+        labels = list(LABELS10)
+        labels[4] = "bad\udc80"  # a lone surrogate
+        with pytest.raises(PartitionError, match="not valid UTF-8"):
+            write_artifacts(tmp_path / "m", plain17, 4, labels, MODEL_KEY)
 
     def test_label_beyond_a_result_entry_refused(self, tmp_path, plain17):
         labels = list(LABELS10)
