@@ -21,12 +21,12 @@ _EXPORTS = {
     "assessment": ("AssessmentReport", "LayerKLStats", "assess_layer", "assess_model",
                    "choose_partition", "kl_divergence", "project_feature_maps", "report_table",
                    "report_tsv", "uniform_baseline"),
-    "workload": ("FlopProfile", "flop_profile", "frontnet_fraction", "layer_flops", "profile_tsv"),
+    "workload": ("FlopProfile", "flop_profile", "frontnet_fraction", "profile_tsv"),
     "sealing": ("SealedContainer", "open_container", "seal"),
     "partition": ("PartitionArtifacts", "load_artifacts", "split_network", "write_artifacts"),
     "enclave": ("AttestationEvidence", "EnclaveSession", "attest", "enclave_create",
                 "infer_encrypted_image", "map_classes", "provision_keys"),
-    "server": ("Deployment", "Server", "deploy", "handle_predict", "serve"),
+    "server": ("Deployment", "Server", "deploy", "handle_predict"),
     "client": ("client_predict",),
     "errors": ("IrshieldError", "ConfigError", "ShapeError", "WeightsError", "PartitionError",
                "AuthError", "StateError", "ProtocolError"),

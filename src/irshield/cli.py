@@ -27,7 +27,7 @@ from .imageio import load_image, resize_to_shape
 from .netdef import parse_config, parse_network
 from .partition import parse_manifest, write_artifacts
 from .sealing import CONTENT_TYPES, NONCE_LEN, SealedContainer, open_container, seal
-from .server import deploy, serve
+from .server import Server, deploy
 from .workload import flop_profile, profile_tsv
 
 log = logging.getLogger("irshield.cli")
@@ -63,8 +63,8 @@ def _add_root_key(p: argparse.ArgumentParser) -> None:
 
 def _addr_arg(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError("addresses look like host:port")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError("addresses look like host:port, with a port up to 65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -148,7 +148,7 @@ def _cmd_partition(args) -> int:
 def _cmd_serve(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     dep = deploy(args.dir, k=args.k, root_key=args.root_key)
-    serve(args.listen, dep)
+    Server(args.listen, dep).run_forever()
     return 0
 
 

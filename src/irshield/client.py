@@ -20,6 +20,9 @@ from .sealing import SealedContainer, open_container, seal
 
 __all__ = ["client_predict", "AttestationRejected", "ResultAuthError"]
 
+# seconds to connect, and to wait on any one read or write
+TIMEOUT_S = 30.0
+
 
 class AttestationRejected(AuthError):
     """The server's attestation evidence did not verify; no keys were sent."""
@@ -50,7 +53,6 @@ def client_predict(
     img_key: bytes,
     root_key: bytes,
     expected_measurement: bytes | None = None,
-    timeout: float = 30.0,
 ) -> list[tuple[str, float]]:
     """Round-trip one image: attest, provision, predict, open the result.
 
@@ -62,7 +64,7 @@ def client_predict(
     """
     image = load_image(image_path)
 
-    with socket.create_connection(server_addr, timeout=timeout) as sock:
+    with socket.create_connection(server_addr, timeout=TIMEOUT_S) as sock:
         version = protocol.PROTOCOL_VERSION.to_bytes(4, "little")
         hello = _exchange(sock, protocol.MSG_HELLO, version, protocol.MSG_HELLO, "hello")
         info = protocol.parse_server_hello(hello)

@@ -343,17 +343,13 @@ def _call(session: EnclaveSession, msg_type: int, payload: bytes) -> bytes:
     return got_payload
 
 
-def enclave_create(fn_sealed, lbl_sealed, audit: list | None = None) -> EnclaveSession:
+def enclave_create(
+    fn_sealed: SealedContainer, lbl_sealed: SealedContainer, audit: list | None = None
+) -> EnclaveSession:
     """Create a session around two sealed artifacts; nothing is decrypted.
 
-    Accepts SealedContainer objects or their encoded bytes; malformed
-    framing is rejected here. ``audit``, when given, records every frame the
-    session returns.
+    ``audit``, when given, records every frame the session returns.
     """
-    if isinstance(fn_sealed, (bytes, bytearray)):
-        fn_sealed = SealedContainer.decode(bytes(fn_sealed))
-    if isinstance(lbl_sealed, (bytes, bytearray)):
-        lbl_sealed = SealedContainer.decode(bytes(lbl_sealed))
     return EnclaveSession(fn_sealed, lbl_sealed, audit)
 
 
@@ -381,11 +377,11 @@ def infer_encrypted_image(session: EnclaveSession, img_sealed) -> Tensor:
     return Tensor.decode(payload)
 
 
-def map_classes(session: EnclaveSession, pv_top: list[tuple[int, float]]) -> SealedContainer:
+def map_classes(session: EnclaveSession, pv_top: list[tuple[int, float]]) -> bytes:
     """Translate (class index, score) pairs to labeled results, sealed under
-    the session's image key with a nonce the enclave draws."""
+    the session's image key with a nonce the enclave draws. Returns the
+    encoded result container exactly as the enclave framed it."""
     body = struct.pack("<I", len(pv_top))
     for index, score in pv_top:
         body += struct.pack("<If", index, score)
-    payload = _call(session, MSG_MAP, body)
-    return SealedContainer.decode(payload)
+    return _call(session, MSG_MAP, body)

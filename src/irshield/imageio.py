@@ -101,10 +101,12 @@ class _TokenReader:
         return self.blob[start : self.pos]
 
     def int_token(self, name: str) -> int:
-        # ASCII decimal digits only: int() would also take signs and underscores
+        # ASCII decimal digits only: int() would also take signs and underscores.
+        # Twenty digits hold any count a file can back; longer strings make int()
+        # or the float conversion of samples raise
         tok = self.token()
-        if not tok.isdigit():
-            raise ShapeError(f"bad netpbm {name}: {tok!r}")
+        if not tok.isdigit() or len(tok) > 20:
+            raise ShapeError(f"bad netpbm {name}: {tok[:24]!r}")
         return int(tok)
 
 

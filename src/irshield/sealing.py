@@ -53,7 +53,8 @@ def _check_key(key: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class SealedContainer:
-    version: int
+    """A container's fields; its version is always ``CONTAINER_VERSION``."""
+
     content_type: int
     nonce: bytes
     ciphertext: bytes
@@ -61,13 +62,13 @@ class SealedContainer:
 
     @property
     def content_name(self) -> str:
-        return CONTENT_NAMES.get(self.content_type, f"type-{self.content_type}")
+        return CONTENT_NAMES[self.content_type]
 
     def encode(self) -> bytes:
         return b"".join(
             (
                 CONTAINER_MAGIC,
-                struct.pack("<I", self.version),
+                struct.pack("<I", CONTAINER_VERSION),
                 struct.pack("B", self.content_type),
                 self.nonce,
                 struct.pack("<Q", len(self.ciphertext)),
@@ -101,7 +102,7 @@ class SealedContainer:
             )
         ciphertext = blob[body_start : body_start + ct_len]
         tag = blob[body_start + ct_len :]
-        return cls(version, content_type, nonce, ciphertext, tag)
+        return cls(content_type, nonce, ciphertext, tag)
 
 
 def seal(
@@ -130,7 +131,6 @@ def seal(
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
     sealed = AESGCM(key).encrypt(nonce, bytes(plaintext), bytes([code]))
     return SealedContainer(
-        version=CONTAINER_VERSION,
         content_type=code,
         nonce=nonce,
         ciphertext=sealed[:-TAG_LEN],

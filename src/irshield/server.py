@@ -34,9 +34,9 @@ from .engine import forward, top_k
 from .errors import IrshieldError, ProtocolError, ShapeError
 from .netdef import NetworkDef
 from .partition import PartitionArtifacts, load_artifacts
-from .sealing import KEY_LEN, SealedContainer
+from .sealing import KEY_LEN
 
-__all__ = ["Deployment", "deploy", "handle_predict", "serve", "Server"]
+__all__ = ["Deployment", "deploy", "handle_predict", "Server"]
 
 log = logging.getLogger("irshield.server")
 
@@ -88,9 +88,10 @@ def deploy(model_dir: str | Path, k: int = 5, *, root_key: bytes) -> Deployment:
 
 def handle_predict(
     dep: Deployment, session: EnclaveSession, img_sealed, tap: list | None = None
-) -> SealedContainer:
-    """One prediction through a provisioned enclave session; the enclave
-    refuses a session that is not ready with StateError.
+) -> bytes:
+    """One prediction through a provisioned enclave session; returns the
+    encoded result container as the enclave sealed it. The enclave refuses
+    a session that is not ready with StateError.
 
     ``tap``, when given, collects the host-visible intermediate tensor and
     top-k pairs.
@@ -159,6 +160,7 @@ class Server:
             thread.join(timeout=5)
 
     def run_forever(self) -> None:
+        """Serve on the calling thread until stopped or the listening socket fails."""
         self._accept_loop()
 
     def _accept_loop(self) -> None:
@@ -228,12 +230,5 @@ class Server:
             provision_keys(session, payload)
             return msg_type, b""
         if msg_type == protocol.MSG_PREDICT:
-            result = handle_predict(dep, session, payload, tap=self.tap)
-            return protocol.MSG_RESULT, result.encode()
+            return protocol.MSG_RESULT, handle_predict(dep, session, payload, tap=self.tap)
         raise ProtocolError(f"unexpected client message type {msg_type}")
-
-
-def serve(listen_addr: tuple[str, int], dep: Deployment) -> None:
-    """Run the daemon loop on the calling thread; returns only on fatal
-    socket errors."""
-    Server(listen_addr, dep).run_forever()

@@ -1,6 +1,7 @@
 """Dense 3-D tensors (width x height x channels) of 32-bit reals.
 
-The flat element order is channel-major, then row-major within a channel:
+The flat element order, of the constructor's ``data`` and of the encoded
+values, is channel-major, then row-major within a channel:
 ``data[c*(w*h) + y*w + x]``. All layer math in :mod:`irshield.engine`
 consumes and produces this layout.
 """
@@ -72,11 +73,6 @@ class Tensor:
         """Read-only backing array of shape (c, h, w)."""
         return self._arr
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat element view in channel-major, row-major order."""
-        return self._arr.reshape(-1)
-
     def is_finite(self) -> bool:
         return bool(np.isfinite(self._arr).all())
 
@@ -86,9 +82,6 @@ class Tensor:
         return self._arr.shape == other._arr.shape and bool(
             (self._arr == other._arr).all()
         )
-
-    def __hash__(self):  # tensors are mutable-looking; keep them unhashable
-        raise TypeError("Tensor is not hashable")
 
     def __repr__(self) -> str:
         w, h, c = self.shape

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .netdef import LayerSpec, NetworkDef, layer_output_shape
+from .netdef import LayerSpec, NetworkDef
 
-__all__ = ["FlopProfile", "layer_flops", "flop_profile", "frontnet_fraction", "profile_tsv"]
+__all__ = ["FlopProfile", "flop_profile", "frontnet_fraction", "profile_tsv"]
 
 SOFTMAX_OPS_PER_CLASS = 5
 ROUTE_OPS_PER_ELEMENT = 1
@@ -49,12 +49,6 @@ def _cost(layer: LayerSpec, in_shape: tuple[int, int, int], out_shape: tuple[int
         # output volume equals the concatenated source volumes; cost is the move
         return ROUTE_OPS_PER_ELEMENT * n_out
     return SOFTMAX_OPS_PER_CLASS * n_in  # softmax; layer_output_shape rejects other kinds
-
-
-def layer_flops(layer: LayerSpec, input_shape: tuple[int, int, int]) -> int:
-    """FLOPs for one layer given its input shape (w, h, c). A route costed
-    alone moves its input."""
-    return _cost(layer, input_shape, layer_output_shape(layer, input_shape, (input_shape,)))
 
 
 def flop_profile(net: NetworkDef) -> FlopProfile:

@@ -7,8 +7,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from irshield.fixtures import gen_fixture_model
-from irshield.netdef import parse_network
+from irshield.netdef import build_network, parse_network
 from irshield.tensor import Tensor
+from irshield.workload import flop_profile
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -18,6 +19,12 @@ def seed_image(shape: tuple[int, int, int], seed: int) -> Tensor:
     w, h, c = shape
     rng = np.random.default_rng(seed)
     return Tensor.from_array(rng.random((c, h, w), dtype=np.float32))
+
+
+def one_layer_flops(layer, input_shape: tuple[int, int, int]) -> int:
+    """FLOPs of ``layer`` (index 1) costed as the only layer of a network
+    whose input has shape (w, h, c)."""
+    return flop_profile(build_network(input_shape, (layer,))).total
 
 
 @pytest.fixture(scope="session")

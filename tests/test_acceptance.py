@@ -36,11 +36,11 @@ from irshield.fixtures import gen_fixture_model
 from irshield.imageio import load_image, write_ppm
 from irshield.netdef import LayerSpec, parse_network, serialize_network
 from irshield.partition import pack_model, split_network, write_artifacts
-from irshield.sealing import open_container, seal
+from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy
-from irshield.workload import flop_profile, frontnet_fraction, layer_flops
+from irshield.workload import flop_profile, frontnet_fraction
 
-from conftest import seed_image
+from conftest import one_layer_flops, seed_image
 from test_assessment import brute_force_choice
 from test_serving import IMG_KEY, LABELS10, MODEL_KEY, ROOT_KEY
 
@@ -78,7 +78,7 @@ def test_criterion_1_compositionality(net_cache):
         front, back = split_network(net, cut)
         ir = forward_range(front, 1, front.n_layers, x)
         composed = forward_range(back, 1, back.n_layers, ir)
-        assert composed.data.tobytes() == full.tobytes(), (arch, cut)
+        assert composed.array.tobytes() == full.tobytes(), (arch, cut)
         trials += 1
     _report(1, f"{trials} random triples composed bit-identically")
 
@@ -156,7 +156,7 @@ def test_criterion_4_flop_accounting(net_cache):
                                         expected += f * oh * ow
                                     if bn:
                                         expected += 2 * f * oh * ow
-                                    assert layer_flops(layer, (w, h, c_in)) == expected
+                                    assert one_layer_flops(layer, (w, h, c_in)) == expected
                                     checked += 1
     assert checked > 10_000
 
@@ -187,7 +187,7 @@ def test_criterion_5_denseblock_validity(net_cache):
         ir = forward_range(net, 1, cut, x)
         if cut in valid:
             tail = forward_range(net, cut + 1, net.n_layers, ir)
-            assert tail.data.tobytes() == full.tobytes()
+            assert tail.array.tobytes() == full.tobytes()
         else:
             with pytest.raises(PartitionError):
                 forward_range(net, cut + 1, net.n_layers, ir)
@@ -243,7 +243,7 @@ def test_criterion_6_security_principles(net_cache):
     # Principle IV: label text recoverable only through a verified container
     for label in LABELS10:
         assert label.encode() not in out
-    opened = decode_result_payload(open_container(results[0], IMG_KEY))
+    opened = decode_result_payload(open_container(SealedContainer.decode(results[0]), IMG_KEY))
     assert all(label in LABELS10 for _, label, _ in opened)
 
     # Principle II/III proxy: the only tensors that crossed are the cut-layer
@@ -292,8 +292,9 @@ def test_criterion_7_aead_denials(net_cache):
         for pos in (10, len(good) // 2, len(good) - 1):
             tampered = bytearray(good)
             tampered[pos] ^= 0x08
-            fn = bytes(tampered) if content == "frontnet" else seal(front_blob, MODEL_KEY, "frontnet")
-            lbl = seal(labels_blob, MODEL_KEY, "labels") if content == "frontnet" else bytes(tampered)
+            tampered = SealedContainer.decode(bytes(tampered))
+            fn = tampered if content == "frontnet" else seal(front_blob, MODEL_KEY, "frontnet")
+            lbl = seal(labels_blob, MODEL_KEY, "labels") if content == "frontnet" else tampered
             trial = enclave_create(fn, lbl)
             nonce = hashlib.sha256(b"tamper-nonce").digest()
             evidence = attest(trial, nonce, ROOT_KEY)

@@ -744,7 +744,7 @@ class TestAssessModel:
         x = seed_image(denseblock.input_shape, 65)
         outs = _generator_outputs(x, denseblock, denseblock.n_layers - 1)
         for i, out in enumerate(outs, start=1):
-            assert out.data.tobytes() == forward_range(denseblock, 1, i, x).data.tobytes()
+            assert out.array.tobytes() == forward_range(denseblock, 1, i, x).array.tobytes()
 
     def test_empty_input_set_rejected(self, plain17):
         with pytest.raises(ValueError, match="at least one input"):

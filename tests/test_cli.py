@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from irshield.cli import main
+from irshield.cli import build_parser, main
 from irshield.engine import forward, top_k
 from irshield.imageio import load_image, write_ppm
 from irshield.netdef import parse_network
@@ -231,7 +231,14 @@ def test_root_key_from_environment(model_files, labels_file, tmp_path, monkeypat
         seen.append(root_key)
         return []
 
-    monkeypatch.setattr(cli_mod, "serve", lambda addr, dep: seen.append(dep.root_key))
+    class FakeServer:
+        def __init__(self, addr, dep):
+            seen.append(dep.root_key)
+
+        def run_forever(self):
+            pass
+
+    monkeypatch.setattr(cli_mod, "Server", FakeServer)
     monkeypatch.setattr(cli_mod, "client_predict", fake_predict)
     serve_args = ["serve", "--dir", str(artifacts)]
     monkeypatch.setenv("IRSHIELD_ROOT_KEY", ROOT_KEY_HEX)
@@ -261,6 +268,19 @@ def test_root_key_missing_or_bad_is_a_usage_error(command, env, flag, monkeypatc
         main(argv)
     assert excinfo.value.code == 2
     assert "--root-key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("serve", "--listen"), ("predict", "--server")])
+def test_port_above_65535_is_a_usage_error(command, flag, capsys):
+    # exit 2 comes before anything loads: neither the directory nor the image exists
+    argv = ROOT_KEY_ARGS[command] + ["--root-key", ROOT_KEY_HEX, flag]
+    for port in ("65536", "70000", "99999"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [f"127.0.0.1:{port}"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+    args = build_parser().parse_args(argv + ["127.0.0.1:65535"])
+    assert getattr(args, flag[2:]) == ("127.0.0.1", 65535)
 
 
 class TestSealOpenCli:

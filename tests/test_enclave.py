@@ -109,14 +109,6 @@ class TestCreate:
         b = enclave_create(s2["fn_sealed"], s2["lbl_sealed"])
         assert a.measurement != b.measurement
 
-    def test_truncated_container_framing_error(self, plain17):
-        setup = build_setup(plain17, 4)
-        blob = setup["fn_sealed"].encode()
-        with pytest.raises(ProtocolError, match="container"):
-            enclave_create(blob[: len(blob) // 2], setup["lbl_sealed"].encode())
-        with pytest.raises(ProtocolError, match="truncated"):
-            enclave_create(blob[:10], setup["lbl_sealed"].encode())
-
 
 class TestAttest:
     def test_deterministic_evidence(self, plain17):
@@ -308,8 +300,7 @@ class TestInfer:
         x = seed_image(plain17.input_shape, 91)
         box = sealed_image(x)
         tampered = SealedContainer(
-            box.version, box.content_type, box.nonce,
-            bytes([box.ciphertext[0] ^ 1]) + box.ciphertext[1:], box.tag,
+            box.content_type, box.nonce, bytes([box.ciphertext[0] ^ 1]) + box.ciphertext[1:], box.tag
         )
         log_before = len(session.boundary_output())
         with pytest.raises(AuthError):
@@ -369,7 +360,7 @@ class TestMapClasses:
     def test_top1_maps_to_label(self, plain17):
         setup = build_setup(plain17, 4)
         session = ready_session(setup)
-        result = map_classes(session, [(2, 0.7)])
+        result = SealedContainer.decode(map_classes(session, [(2, 0.7)]))
         assert result.content_name == "result"
         entries = decode_result_payload(open_container(result, IMG_KEY))
         assert entries == [(2, LABELS10[1], pytest.approx(0.7))]
@@ -381,7 +372,7 @@ class TestMapClasses:
         probs = forward(plain17, x)
         pairs = top_k(probs, 10)
         entries = decode_result_payload(
-            open_container(map_classes(session, pairs), IMG_KEY)
+            open_container(SealedContainer.decode(map_classes(session, pairs)), IMG_KEY)
         )
         assert [(i, lbl) for i, lbl, _ in entries] == [(i, LABELS10[i - 1]) for i, _ in pairs]
         got_scores = [s for _, _, s in entries]
@@ -399,8 +390,7 @@ class TestMapClasses:
 
     def test_each_result_gets_a_fresh_nonce(self, plain17):
         session = ready_session(build_setup(plain17, 4))
-        a = map_classes(session, [(1, 0.25)])
-        b = map_classes(session, [(1, 0.25)])
+        a, b = (SealedContainer.decode(map_classes(session, [(1, 0.25)])) for _ in range(2))
         assert a.nonce != b.nonce
         assert open_container(a, IMG_KEY) == open_container(b, IMG_KEY)
 

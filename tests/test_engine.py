@@ -68,7 +68,7 @@ def test_full_range_equals_forward(plain17):
     x = seed_image(plain17.input_shape, 11)
     probs = forward(plain17, x)
     ranged = forward_range(plain17, 1, plain17.n_layers, x)
-    assert ranged.data.tobytes() == probs.tobytes()
+    assert ranged.array.tobytes() == probs.tobytes()
 
 
 @pytest.mark.parametrize("cut", range(1, 17))
@@ -77,7 +77,7 @@ def test_chained_ranges_bit_identical(plain17, cut):
     full = forward(plain17, x)
     ir = forward_range(plain17, 1, cut, x)
     tail = forward_range(plain17, cut + 1, plain17.n_layers, ir)
-    assert tail.data.tobytes() == full.tobytes()
+    assert tail.array.tobytes() == full.tobytes()
 
 
 def test_chained_ranges_denseblock(denseblock):
@@ -86,7 +86,7 @@ def test_chained_ranges_denseblock(denseblock):
     for cut in (5, 11, 12, 13):
         ir = forward_range(denseblock, 1, cut, x)
         tail = forward_range(denseblock, cut + 1, denseblock.n_layers, ir)
-        assert tail.data.tobytes() == full.tobytes()
+        assert tail.array.tobytes() == full.tobytes()
 
 
 def test_cross_boundary_route_rejected(denseblock):
@@ -176,8 +176,8 @@ class TestLayerProperties:
         for _ in range(50):
             x = Tensor.from_array(rng.normal(0, 1, (3, 7, 7)).astype(np.float32))
             out = forward_range(net, 1, 1, x)
-            elements = set(x.data.tolist())
-            assert all(v in elements for v in out.data.tolist())
+            elements = set(x.array.ravel().tolist())
+            assert all(v in elements for v in out.array.ravel().tolist())
 
     def test_avgpool_within_window_bounds(self):
         cfg = "[net]\nwidth=8\nheight=8\nchannels=2\n\n[avgpool]\nsize=4\nstride=4\n"

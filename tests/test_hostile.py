@@ -6,10 +6,15 @@ one, off by one, doubled, the top bit, all ones, or any value). The contract
 is the same for all of them: the input parses, or the decoder raises an
 ``IrshieldError`` that the shared error table does not map to
 ``ERR_INTERNAL``. A ready enclave session answers every mutated Infer or Map
-frame with an error frame or a well-formed reply, and stays ready.
+frame with an error frame or a well-formed reply, and stays ready. The file
+readers are held to their own error type: the netpbm reader to
+``ShapeError``, and ``parse_network`` on mutated weight bytes to
+``WeightsError``.
 """
 
 import os
+import re
+import socket
 import struct
 
 import pytest
@@ -31,8 +36,9 @@ from irshield.enclave import (
     measurement_from_manifest,
     provision_keys,
 )
-from irshield.errors import IrshieldError
-from irshield.netdef import serialize_network
+from irshield.errors import IrshieldError, ProtocolError, ShapeError, WeightsError
+from irshield.imageio import load_image
+from irshield.netdef import parse_network, serialize_network
 from irshield.partition import (
     pack_model, parse_manifest, render_manifest, split_network, unpack_model,
 )
@@ -102,6 +108,22 @@ def test_unpack_frame(blob):
 
 
 @HOSTILE
+@given(mutated(FRAME, ((0, "B"), (1, "<Q"))))
+def test_read_frame(blob):
+    # the peer sends the bytes and closes: a lying length or a cut ends in
+    # ConnectionError, a bad type or an oversized length in ProtocolError
+    # (FrameTooLarge is one)
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        reader.settimeout(5)
+        writer.sendall(blob)
+        writer.shutdown(socket.SHUT_WR)
+        with pytest.raises((ProtocolError, ConnectionError)):
+            while True:
+                protocol.read_frame(reader)
+
+
+@HOSTILE
 @given(mutated(HELLO, tuple((4 * i, "<I") for i in range(6))))
 def test_parse_server_hello(blob):
     parses_or_refuses(protocol.parse_server_hello, blob)
@@ -131,9 +153,59 @@ def test_decode_result_payload(blob):
     parses_or_refuses(decode_result_payload, blob)
 
 
+NETPBM = (
+    b"P2\n# a comment\n3 2\n255\n0 1 2\n3 4 255\n",
+    b"P3 2 1 65535 0 1 2 65535 40000 7\n",
+    b"P5\n3 2\n255\n" + bytes(range(0, 60, 10)),
+    b"P6 2 1 1000\n" + struct.pack(">6H", 0, 1, 999, 1000, 500, 7),
+)
+
+
+@st.composite
+def mutated_netpbm(draw, blob: bytes):
+    """``blob`` mutated as by ``mutated``, or with one of its decimal numbers
+    rewritten to lie: zero, one, off by one, doubled, past 16 bits, or far
+    too long to convert."""
+    if draw(st.booleans()):
+        return draw(mutated(blob))
+    number = draw(st.sampled_from(list(re.finditer(rb"\d+", blob))))
+    true = int(number.group())
+    lies = [str(v).encode() for v in (0, 1, true - 1, true + 1, 2 * true, 65536, 2**63)]
+    value = draw(st.sampled_from(lies + [b"9" * 400, b"9" * 5000])
+                 | st.integers(0, 2**64).map(lambda v: str(v).encode()))
+    return blob[: number.start()] + value + blob[number.end() :]
+
+
+@pytest.fixture(scope="module")
+def image_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "image.pnm"
+
+
+@settings(HOSTILE, max_examples=4 * HOSTILE.max_examples)
+@given(blob=st.sampled_from(NETPBM).flatmap(mutated_netpbm))
+@example(blob=b"P2 1 1 255 " + b"9" * 5000)
+@example(blob=b"P2 1 1 255 " + b"9" * 400)
+def test_load_image(image_path, blob):
+    image_path.write_bytes(blob)
+    try:
+        load_image(image_path)
+    except ShapeError:
+        pass
+
+
 @pytest.fixture(scope="module")
 def front(plain17):
     return split_network(plain17, 4)[0]
+
+
+@HOSTILE
+@given(data=st.data())
+def test_parse_network_weights(front, data):
+    config, weights = serialize_network(front)
+    try:
+        parse_network(config, data.draw(mutated(weights, ((0, "<I"), (4, "<I")))))
+    except WeightsError:
+        pass
 
 
 @HOSTILE

@@ -54,7 +54,7 @@ class TestNetpbm:
         path.write_bytes(b"P5\n2 2\n65535\n" + samples.tobytes())
         t = load_image(path)
         np.testing.assert_allclose(
-            t.data, [0.0, 1.0, 32768 / 65535, 1000 / 65535], atol=1e-7
+            t.array.ravel(), [0.0, 1.0, 32768 / 65535, 1000 / 65535], atol=1e-7
         )
 
     def test_unsupported_magic(self, tmp_path):

@@ -74,14 +74,13 @@ class TestSealOpen:
         box = seal(b"a few words of payload", KEY, "image")
         flipped = bytearray(box.ciphertext)
         flipped[3] ^= 0x01
-        tampered = SealedContainer(box.version, box.content_type, box.nonce,
-                                   bytes(flipped), box.tag)
+        tampered = SealedContainer(box.content_type, box.nonce, bytes(flipped), box.tag)
         with pytest.raises(AuthError):
             open_container(tampered, KEY)
 
     def test_content_type_bound_as_associated_data(self):
         box = seal(b"model bytes", KEY, "frontnet")
-        relabeled = SealedContainer(box.version, 2, box.nonce, box.ciphertext, box.tag)
+        relabeled = SealedContainer(2, box.nonce, box.ciphertext, box.tag)
         with pytest.raises(AuthError):
             open_container(relabeled, KEY)
 
@@ -122,7 +121,7 @@ class TestSplitNetwork:
         full = forward(plain17, x)
         ir = forward_range(front, 1, 4, x)
         out = forward_range(back, 1, 13, ir)
-        assert out.data.tobytes() == full.tobytes()
+        assert out.array.tobytes() == full.tobytes()
 
     def test_every_valid_cut_composes(self, denseblock):
         x = seed_image(denseblock.input_shape, 81)
@@ -131,7 +130,7 @@ class TestSplitNetwork:
             front, back = split_network(denseblock, cut)
             ir = forward_range(front, 1, front.n_layers, x)
             out = forward_range(back, 1, back.n_layers, ir)
-            assert out.data.tobytes() == full.tobytes()
+            assert out.array.tobytes() == full.tobytes()
 
     def test_interior_cut_rejected(self, denseblock):
         with pytest.raises(PartitionError, match="routes from layer"):
@@ -164,7 +163,7 @@ class TestSplitNetwork:
         ir = forward_range(front, 1, front.n_layers, x)
         reloaded = parse_network(*serialize_network(back))
         out = forward_range(reloaded, 1, reloaded.n_layers, ir)
-        assert out.data.tobytes() == forward(denseblock, x).tobytes()
+        assert out.array.tobytes() == forward(denseblock, x).tobytes()
 
 
 def test_pack_model_round_trip(plain17):
@@ -238,4 +237,4 @@ class TestArtifacts:
             front, back = split_network(net, cut)
             ir = forward_range(front, 1, front.n_layers, x)
             out = forward_range(back, 1, back.n_layers, ir)
-            assert out.data.tobytes() == forward(net, x).tobytes()
+            assert out.array.tobytes() == forward(net, x).tobytes()

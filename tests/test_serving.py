@@ -154,7 +154,7 @@ class TestHandlePredict:
         image = load_image(test_image)
         sealed = seal(image.encode(), IMG_KEY, "image")
         result = handle_predict(dep, session, sealed)
-        opened = open_container(result, IMG_KEY)
+        opened = open_container(SealedContainer.decode(result), IMG_KEY)
         from irshield.enclave import decode_result_payload
 
         got = [(label, score) for _, label, score in decode_result_payload(opened)]
@@ -636,7 +636,7 @@ class TestLabels:
         dep = deploy(directory, k=10, root_key=ROOT_KEY)
         x = seed_image(plain17.input_shape, seed)
         result = handle_predict(dep, provisioned_session(dep), seal(x.encode(), IMG_KEY, "image"))
-        entries = decode_result_payload(open_container(result, IMG_KEY))
+        entries = decode_result_payload(open_container(SealedContainer.decode(result), IMG_KEY))
         return [(label, score) for _, label, score in entries], top_k(forward(plain17, x), 10)
 
     def test_labels_holding_other_line_breaks_round_trip(self, tmp_path, plain17):

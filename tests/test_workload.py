@@ -5,9 +5,9 @@ import pytest
 
 from irshield.errors import ShapeError
 from irshield.netdef import ConvWeights, LayerSpec, parse_config
-from irshield.workload import flop_profile, frontnet_fraction, layer_flops, profile_tsv
+from irshield.workload import flop_profile, frontnet_fraction, profile_tsv
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, one_layer_flops
 from reference import ref_conv
 
 
@@ -21,38 +21,38 @@ def conv_spec(filters, size, stride=1, pad=0, bias=True, bn=False):
 class TestLayerFlops:
     def test_one_multiply_add(self):
         layer = conv_spec(1, 1, bias=False)
-        assert layer_flops(layer, (1, 1, 1)) == 2
+        assert one_layer_flops(layer, (1, 1, 1)) == 2
 
     def test_bias_adds_one_per_output(self):
-        assert layer_flops(conv_spec(1, 1, bias=True), (1, 1, 1)) == 3
+        assert one_layer_flops(conv_spec(1, 1, bias=True), (1, 1, 1)) == 3
 
     def test_batch_norm_adds_two_per_output(self):
-        assert layer_flops(conv_spec(1, 1, bias=True, bn=True), (1, 1, 1)) == 5
+        assert one_layer_flops(conv_spec(1, 1, bias=True, bn=True), (1, 1, 1)) == 5
 
     def test_imagenet_scale_closed_form(self):
         layer = conv_spec(16, 3, stride=1, pad=1, bias=False)
-        assert layer_flops(layer, (224, 224, 3)) == 43_352_064
-        assert layer_flops(layer, (224, 224, 3)) == 2 * 9 * 3 * 224 * 224 * 16
+        assert one_layer_flops(layer, (224, 224, 3)) == 43_352_064
+        assert one_layer_flops(layer, (224, 224, 3)) == 2 * 9 * 3 * 224 * 224 * 16
 
     def test_maxpool_window_oracle(self):
         layer = LayerSpec(index=1, kind="maxpool", size=2, stride=2)
-        assert layer_flops(layer, (224, 224, 16)) == 112 * 112 * 16 * 4 == 802_816
+        assert one_layer_flops(layer, (224, 224, 16)) == 112 * 112 * 16 * 4 == 802_816
 
     def test_global_avgpool_cost(self):
         layer = LayerSpec(index=1, kind="avgpool")
-        assert layer_flops(layer, (7, 5, 8)) == 7 * 5 * 8
+        assert one_layer_flops(layer, (7, 5, 8)) == 7 * 5 * 8
 
     def test_connected_cost(self):
         layer = LayerSpec(index=1, kind="connected", output=10)
-        assert layer_flops(layer, (4, 4, 2)) == 2 * 32 * 10
+        assert one_layer_flops(layer, (4, 4, 2)) == 2 * 32 * 10
 
     def test_softmax_cost(self):
         layer = LayerSpec(index=1, kind="softmax")
-        assert layer_flops(layer, (1, 1, 10)) == 50
+        assert one_layer_flops(layer, (1, 1, 10)) == 50
 
     def test_kernel_must_fit(self):
         with pytest.raises(ShapeError):
-            layer_flops(conv_spec(1, 5), (2, 2, 1))
+            one_layer_flops(conv_spec(1, 5), (2, 2, 1))
 
     def test_exhaustive_sweep_against_instrumented_convolution(self):
         """Multiply-counting scalar convolution agrees with the closed form
@@ -86,7 +86,7 @@ class TestLayerFlops:
                                             expected += out_elems
                                         if bn:
                                             expected += 2 * out_elems
-                                        assert layer_flops(layer, (w, h, c_in)) == expected
+                                        assert one_layer_flops(layer, (w, h, c_in)) == expected
                                         checked += 1
         assert checked > 1000
 
