@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PartitionError, ShapeError, WeightsError
-from .netdef import ConvWeights, NetworkDef, route_crossings
+from .netdef import NetworkDef, route_crossings
 from .tensor import Tensor
 
 __all__ = ["forward", "forward_range", "forward_range_batch", "top_k", "LEAKY_SLOPE", "BN_EPSILON"]
@@ -60,11 +60,11 @@ def _im2col(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(flat, index, axis=1, mode="wrap")
 
 
-def _bn_fold(lw: ConvWeights) -> tuple[np.ndarray, np.ndarray]:
+def _bn_fold(lw) -> tuple[np.ndarray, np.ndarray]:
     """Per-filter (scale, shift) of a batch-normalized convolution, (f, 1, 1)."""
-    denom = np.sqrt(lw.bn_var + BN_EPSILON)
-    beta = lw.biases - lw.bn_scale * lw.bn_mean / denom
-    return (lw.bn_scale / denom)[:, None, None], beta[:, None, None]
+    denom = np.sqrt(lw["bn_var"] + BN_EPSILON)
+    beta = lw["biases"] - lw["bn_scale"] * lw["bn_mean"] / denom
+    return (lw["bn_scale"] / denom)[:, None, None], beta[:, None, None]
 
 
 def _conv(index, wmat_t, out_shape, gamma, beta, activation, x: np.ndarray) -> np.ndarray:
@@ -115,9 +115,10 @@ def compile_plan(net: NetworkDef) -> tuple:
     for layer, lw, (iw, ih, ic), (ow, oh, oc) in shapes:
         k, s = layer.size, layer.stride
         if layer.kind == "convolutional":
-            gamma, beta = _bn_fold(lw) if layer.batch_normalize else (None, lw.biases[:, None, None])
+            gamma, beta = (_bn_fold(lw) if layer.batch_normalize
+                           else (None, lw["biases"][:, None, None]))
             index = _im2col_index(ic, ih, iw, k, s, layer.pad_pixels())
-            run = functools.partial(_conv, index, lw.filters.reshape(oc, -1).T, (oc, oh, ow),
+            run = functools.partial(_conv, index, lw["filters"].reshape(oc, -1).T, (oc, oh, ow),
                                     gamma, beta, layer.activation)
         elif layer.kind == "maxpool":
             run = functools.partial(_maxpool, [(slice(dy, dy + s * oh, s), slice(dx, dx + s * ow, s))
@@ -125,7 +126,7 @@ def compile_plan(net: NetworkDef) -> tuple:
         elif layer.kind == "avgpool":
             run = functools.partial(_avgpool, k, s)
         elif layer.kind == "connected":
-            run = functools.partial(_connected, lw.weights, lw.biases)
+            run = functools.partial(_connected, lw["weights"], lw["biases"])
         else:
             run = {"softmax": _softmax, "route": _route}[layer.kind]
         steps.append((layer.sources or (layer.index - 1,), run))

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .netdef import LayerSpec, build_network, layer_weights, serialize_network, weights_layout
+from .netdef import LayerSpec, build_network, serialize_network, weights_layout
 
 __all__ = ["gen_fixture_model", "FIXTURE_ARCHS"]
 
@@ -125,8 +125,8 @@ def gen_fixture_model(arch: str, seed: int, classes: int) -> tuple[str, bytes]:
         input_shape, tuple(replace(layer, index=i) for i, layer in enumerate(layers, start=1))
     )
     rng = np.random.default_rng(seed)
-    per_layer = []
-    for layer, in_shape in zip(net.layers, net.layer_input_shapes):
-        arrays = {name: _draw(rng, name, shape) for name, shape in weights_layout(layer, in_shape)}
-        per_layer.append(layer_weights(layer, arrays))
-    return serialize_network(replace(net, weights=tuple(per_layer)))
+    per_layer = tuple(
+        {name: _draw(rng, name, shape) for name, shape in weights_layout(layer, in_shape)}
+        for layer, in_shape in zip(net.layers, net.layer_input_shapes)
+    )
+    return serialize_network(replace(net, weights=per_layer))

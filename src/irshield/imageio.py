@@ -1,8 +1,9 @@
-"""Image helpers: corner-aligned bilinear resampling and PGM/PPM files.
+"""Image helpers: corner-aligned bilinear resampling and the PGM/PPM reader.
 
 Netpbm is the only supported image format (ASCII ``P2``/``P3`` and binary
 ``P5``/``P6``): it is trivially parseable and keeps compressed-format attack
-surface out of the serving path. Pixels load scaled to [0, 1].
+surface out of the serving path. Pixels load scaled to [0, 1]. The package
+only reads images; it writes none.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
-__all__ = [
-    "bilinear_resize",
-    "resize_to_shape",
-    "load_image",
-    "write_pgm",
-    "write_ppm",
-]
+__all__ = ["bilinear_resize", "resize_to_shape", "load_image"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -145,22 +140,3 @@ def load_image(path: str | Path) -> Tensor:
     arr = scaled.reshape(height, width, channels).transpose(2, 0, 1)
     return Tensor.from_array(arr)
 
-
-def _quantize(t: Tensor) -> np.ndarray:
-    return np.clip(np.rint(t.array.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
-
-
-def write_pgm(t: Tensor, path: str | Path) -> None:
-    """Write a single-channel tensor as binary PGM (values clipped to [0,1])."""
-    if t.channels != 1:
-        raise ShapeError(f"PGM holds one channel, tensor has {t.channels}")
-    body = _quantize(t)[0].tobytes()
-    Path(path).write_bytes(f"P5\n{t.width} {t.height}\n255\n".encode() + body)
-
-
-def write_ppm(t: Tensor, path: str | Path) -> None:
-    """Write a three-channel tensor as binary PPM (values clipped to [0,1])."""
-    if t.channels != 3:
-        raise ShapeError(f"PPM holds three channels, tensor has {t.channels}")
-    body = _quantize(t).transpose(1, 2, 0).tobytes()
-    Path(path).write_bytes(f"P6\n{t.width} {t.height}\n255\n".encode() + body)

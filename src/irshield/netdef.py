@@ -47,6 +47,8 @@ convolutional layer the order is biases, batch-norm (scale, mean, variance)
 when enabled, then filter weights laid out ``[filter][in_channel][ky][kx]``.
 A connected layer stores biases then weights laid out ``[out][in]``, where
 the input index runs over the flattened (channel-major) input tensor.
+``weights_layout`` alone names these arrays: a parsed layer's weights are a
+read-only mapping from those names to frozen arrays.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,8 +64,6 @@ from .errors import ConfigError, ShapeError, WeightsError
 
 __all__ = [
     "LayerSpec",
-    "ConvWeights",
-    "ConnectedWeights",
     "NetworkDef",
     "parse_config",
     "parse_network",
@@ -72,7 +73,6 @@ __all__ = [
     "valid_partition_points",
     "layer_output_shape",
     "weights_layout",
-    "layer_weights",
     "WEIGHTS_MAGIC",
     "WEIGHTS_VERSION",
 ]
@@ -81,7 +81,6 @@ WEIGHTS_MAGIC = b"IRSW"
 WEIGHTS_VERSION = 1
 
 ACTIVATIONS = ("linear", "relu", "leaky")
-_BN_FIELDS = ("bn_scale", "bn_mean", "bn_var")
 
 
 @dataclass(frozen=True)
@@ -107,21 +106,6 @@ class LayerSpec:
 
 
 @dataclass(frozen=True)
-class ConvWeights:
-    biases: np.ndarray
-    bn_scale: np.ndarray | None
-    bn_mean: np.ndarray | None
-    bn_var: np.ndarray | None
-    filters: np.ndarray  # shape (f, c_in, k, k)
-
-
-@dataclass(frozen=True)
-class ConnectedWeights:
-    biases: np.ndarray
-    weights: np.ndarray  # shape (out, in)
-
-
-@dataclass(frozen=True)
 class NetworkDef:
     """A shape-validated network: layer specs, optional weights, and the
     input/output shape of every layer.
@@ -131,7 +115,7 @@ class NetworkDef:
 
     input_shape: tuple[int, int, int]  # (w, h, c)
     layers: tuple[LayerSpec, ...]
-    weights: tuple | None  # per-layer ConvWeights/ConnectedWeights/None
+    weights: tuple | None  # per layer, {weights_layout name: array}
     layer_input_shapes: tuple[tuple[int, int, int], ...] = field(repr=False)
     layer_output_shapes: tuple[tuple[int, int, int], ...] = field(repr=False)
 
@@ -345,25 +329,17 @@ def valid_partition_points(net: NetworkDef) -> set[int]:
 def weights_layout(
     layer: LayerSpec, input_shape: tuple[int, int, int]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """The (field, shape) arrays one layer stores, in weights-blob order."""
+    """The (name, shape) arrays one layer stores, in weights-blob order; the
+    names key the layer's entry in ``NetworkDef.weights``."""
     if layer.kind == "convolutional":
         f = layer.filters
-        bn = [(name, (f,)) for name in _BN_FIELDS] if layer.batch_normalize else []
-        return [("biases", (f,)), *bn, ("filters", (f, input_shape[2], layer.size, layer.size))]
+        bn = ("bn_scale", "bn_mean", "bn_var") if layer.batch_normalize else ()
+        return [("biases", (f,)), *((name, (f,)) for name in bn),
+                ("filters", (f, input_shape[2], layer.size, layer.size))]
     if layer.kind == "connected":
         w, h, c = input_shape
         return [("biases", (layer.output,)), ("weights", (layer.output, w * h * c))]
     return []
-
-
-def layer_weights(layer: LayerSpec, arrays: dict[str, np.ndarray]):
-    """The layer's ConvWeights/ConnectedWeights (None for other kinds) from
-    the arrays that :func:`weights_layout` names."""
-    if layer.kind == "convolutional":
-        return ConvWeights(**{**dict.fromkeys(_BN_FIELDS), **arrays})
-    if layer.kind == "connected":
-        return ConnectedWeights(**arrays)
-    return None
 
 
 def parse_config(config_text: str) -> NetworkDef:
@@ -421,13 +397,13 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
     values = np.frombuffer(weights_bytes, dtype="<f4", offset=8)
     cursor = 0
     per_layer = []
-    for layer, layout in zip(net.layers, layouts):
+    for layout in layouts:
         arrays = {}
         for name, shape in layout:
             n = math.prod(shape)
             arrays[name] = _frozen(values[cursor : cursor + n], shape)
             cursor += n
-        per_layer.append(layer_weights(layer, arrays))
+        per_layer.append(MappingProxyType(arrays))
 
     return replace(net, weights=tuple(per_layer))
 
@@ -466,5 +442,5 @@ def serialize_network(net: NetworkDef) -> tuple[str, bytes]:
     chunks = [WEIGHTS_MAGIC, WEIGHTS_VERSION.to_bytes(4, "little")]
     for layer, in_shape, lw in zip(net.layers, net.layer_input_shapes, net.weights):
         for name, _ in weights_layout(layer, in_shape):
-            chunks.append(getattr(lw, name).astype("<f4").tobytes())
+            chunks.append(lw[name].astype("<f4").tobytes())
     return config_text, b"".join(chunks)

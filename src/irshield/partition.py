@@ -4,8 +4,9 @@ The front half ships sealed (config and weights packed into one encrypted
 container); the back half ships as plaintext files. Labels are sealed
 separately under the same model key. A manifest of SHA-256 hashes covers
 every artifact so a deployment can detect any modified byte, and a small
-JSON sidecar records the cut index (global, 1-based) plus the shapes needed
-to wire the halves back together.
+JSON sidecar records the cut index (global, 1-based), the layer and class
+counts, and the two shapes the host cannot derive from the back model: the
+model's input and the boundary tensor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import PartitionError, ProtocolError
+from .errors import PartitionError, ProtocolError, ShapeError
 from .netdef import NetworkDef, parse_network, route_crossings, serialize_network
 from .sealing import SealedContainer, seal
 
@@ -41,6 +42,7 @@ ARTIFACT_NAMES = (
     "labels.sealed",
     "partition.json",
 )
+_RECORD_KEYS = {"back_layers", "classes", "cut", "front_layers", "input_shape", "ir_shape"}
 
 
 def split_network(net: NetworkDef, cut: int) -> tuple[NetworkDef, NetworkDef]:
@@ -121,7 +123,6 @@ def parse_manifest(text: str) -> dict[str, str]:
 @dataclass(frozen=True)
 class PartitionArtifacts:
     directory: Path
-    cut: int
     frontnet_sealed: SealedContainer
     labels_sealed: SealedContainer
     backnet: NetworkDef
@@ -162,14 +163,12 @@ def write_artifacts(
     fn_sealed = seal(pack_model(front_cfg, front_weights), model_key, "frontnet", fn_nonce)
     lbl_sealed = seal("\n".join(labels).encode(), model_key, "labels", lbl_nonce)
 
-    w, h, c = net.input_shape
-    iw, ih, ic = front.output_shape
     meta = {
         "cut": cut,
         "front_layers": front.n_layers,
         "back_layers": back.n_layers,
-        "input_shape": [w, h, c],
-        "ir_shape": [iw, ih, ic],
+        "input_shape": list(net.input_shape),
+        "ir_shape": list(front.output_shape),
         "classes": n_classes,
     }
 
@@ -190,7 +189,6 @@ def write_artifacts(
 
     return PartitionArtifacts(
         directory=directory,
-        cut=cut,
         frontnet_sealed=fn_sealed,
         labels_sealed=lbl_sealed,
         backnet=back,
@@ -223,14 +221,37 @@ def load_artifacts(directory: str | Path) -> PartitionArtifacts:
             )
         blobs[name] = blob
 
-    meta = json.loads(blobs["partition.json"])
     backnet = parse_network(blobs["backnet.cfg"].decode(), blobs["backnet.weights"])
     return PartitionArtifacts(
         directory=directory,
-        cut=int(meta["cut"]),
         frontnet_sealed=SealedContainer.decode(blobs["frontnet.sealed"]),
         labels_sealed=SealedContainer.decode(blobs["labels.sealed"]),
         backnet=backnet,
-        meta=meta,
+        meta=_read_record(blobs["partition.json"], backnet),
         manifest=manifest,
     )
+
+
+def _read_record(blob: bytes, backnet: NetworkDef) -> dict:
+    """The partition record, refused unless it holds the keys ``write_artifacts``
+    writes and its two shapes are three u32 sizes each, the boundary tensor's
+    being the back model's input."""
+    try:
+        meta = json.loads(blob)
+    except ValueError:  # not UTF-8, not JSON, or a number too long to convert
+        raise ProtocolError("partition.json is not JSON text") from None
+    if not isinstance(meta, dict) or meta.keys() != _RECORD_KEYS:
+        raise ProtocolError(
+            f"partition.json must be an object with the keys {', '.join(sorted(_RECORD_KEYS))}"
+        )
+    for key in ("input_shape", "ir_shape"):
+        shape = meta[key]
+        if not (isinstance(shape, list) and len(shape) == 3
+                and all(type(d) is int and 0 < d < 2**32 for d in shape)):
+            raise ProtocolError(f"partition.json {key} must be three integers in [1, 2**32)")
+    if backnet.input_shape != tuple(meta["ir_shape"]):
+        raise ShapeError(
+            f"back model expects input {backnet.input_shape}, "
+            f"but the front model emits {tuple(meta['ir_shape'])}"
+        )
+    return meta

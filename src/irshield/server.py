@@ -31,7 +31,7 @@ from .enclave import (
     provision_keys,
 )
 from .engine import forward, top_k
-from .errors import IrshieldError, ProtocolError, ShapeError
+from .errors import IrshieldError, ProtocolError
 from .netdef import NetworkDef
 from .partition import PartitionArtifacts, load_artifacts
 from .sealing import KEY_LEN
@@ -52,12 +52,11 @@ class Deployment:
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
-        w, h, c = self.artifacts.meta["input_shape"]
-        return (w, h, c)
+        return tuple(self.artifacts.meta["input_shape"])
 
     @property
     def classes(self) -> int:
-        return int(self.artifacts.meta["classes"])
+        return self.backnet.class_count()
 
     def new_session(self) -> EnclaveSession:
         """A fresh, unprovisioned enclave session over the sealed artifacts."""
@@ -67,20 +66,14 @@ class Deployment:
 def deploy(model_dir: str | Path, k: int = 5, *, root_key: bytes) -> Deployment:
     """Load a partition artifact directory for serving with a 32-byte root key.
 
-    Verifies every manifest hash, loads the plaintext back model and checks
-    it accepts the front model's output shape. No enclave session is made
+    ``load_artifacts`` verifies every hash and the partition record and loads
+    the back model, whose class count bounds ``k``. No enclave session is made
     here: each connection gets its own from :meth:`Deployment.new_session`.
     """
     if not isinstance(root_key, bytes) or len(root_key) != KEY_LEN:
         raise ValueError(f"root key must be {KEY_LEN} bytes")
     artifacts = load_artifacts(model_dir)
-    ir_shape = tuple(artifacts.meta["ir_shape"])
-    if artifacts.backnet.input_shape != ir_shape:
-        raise ShapeError(
-            f"back model expects input {artifacts.backnet.input_shape}, "
-            f"but the front model emits {ir_shape}"
-        )
-    classes = int(artifacts.meta["classes"])
+    classes = artifacts.backnet.class_count()
     if not (1 <= k <= classes):
         raise ValueError(f"k must be in [1, {classes}], got {k}")
     return Deployment(artifacts=artifacts, k=k, root_key=root_key)

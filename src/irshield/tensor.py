@@ -51,14 +51,6 @@ class Tensor:
         return cls(w, h, c, arr)
 
     @property
-    def width(self) -> int:
-        return self._arr.shape[2]
-
-    @property
-    def height(self) -> int:
-        return self._arr.shape[1]
-
-    @property
     def channels(self) -> int:
         return self._arr.shape[0]
 

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from irshield.fixtures import gen_fixture_model
 from irshield.netdef import build_network, parse_network
+from irshield.partition import MANIFEST_NAME, parse_manifest, render_manifest
 from irshield.tensor import Tensor
 from irshield.workload import flop_profile
 
@@ -19,6 +21,24 @@ def seed_image(shape: tuple[int, int, int], seed: int) -> Tensor:
     w, h, c = shape
     rng = np.random.default_rng(seed)
     return Tensor.from_array(rng.random((c, h, w), dtype=np.float32))
+
+
+def write_netpbm(t: Tensor, path) -> None:
+    """Write a one-channel tensor as binary PGM or a three-channel one as binary
+    PPM, values clipped to [0, 1] and rounded to 8 bits."""
+    c, h, w = t.array.shape
+    raster = np.clip(np.rint(t.array.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
+    magic = {1: "P5", 3: "P6"}[c]
+    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode() + raster.transpose(1, 2, 0).tobytes())
+
+
+def rewrite_artifact(directory: Path, name: str, blob: bytes) -> None:
+    """Replace one artifact and rehash its manifest line, as the host, which
+    holds both files, can."""
+    (directory / name).write_bytes(blob)
+    hashes = parse_manifest((directory / MANIFEST_NAME).read_text())
+    hashes[name] = hashlib.sha256(blob).hexdigest()
+    (directory / MANIFEST_NAME).write_text(render_manifest(hashes))
 
 
 def one_layer_flops(layer, input_shape: tuple[int, int, int]) -> int:

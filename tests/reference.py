@@ -41,11 +41,11 @@ def ref_conv(layer, lw, x: np.ndarray, count_ops: bool = False):
     multiplies = 0
     for fi in range(f):
         if layer.batch_normalize:
-            denom = math.sqrt(float(lw.bn_var[fi]) + BN_EPS)
-            gamma = float(lw.bn_scale[fi]) / denom
-            beta = float(lw.biases[fi]) - float(lw.bn_scale[fi]) * float(lw.bn_mean[fi]) / denom
+            denom = math.sqrt(float(lw["bn_var"][fi]) + BN_EPS)
+            gamma = float(lw["bn_scale"][fi]) / denom
+            beta = float(lw["biases"][fi]) - float(lw["bn_scale"][fi]) * float(lw["bn_mean"][fi]) / denom
         else:
-            gamma, beta = 1.0, float(lw.biases[fi])
+            gamma, beta = 1.0, float(lw["biases"][fi])
         for oy in range(oh):
             for ox in range(ow):
                 acc = 0.0
@@ -58,7 +58,7 @@ def ref_conv(layer, lw, x: np.ndarray, count_ops: bool = False):
                                 pixel = float(x[ci, iy, ix])
                             else:
                                 pixel = 0.0
-                            acc += pixel * float(lw.filters[fi, ci, ky, kx])
+                            acc += pixel * float(lw["filters"][fi, ci, ky, kx])
                             multiplies += 1
                 value = _activate(acc * gamma + beta, layer.activation)
                 out[fi, oy, ox] = np.float32(value)
@@ -110,13 +110,13 @@ def ref_avgpool(layer, x: np.ndarray) -> np.ndarray:
 
 def ref_connected(lw, x: np.ndarray) -> np.ndarray:
     flat = [float(v) for v in x.reshape(-1)]
-    n_out = lw.weights.shape[0]
+    n_out = lw["weights"].shape[0]
     out = np.zeros((n_out, 1, 1), dtype=np.float32)
     for oi in range(n_out):
         acc = 0.0
         for ii, v in enumerate(flat):
-            acc += float(lw.weights[oi, ii]) * v
-        out[oi, 0, 0] = np.float32(acc + float(lw.biases[oi]))
+            acc += float(lw["weights"][oi, ii]) * v
+        out[oi, 0, 0] = np.float32(acc + float(lw["biases"][oi]))
     return out
 
 

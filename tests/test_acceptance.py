@@ -33,14 +33,14 @@ from irshield.enclave import (
 from irshield.engine import forward, forward_range, top_k
 from irshield.errors import AuthError, PartitionError, ProtocolError
 from irshield.fixtures import gen_fixture_model
-from irshield.imageio import load_image, write_ppm
+from irshield.imageio import load_image
 from irshield.netdef import LayerSpec, parse_network, serialize_network
 from irshield.partition import pack_model, split_network, write_artifacts
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy
 from irshield.workload import flop_profile, frontnet_fraction
 
-from conftest import one_layer_flops, seed_image
+from conftest import one_layer_flops, seed_image, write_netpbm
 from test_assessment import brute_force_choice
 from test_serving import IMG_KEY, LABELS10, MODEL_KEY, ROOT_KEY
 
@@ -332,7 +332,7 @@ def test_criterion_8_end_to_end_serving(net_cache, tmp_path):
         try:
             for i in range(3):
                 path = tmp_path / f"{arch}-{i}.ppm"
-                write_ppm(seed_image(net.input_shape, 800 + i), path)
+                write_netpbm(seed_image(net.input_shape, 800 + i), path)
                 got = client_predict(srv.address, path, MODEL_KEY, IMG_KEY, ROOT_KEY)
                 probs = forward(net, load_image(path))
                 want = [(LABELS10[j - 1], s) for j, s in top_k(probs, 3)]
@@ -350,7 +350,7 @@ def test_criterion_8_end_to_end_serving(net_cache, tmp_path):
         paths, keys = [], []
         for i in range(8):
             path = tmp_path / f"stress-{i}.ppm"
-            write_ppm(seed_image(net.input_shape, 900 + i), path)
+            write_netpbm(seed_image(net.input_shape, 900 + i), path)
             paths.append(path)
             keys.append(hashlib.sha256(f"stress-key-{i}".encode()).digest())
         results, errors = [None] * 8, []
@@ -415,7 +415,7 @@ def test_criterion_9_assessment_pipeline(net_cache, tmp_path):
     image_dir = tmp_path / "images"
     image_dir.mkdir()
     for i in range(5):
-        write_ppm(seed_image((32, 32, 3), 910 + i), image_dir / f"img-{i}.ppm")
+        write_netpbm(seed_image((32, 32, 3), 910 + i), image_dir / f"img-{i}.ppm")
 
     tsvs = []
     for run in ("r1", "r2"):

@@ -23,7 +23,6 @@ from irshield.engine import (
     forward_range_batch,
 )
 from irshield.netdef import (
-    layer_weights,
     parse_config,
     parse_network,
     serialize_network,
@@ -76,14 +75,12 @@ def _network(shape, body: str, seed: int):
     w, h, c = shape
     net = parse_config(f"[net]\nwidth={w}\nheight={h}\nchannels={c}\n\n{body}")
     rng = np.random.default_rng(seed)
-    per_layer = []
-    for layer, in_shape in zip(net.layers, net.layer_input_shapes):
-        arrays = {
-            name: rng.uniform(0.5, 1.5, dims) if name == "bn_var" else rng.normal(0.0, 1.0, dims)
-            for name, dims in weights_layout(layer, in_shape)
-        }
-        per_layer.append(layer_weights(layer, arrays))
-    return parse_network(*serialize_network(replace(net, weights=tuple(per_layer))))
+    per_layer = tuple(
+        {name: rng.uniform(0.5, 1.5, dims) if name == "bn_var" else rng.normal(0.0, 1.0, dims)
+         for name, dims in weights_layout(layer, in_shape)}
+        for layer, in_shape in zip(net.layers, net.layer_input_shapes)
+    )
+    return parse_network(*serialize_network(replace(net, weights=per_layer)))
 
 
 def _images(shape, n: int, seed: int) -> np.ndarray:

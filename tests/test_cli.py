@@ -1,3 +1,4 @@
+import json
 import socket
 import subprocess
 import sys
@@ -7,11 +8,11 @@ import pytest
 
 from irshield.cli import build_parser, main
 from irshield.engine import forward, top_k
-from irshield.imageio import load_image, write_ppm
+from irshield.imageio import load_image
 from irshield.netdef import parse_network
 from irshield.sealing import SealedContainer
 
-from conftest import seed_image
+from conftest import rewrite_artifact, seed_image, write_netpbm
 
 MODEL_KEY_HEX = bytes(range(32)).hex()
 IMG_KEY_HEX = bytes(range(32, 64)).hex()
@@ -30,7 +31,7 @@ def model_files(tmp_path_factory):
 def image_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli-images")
     for i in range(5):
-        write_ppm(seed_image((32, 32, 3), 700 + i), directory / f"img-{i}.ppm")
+        write_netpbm(seed_image((32, 32, 3), 700 + i), directory / f"img-{i}.ppm")
     return directory
 
 
@@ -250,6 +251,25 @@ def test_root_key_from_environment(model_files, labels_file, tmp_path, monkeypat
     assert main(serve_args + ["--root-key", ROOT_KEY_HEX]) == 0
     assert main(ROOT_KEY_ARGS["predict"] + ["--root-key", ROOT_KEY_HEX]) == 0
     assert seen == [bytes.fromhex(ROOT_KEY_HEX)] * 4
+
+
+def test_serve_refuses_a_record_without_cut(model_files, labels_file, tmp_path, monkeypatch,
+                                           capsys):
+    import irshield.cli as cli_mod
+
+    cfg, weights = model_files
+    artifacts = tmp_path / "artifacts"
+    assert main(["partition", "--model", str(cfg), "--weights", str(weights), "--cut", "4",
+                 "--labels", str(labels_file), "--model-key", MODEL_KEY_HEX,
+                 "--out", str(artifacts)]) == 0
+    meta = json.loads((artifacts / "partition.json").read_text())
+    del meta["cut"]
+    rewrite_artifact(artifacts, "partition.json", json.dumps(meta).encode())
+    capsys.readouterr()
+    monkeypatch.setattr(cli_mod, "Server", None)  # deploying must fail before any server
+    assert main(["serve", "--dir", str(artifacts), "--root-key", ROOT_KEY_HEX]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("irshield: error: partition.json") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["serve", "predict"])

@@ -9,7 +9,9 @@ is the same for all of them: the input parses, or the decoder raises an
 frame with an error frame or a well-formed reply, and stays ready. The file
 readers are held to their own error type: the netpbm reader to
 ``ShapeError``, and ``parse_network`` on mutated weight bytes to
-``WeightsError``.
+``WeightsError``. A deployment whose ``partition.json`` was mutated and
+rehashed in the manifest either fails with an ``IrshieldError`` or can
+answer Hello.
 """
 
 import os
@@ -40,12 +42,13 @@ from irshield.errors import IrshieldError, ProtocolError, ShapeError, WeightsErr
 from irshield.imageio import load_image
 from irshield.netdef import parse_network, serialize_network
 from irshield.partition import (
-    pack_model, parse_manifest, render_manifest, split_network, unpack_model,
+    pack_model, parse_manifest, render_manifest, split_network, unpack_model, write_artifacts,
 )
 from irshield.sealing import SealedContainer, open_container, seal
+from irshield.server import deploy
 from irshield.tensor import Tensor
 
-from conftest import seed_image
+from conftest import rewrite_artifact, seed_image
 
 MODEL_KEY = bytes(range(32))
 IMG_KEY = bytes(range(32, 64))
@@ -162,7 +165,7 @@ NETPBM = (
 
 
 @st.composite
-def mutated_netpbm(draw, blob: bytes):
+def mutated_text(draw, blob: bytes):
     """``blob`` mutated as by ``mutated``, or with one of its decimal numbers
     rewritten to lie: zero, one, off by one, doubled, past 16 bits, or far
     too long to convert."""
@@ -182,7 +185,7 @@ def image_path(tmp_path_factory):
 
 
 @settings(HOSTILE, max_examples=4 * HOSTILE.max_examples)
-@given(blob=st.sampled_from(NETPBM).flatmap(mutated_netpbm))
+@given(blob=st.sampled_from(NETPBM).flatmap(mutated_text))
 @example(blob=b"P2 1 1 255 " + b"9" * 5000)
 @example(blob=b"P2 1 1 255 " + b"9" * 400)
 def test_load_image(image_path, blob):
@@ -191,6 +194,25 @@ def test_load_image(image_path, blob):
         load_image(image_path)
     except ShapeError:
         pass
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory, plain17):
+    directory = tmp_path_factory.mktemp("hostile-artifacts")
+    write_artifacts(directory, plain17, 4, LABELS, MODEL_KEY, nonces=(bytes(12), bytes(range(12))))
+    return directory, (directory / "partition.json").read_bytes()
+
+
+@HOSTILE
+@given(data=st.data())
+def test_deploy_partition_record(artifacts, data):
+    directory, record = artifacts
+    rewrite_artifact(directory, "partition.json", data.draw(mutated_text(record)))
+    try:
+        dep = deploy(directory, k=1, root_key=ROOT_KEY)
+    except IrshieldError:
+        return
+    protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
 
 
 @pytest.fixture(scope="module")

@@ -3,14 +3,10 @@ import pytest
 
 from irshield import imageio
 from irshield.errors import ShapeError
-from irshield.imageio import (
-    bilinear_resize,
-    load_image,
-    resize_to_shape,
-    write_pgm,
-    write_ppm,
-)
+from irshield.imageio import bilinear_resize, load_image, resize_to_shape
 from irshield.tensor import Tensor
+
+from conftest import write_netpbm
 
 
 class TestNetpbm:
@@ -34,7 +30,7 @@ class TestNetpbm:
     def test_binary_round_trip_pgm(self, tmp_path):
         src = Tensor(5, 4, 1, np.linspace(0, 1, 20, dtype=np.float32))
         path = tmp_path / "b.pgm"
-        write_pgm(src, path)
+        write_netpbm(src, path)
         back = load_image(path)
         assert back.shape == (5, 4, 1)
         np.testing.assert_allclose(back.array, src.array, atol=1 / 255 + 1e-7)
@@ -43,7 +39,7 @@ class TestNetpbm:
         rng = np.random.default_rng(0)
         src = Tensor.from_array(rng.random((3, 6, 7)).astype(np.float32))
         path = tmp_path / "b.ppm"
-        write_ppm(src, path)
+        write_netpbm(src, path)
         back = load_image(path)
         assert back.shape == (7, 6, 3)
         np.testing.assert_allclose(back.array, src.array, atol=1 / 255 + 1e-7)
@@ -109,14 +105,6 @@ class TestNetpbm:
     def test_from_array_rejects_empty_dimensions(self):
         with pytest.raises(ShapeError, match="positive"):
             Tensor.from_array(np.zeros((1, 0, 3), dtype=np.float32))
-
-    def test_writer_channel_checks(self, tmp_path):
-        gray = Tensor(2, 2, 1, np.zeros(4, dtype=np.float32))
-        with pytest.raises(ShapeError):
-            write_ppm(gray, tmp_path / "x.ppm")
-        color = Tensor(2, 2, 3, np.zeros(12, dtype=np.float32))
-        with pytest.raises(ShapeError):
-            write_pgm(color, tmp_path / "x.pgm")
 
 
 def bilinear_two_index_arrays(maps, out_h, out_w):

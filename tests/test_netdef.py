@@ -8,6 +8,7 @@ from irshield.netdef import (
     parse_config,
     parse_network,
     serialize_network,
+    weights_layout,
 )
 from irshield.tensor import Tensor
 
@@ -48,6 +49,18 @@ def test_minimal_model_parses():
     assert net.input_shape == (4, 4, 1)
     assert net.layer_output_shapes[0] == (4, 4, 1)
     assert net.weights is not None
+
+
+def test_parsed_weights_are_read_only_mappings_keyed_by_layout(plain17):
+    for layer, in_shape, lw in zip(plain17.layers, plain17.layer_input_shapes, plain17.weights):
+        assert list(lw) == [name for name, _ in weights_layout(layer, in_shape)]
+    lw = plain17.weights[0]
+    with pytest.raises(TypeError):
+        lw["biases"] = np.zeros(4, np.float32)
+    with pytest.raises(TypeError):
+        del lw["bn_var"]
+    with pytest.raises(ValueError, match="read-only"):
+        lw["biases"][0] = 1.0
 
 
 def test_route_source_must_precede_layer():

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,12 @@ def test_import_loads_no_serving_stack_and_every_name_resolves():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(irshield.__path__)])
+def test_every_module_export_resolves(module):
+    mod = importlib.import_module(f"irshield.{module}")
+    assert not [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
 
 
 def test_unknown_name_raises_attribute_error():

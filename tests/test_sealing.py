@@ -177,7 +177,7 @@ class TestArtifacts:
         labels = [f"class-{i}" for i in range(10)]
         arts = write_artifacts(tmp_path / "m", plain17, 4, labels, KEY)
         loaded = load_artifacts(tmp_path / "m")
-        assert loaded.cut == 4
+        assert loaded.meta["cut"] == 4
         assert loaded.meta["ir_shape"] == [8, 8, 8]
         assert loaded.backnet.n_layers == 13
         assert loaded.frontnet_sealed == arts.frontnet_sealed

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import socket
 import threading
 import time
@@ -23,13 +24,13 @@ from irshield.engine import forward, top_k
 from irshield.errors import (
     AuthError, PartitionError, ProtocolError, ShapeError, StateError, WeightsError,
 )
-from irshield.imageio import load_image, write_ppm
+from irshield.imageio import load_image
 from irshield.partition import render_manifest, write_artifacts
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy, handle_predict
 from irshield.tensor import Tensor
 
-from conftest import GOLDEN_DIR, seed_image
+from conftest import GOLDEN_DIR, rewrite_artifact, seed_image, write_netpbm
 
 MODEL_KEY = bytes(range(32))
 IMG_KEY = bytes(range(32, 64))
@@ -57,13 +58,28 @@ def server(artifact_dir):
 @pytest.fixture(scope="module")
 def test_image(tmp_path_factory, plain17):
     path = tmp_path_factory.mktemp("images") / "input.ppm"
-    write_ppm(seed_image(plain17.input_shape, 500), path)
+    write_netpbm(seed_image(plain17.input_shape, 500), path)
     return path
 
 
 def expected_topk(plain17, image_path, k):
     probs = forward(plain17, load_image(image_path))
     return [(LABELS10[i - 1], s) for i, s in top_k(probs, k)]
+
+
+def edit_record(directory, **changes) -> None:
+    """Rewrite partition.json with ``changes`` (a None value drops the key) and
+    rehash its manifest line."""
+    meta = json.loads((directory / "partition.json").read_text())
+    meta.update(changes)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    rewrite_artifact(directory, "partition.json", json.dumps(meta).encode())
+
+
+@pytest.fixture()
+def record_dir(tmp_path, artifact_dir):
+    """A copy of the deployed artifacts that a test may edit."""
+    return shutil.copytree(artifact_dir, tmp_path / "m")
 
 
 class TestDeploy:
@@ -97,17 +113,11 @@ class TestDeploy:
         with pytest.raises(ValueError, match="k must be"):
             deploy(artifact_dir, k=11, root_key=ROOT_KEY)
 
-    def test_truncated_backnet_weights(self, tmp_path, plain17):
-        directory = tmp_path / "m"
-        arts = write_artifacts(directory, plain17, 4, LABELS10, MODEL_KEY)
-        weights_path = directory / "backnet.weights"
-        truncated = weights_path.read_bytes()[:-40]
-        weights_path.write_bytes(truncated)
-        hashes = dict(arts.manifest)
-        hashes["backnet.weights"] = hashlib.sha256(truncated).hexdigest()
-        (directory / "manifest.txt").write_text(render_manifest(hashes))
+    def test_truncated_backnet_weights(self, record_dir):
+        truncated = (record_dir / "backnet.weights").read_bytes()[:-40]
+        rewrite_artifact(record_dir, "backnet.weights", truncated)
         with pytest.raises(WeightsError, match=r"expected \d+ bytes, got \d+ bytes"):
-            deploy(directory, k=3, root_key=ROOT_KEY)
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
 
     def test_edited_manifest_hash_mismatch(self, tmp_path, plain17):
         directory = tmp_path / "m"
@@ -118,22 +128,38 @@ class TestDeploy:
         with pytest.raises(ProtocolError, match="hash mismatch"):
             deploy(directory, k=3, root_key=ROOT_KEY)
 
-    def test_shape_incompatibility(self, tmp_path, plain17):
-        directory = tmp_path / "m"
-        write_artifacts(directory, plain17, 4, LABELS10, MODEL_KEY)
-        meta_path = directory / "partition.json"
-        meta = json.loads(meta_path.read_text())
-        meta["ir_shape"] = [4, 4, 2]
-        blob = (json.dumps(meta, indent=1, sort_keys=True) + "\n").encode()
-        meta_path.write_bytes(blob)
-        manifest_path = directory / "manifest.txt"
-        from irshield.partition import parse_manifest
-
-        hashes = parse_manifest(manifest_path.read_text())
-        hashes["partition.json"] = hashlib.sha256(blob).hexdigest()
-        manifest_path.write_text(render_manifest(hashes))
+    def test_shape_incompatibility(self, record_dir):
+        edit_record(record_dir, ir_shape=[4, 4, 2])
         with pytest.raises(ShapeError, match="front model emits"):
-            deploy(directory, k=3, root_key=ROOT_KEY)
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
+
+    def test_class_count_and_k_bound_come_from_the_back_model(self, record_dir):
+        # the record claims 12 classes; the back model has 10
+        edit_record(record_dir, classes=12)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 10\], got 11"):
+            deploy(record_dir, k=11, root_key=ROOT_KEY)
+        srv = Server(("127.0.0.1", 0), deploy(record_dir, k=3, root_key=ROOT_KEY)).start()
+        driver = WireDriver(srv.address)
+        try:
+            assert driver.handshake()["classes"] == 10
+        finally:
+            driver.close()
+            srv.stop()
+
+    def test_record_without_cut_refused(self, record_dir):
+        edit_record(record_dir, cut=None)
+        with pytest.raises(ProtocolError, match="partition.json must be an object with the keys"):
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
+
+    def test_record_that_is_a_list_refused(self, record_dir):
+        rewrite_artifact(record_dir, "partition.json", b"[1, 2, 3]\n")
+        with pytest.raises(ProtocolError, match="partition.json must be an object with the keys"):
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
+
+    def test_record_with_scalar_input_shape_refused(self, record_dir):
+        edit_record(record_dir, input_shape=7)
+        with pytest.raises(ProtocolError, match=r"input_shape must be three integers"):
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
 
 
 def provisioned_session(dep, img_key=IMG_KEY):
@@ -399,7 +425,7 @@ class TestServing:
 
         monkeypatch.setattr(client_mod, "SealedContainer", TamperOnDecode)
         x_path = tmp_path / "result_tamper.ppm"
-        write_ppm(seed_image(plain17.input_shape, 516), x_path)
+        write_netpbm(seed_image(plain17.input_shape, 516), x_path)
         with pytest.raises(ResultAuthError):
             client_predict(server.address, x_path, MODEL_KEY, IMG_KEY, ROOT_KEY)
 
@@ -408,7 +434,7 @@ class TestServing:
         paths = []
         for i in range(n_clients):
             path = tmp_path / f"img-{i}.ppm"
-            write_ppm(seed_image(plain17.input_shape, 520 + i), path)
+            write_netpbm(seed_image(plain17.input_shape, 520 + i), path)
             paths.append(path)
         keys = [hashlib.sha256(f"img-key-{i}".encode()).digest() for i in range(n_clients)]
         results = [None] * n_clients

@@ -34,7 +34,6 @@ from irshield.netdef import (
     LayerSpec,
     build_network,
     layer_output_shape,
-    layer_weights,
     parse_network,
     serialize_network,
     valid_partition_points,
@@ -103,7 +102,7 @@ def _weighted(input_shape, layers, seed: int):
     net = build_network(input_shape, tuple(layers))
     rng = np.random.default_rng(seed)
     per_layer = [
-        layer_weights(layer, {name: _draw(rng, name, dims) for name, dims in weights_layout(layer, s)})
+        {name: _draw(rng, name, dims) for name, dims in weights_layout(layer, s)}
         for layer, s in zip(net.layers, net.layer_input_shapes)
     ]
     return parse_network(*serialize_network(replace(net, weights=tuple(per_layer))))

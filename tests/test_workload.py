@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irshield.errors import ShapeError
-from irshield.netdef import ConvWeights, LayerSpec, parse_config
+from irshield.netdef import LayerSpec, parse_config
 from irshield.workload import flop_profile, frontnet_fraction, profile_tsv
 
 from conftest import GOLDEN_DIR, one_layer_flops
@@ -71,13 +71,13 @@ class TestLayerFlops:
                                 for f in (1, 2):
                                     for bias, bn in ((True, False), (True, True), (False, False)):
                                         layer = conv_spec(f, k, stride, pad, bias, bn)
-                                        lw = ConvWeights(
-                                            biases=rng.normal(0, 1, f).astype(np.float32),
-                                            bn_scale=np.ones(f, np.float32),
-                                            bn_mean=np.zeros(f, np.float32),
-                                            bn_var=np.ones(f, np.float32),
-                                            filters=rng.normal(0, 1, (f, c_in, k, k)).astype(np.float32),
-                                        )
+                                        lw = {
+                                            "biases": rng.normal(0, 1, f).astype(np.float32),
+                                            "bn_scale": np.ones(f, np.float32),
+                                            "bn_mean": np.zeros(f, np.float32),
+                                            "bn_var": np.ones(f, np.float32),
+                                            "filters": rng.normal(0, 1, (f, c_in, k, k)).astype(np.float32),
+                                        }
                                         x = rng.normal(0, 1, (c_in, h, w)).astype(np.float32)
                                         out, multiplies = ref_conv(layer, lw, x)
                                         out_elems = out.size
