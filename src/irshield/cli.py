@@ -180,10 +180,8 @@ def _cmd_seal(args) -> int:
 
 def _cmd_open(args) -> int:
     box = SealedContainer.decode(Path(args.infile).read_bytes())
-    if args.expect_type and box.content_name != args.expect_type:
-        raise IrshieldError(
-            f"container holds {box.content_name}, expected {args.expect_type}"
-        )
+    if args.expect_type:
+        box.expect_type(args.expect_type)
     plaintext = open_container(box, args.key)
     Path(args.out).write_bytes(plaintext)
     print(args.out)

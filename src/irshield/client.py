@@ -32,17 +32,15 @@ class ResultAuthError(AuthError):
     """The returned result container failed authentication."""
 
 
-def _exchange(
-    sock: socket.socket, msg_type: int, payload: bytes, reply_type: int, phase: str
-) -> bytes:
-    """Send one frame and return the payload of the expected reply; an error
-    frame raises the exception type its code stands for."""
+def _exchange(sock: socket.socket, msg_type: int, payload: bytes) -> bytes:
+    """Send one frame and return the payload of the reply that answers it; an
+    error frame raises the exception type its code stands for."""
     protocol.send_frame(sock, msg_type, payload)
     got_type, reply = protocol.read_frame(sock)
     if got_type == protocol.MSG_ERROR:
         protocol.raise_error(reply)
-    if got_type != reply_type:
-        raise ProtocolError(f"unexpected message type {got_type} during {phase}")
+    if got_type != protocol.REPLY_TYPES[msg_type]:
+        raise ProtocolError(f"unexpected message type {got_type} in reply to type {msg_type}")
     return reply
 
 
@@ -66,15 +64,12 @@ def client_predict(
 
     with socket.create_connection(server_addr, timeout=TIMEOUT_S) as sock:
         version = protocol.PROTOCOL_VERSION.to_bytes(4, "little")
-        hello = _exchange(sock, protocol.MSG_HELLO, version, protocol.MSG_HELLO, "hello")
-        info = protocol.parse_server_hello(hello)
+        info = protocol.parse_server_hello(_exchange(sock, protocol.MSG_HELLO, version))
         if image.shape != info["input_shape"]:
             image = resize_to_shape(image, info["input_shape"])
 
         nonce = os.urandom(32)
-        evidence = _exchange(
-            sock, protocol.MSG_ATTEST_REQUEST, nonce, protocol.MSG_ATTEST_EVIDENCE, "attestation"
-        )
+        evidence = _exchange(sock, protocol.MSG_ATTEST_REQUEST, nonce)
         if len(evidence) != 64:
             raise ProtocolError("attestation evidence must be 64 bytes")
         measurement, mac = evidence[:32], evidence[32:]
@@ -87,19 +82,13 @@ def client_predict(
             )
 
         key_msg = build_key_message(root_key, measurement, nonce, mac, model_key, img_key)
-        _exchange(
-            sock, protocol.MSG_PROVISION_KEYS, key_msg, protocol.MSG_PROVISION_KEYS,
-            "key provisioning",
-        )
-
+        _exchange(sock, protocol.MSG_PROVISION_KEYS, key_msg)
         sealed = seal(image.encode(), img_key, "image")
-        result_payload = _exchange(
-            sock, protocol.MSG_PREDICT, sealed.encode(), protocol.MSG_RESULT, "predict"
-        )
+        result_payload = _exchange(sock, protocol.MSG_PREDICT, sealed.encode())
 
     container = SealedContainer.decode(result_payload)
     try:
-        plaintext = open_container(container, img_key)
+        plaintext = open_container(container.expect_type("result"), img_key)
     except AuthError:
         raise ResultAuthError("result container failed authentication") from None
     return [(label, score) for _, label, score in decode_result_payload(plaintext)]

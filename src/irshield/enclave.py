@@ -259,16 +259,8 @@ class EnclaveSession:
             if len(keys) != 2 * KEY_LEN:
                 raise AuthError("key message carried malformed key material")
             model_key, img_key = keys[:KEY_LEN], keys[KEY_LEN:]
-            if self._fn_sealed.content_name != "frontnet":
-                raise AuthError(
-                    f"frontnet artifact declares content type {self._fn_sealed.content_name}"
-                )
-            if self._lbl_sealed.content_name != "labels":
-                raise AuthError(
-                    f"labels artifact declares content type {self._lbl_sealed.content_name}"
-                )
-            model_blob = open_container(self._fn_sealed, model_key)
-            labels_blob = open_container(self._lbl_sealed, model_key)
+            model_blob = open_container(self._fn_sealed.expect_type("frontnet"), model_key)
+            labels_blob = open_container(self._lbl_sealed.expect_type("labels"), model_key)
             try:
                 front = parse_network(*unpack_model(model_blob))
             except IrshieldError as exc:
@@ -290,17 +282,11 @@ class EnclaveSession:
         return b""
 
     def _handle_infer(self, payload: bytes) -> bytes:
-        container = SealedContainer.decode(payload)
-        image_blob = open_container(container, self._img_key)
-        image = Tensor.decode(image_blob)
-        if image.shape != self._front.input_shape:
-            w, h, c = self._front.input_shape
-            raise ShapeError(
-                f"image shape {image.shape[0]}x{image.shape[1]}x{image.shape[2]} "
-                f"does not match the model input {w}x{h}x{c}"
-            )
+        container = SealedContainer.decode(payload).expect_type("image")
+        image = Tensor.decode(open_container(container, self._img_key))
         if not image.is_finite():
             raise ProtocolError("image holds non-finite pixels")
+        # the engine refuses an image of another shape than the model input
         ir = forward_range(self._front, 1, self._front.n_layers, image)
         if not ir.is_finite():
             # finite pixels can still overflow; such a tensor never leaves
@@ -354,9 +340,8 @@ def enclave_create(
 
 
 def attest(session: EnclaveSession, client_nonce: bytes, root_key: bytes) -> AttestationEvidence:
-    """MAC the session measurement together with the client's nonce."""
-    if len(client_nonce) != 32:
-        raise ValueError("client nonce must be 32 bytes")
+    """MAC the session measurement together with the client's nonce, which
+    the enclave refuses unless it is 32 bytes."""
     if len(root_key) != KEY_LEN:
         raise ValueError(f"root key must be {KEY_LEN} bytes")
     payload = _call(session, MSG_ATTEST_REQ, root_key + client_nonce)

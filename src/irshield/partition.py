@@ -97,11 +97,14 @@ def unpack_model(blob: bytes) -> tuple[str, bytes]:
     (cfg_len,) = struct.unpack_from("<Q", blob, 0)
     if len(blob) < 8 + cfg_len:
         raise ProtocolError("model bundle truncated")
+    return _config_text(blob[8 : 8 + cfg_len], "front"), blob[8 + cfg_len :]
+
+
+def _config_text(raw: bytes, half: str) -> str:
     try:
-        config_text = blob[8 : 8 + cfg_len].decode()
+        return raw.decode()
     except UnicodeDecodeError:
-        raise ProtocolError("front model config is not UTF-8 text") from None
-    return config_text, blob[8 + cfg_len :]
+        raise ProtocolError(f"{half} model config is not UTF-8 text") from None
 
 
 def render_manifest(hashes: dict[str, str]) -> str:
@@ -221,7 +224,9 @@ def load_artifacts(directory: str | Path) -> PartitionArtifacts:
             )
         blobs[name] = blob
 
-    backnet = parse_network(blobs["backnet.cfg"].decode(), blobs["backnet.weights"])
+    backnet = parse_network(_config_text(blobs["backnet.cfg"], "back"), blobs["backnet.weights"])
+    if backnet.layers[-1].kind != "softmax":
+        raise ProtocolError("the back model must end in a [softmax] layer")
     return PartitionArtifacts(
         directory=directory,
         frontnet_sealed=SealedContainer.decode(blobs["frontnet.sealed"]),

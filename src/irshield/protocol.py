@@ -41,6 +41,7 @@ __all__ = [
     "ERR_INTERNAL",
     "MAX_PAYLOAD",
     "PROTOCOL_VERSION",
+    "REPLY_TYPES",
     "pack_frame",
     "unpack_frame",
     "encode_frame",
@@ -63,6 +64,14 @@ MSG_PREDICT = 5
 MSG_RESULT = 6
 MSG_ERROR = 7
 _KNOWN_TYPES = frozenset(range(1, 8))
+# client request type -> the type of the reply that answers it; an error
+# frame may answer any of them
+REPLY_TYPES = {
+    MSG_HELLO: MSG_HELLO,
+    MSG_ATTEST_REQUEST: MSG_ATTEST_EVIDENCE,
+    MSG_PROVISION_KEYS: MSG_PROVISION_KEYS,
+    MSG_PREDICT: MSG_RESULT,
+}
 
 ERR_AUTH_FAILURE = 1
 ERR_NOT_READY = 2

@@ -2,7 +2,8 @@
 
 AES-256-GCM with a fresh random 12-byte nonce per seal. The container's
 content type is bound into the authentication tag as associated data, so a
-container sealed as one type can never open as another. Byte layout::
+container sealed as one type can never open as another, and every opener
+names the type it expects (:meth:`SealedContainer.expect_type`). Byte layout::
 
     'IRSC' | version u32 LE | content-type u8 | nonce (12)
            | ciphertext length u64 LE | ciphertext | tag (16)
@@ -43,6 +44,8 @@ TAG_LEN = 16
 
 CONTENT_TYPES = {"frontnet": 1, "labels": 2, "image": 3, "result": 4}
 CONTENT_NAMES = {code: name for name, code in CONTENT_TYPES.items()}
+# magic, version, content type, nonce, ciphertext length
+_HEADER = struct.Struct(f"<4sIB{NONCE_LEN}sQ")
 
 
 def _check_key(key: bytes) -> bytes:
@@ -64,45 +67,35 @@ class SealedContainer:
     def content_name(self) -> str:
         return CONTENT_NAMES[self.content_type]
 
+    def expect_type(self, content_name: str) -> "SealedContainer":
+        """This container, if it holds ``content_name``; any other content
+        raises AuthError, whatever key would open it."""
+        if self.content_name != content_name:
+            raise AuthError(f"container holds {self.content_name}, expected {content_name}")
+        return self
+
     def encode(self) -> bytes:
-        return b"".join(
-            (
-                CONTAINER_MAGIC,
-                struct.pack("<I", CONTAINER_VERSION),
-                struct.pack("B", self.content_type),
-                self.nonce,
-                struct.pack("<Q", len(self.ciphertext)),
-                self.ciphertext,
-                self.tag,
-            )
-        )
+        header = _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, self.content_type, self.nonce,
+                              len(self.ciphertext))
+        return b"".join((header, self.ciphertext, self.tag))
 
     @classmethod
     def decode(cls, blob: bytes) -> "SealedContainer":
-        header = 4 + 4 + 1 + NONCE_LEN + 8
-        if len(blob) < header + TAG_LEN:
-            raise ProtocolError(
-                f"container truncated: {len(blob)} bytes, need at least {header + TAG_LEN}"
-            )
-        if blob[:4] != CONTAINER_MAGIC:
-            raise ProtocolError(f"bad container magic {blob[:4]!r}")
-        version = struct.unpack_from("<I", blob, 4)[0]
+        if len(blob) < _HEADER.size + TAG_LEN:
+            raise ProtocolError(f"container truncated: {len(blob)} bytes, "
+                                f"need at least {_HEADER.size + TAG_LEN}")
+        magic, version, content_type, nonce, ct_len = _HEADER.unpack_from(blob)
+        if magic != CONTAINER_MAGIC:
+            raise ProtocolError(f"bad container magic {magic!r}")
         if version != CONTAINER_VERSION:
             raise ProtocolError(f"unsupported container version {version}")
-        content_type = blob[8]
         if content_type not in CONTENT_NAMES:
             raise ProtocolError(f"unknown container content type {content_type}")
-        nonce = blob[9 : 9 + NONCE_LEN]
-        (ct_len,) = struct.unpack_from("<Q", blob, 9 + NONCE_LEN)
-        body_start = header
-        if len(blob) != body_start + ct_len + TAG_LEN:
-            raise ProtocolError(
-                f"container length {len(blob)} does not match declared "
-                f"ciphertext length {ct_len}"
-            )
-        ciphertext = blob[body_start : body_start + ct_len]
-        tag = blob[body_start + ct_len :]
-        return cls(content_type, nonce, ciphertext, tag)
+        tag_start = _HEADER.size + ct_len
+        if len(blob) != tag_start + TAG_LEN:
+            raise ProtocolError(f"container length {len(blob)} does not match declared "
+                                f"ciphertext length {ct_len}")
+        return cls(content_type, nonce, blob[_HEADER.size : tag_start], blob[tag_start:])
 
 
 def seal(

@@ -197,7 +197,8 @@ class Server:
             try:
                 msg_type, payload = protocol.read_frame(conn)
                 self._record(payload)
-                reply_type, reply = self._answer(session, msg_type, payload)
+                reply = self._answer(session, msg_type, payload)
+                reply_type = protocol.REPLY_TYPES[msg_type]
             except IrshieldError as exc:
                 reply_type = protocol.MSG_ERROR
                 reply = protocol.error_payload(protocol.error_code(exc), str(exc))
@@ -206,22 +207,20 @@ class Server:
             if reply_type == protocol.MSG_ERROR and msg_type != protocol.MSG_PREDICT:
                 return
 
-    def _answer(self, session: EnclaveSession, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        """The reply (type, payload) to one client frame."""
+    def _answer(self, session: EnclaveSession, msg_type: int, payload: bytes) -> bytes:
+        """The payload of the reply to one client frame."""
         dep = self.dep
         if msg_type == protocol.MSG_HELLO:
             version = protocol.PROTOCOL_VERSION
             if payload != version.to_bytes(4, "little"):
                 raise ProtocolError(f"client hello must carry protocol version {version}")
-            return msg_type, protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
+            return protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
         if msg_type == protocol.MSG_ATTEST_REQUEST:
-            if len(payload) != 32:
-                raise ProtocolError("expected a 32-byte AttestRequest")
             evidence = attest(session, payload, dep.root_key)
-            return protocol.MSG_ATTEST_EVIDENCE, evidence.measurement + evidence.mac
+            return evidence.measurement + evidence.mac
         if msg_type == protocol.MSG_PROVISION_KEYS:
             provision_keys(session, payload)
-            return msg_type, b""
+            return b""
         if msg_type == protocol.MSG_PREDICT:
-            return protocol.MSG_RESULT, handle_predict(dep, session, payload, tap=self.tap)
+            return handle_predict(dep, session, payload, tap=self.tap)
         raise ProtocolError(f"unexpected client message type {msg_type}")

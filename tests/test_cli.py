@@ -354,6 +354,8 @@ class TestSealOpenCli:
         code = main(["open", "--key", IMG_KEY_HEX, "--in", str(sealed),
                      "--out", str(tmp_path / "p.out"), "--expect-type", "result"])
         assert code == 1
+        assert capsys.readouterr().err == "irshield: error: container holds image, expected result\n"
+        assert not (tmp_path / "p.out").exists()
 
 
 def free_port():

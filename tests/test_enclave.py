@@ -142,6 +142,14 @@ class TestAttest:
             attest(session, os.urandom(32), ROOT_KEY)
         assert session.state == "attested"
 
+    @pytest.mark.parametrize("length", [0, 31, 33])
+    def test_nonce_of_another_length_refused_by_the_enclave(self, plain17, length):
+        setup = build_setup(plain17, 4)
+        session = enclave_create(setup["fn_sealed"], setup["lbl_sealed"])
+        with pytest.raises(ProtocolError, match="32-byte"):
+            attest(session, bytes(length), ROOT_KEY)
+        assert session.state == "created"
+
 
 class TestProvision:
     def test_happy_path(self, plain17):
@@ -269,6 +277,16 @@ class TestProvision:
         with pytest.raises(AuthError, match="labels"):
             provision_keys(session, key_msg)
 
+    def test_swapped_artifacts_fail_provisioning(self, plain17):
+        # both open under the model key; each is refused for the role it fills
+        setup = build_setup(plain17, 4)
+        session, key_msg, _ = attested_session(
+            dict(setup, fn_sealed=setup["lbl_sealed"], lbl_sealed=setup["fn_sealed"])
+        )
+        with pytest.raises(AuthError, match="container holds labels, expected frontnet"):
+            provision_keys(session, key_msg)
+        assert session.state == "failed"
+
     def test_key_message_bound_to_session(self, plain17):
         setup = build_setup(plain17, 4)
         session_a = enclave_create(setup["fn_sealed"], setup["lbl_sealed"])
@@ -320,7 +338,7 @@ class TestInfer:
         setup = build_setup(plain17, 4)
         session = ready_session(setup)
         small = Tensor(4, 4, 3, np.zeros(48, dtype=np.float32))
-        with pytest.raises(ProtocolError, match="does not match the model input"):
+        with pytest.raises(ProtocolError, match="does not match layer 1's expected input"):
             infer_encrypted_image(session, sealed_image(small))
 
     def test_raw_plaintext_image_rejected_at_boundary(self, plain17):

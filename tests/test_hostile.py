@@ -9,9 +9,9 @@ is the same for all of them: the input parses, or the decoder raises an
 frame with an error frame or a well-formed reply, and stays ready. The file
 readers are held to their own error type: the netpbm reader to
 ``ShapeError``, and ``parse_network`` on mutated weight bytes to
-``WeightsError``. A deployment whose ``partition.json`` was mutated and
-rehashed in the manifest either fails with an ``IrshieldError`` or can
-answer Hello.
+``WeightsError``. A deployment whose ``partition.json`` or ``backnet.cfg``
+was mutated and rehashed in the manifest either fails with an
+``IrshieldError`` or can answer Hello.
 """
 
 import os
@@ -200,19 +200,37 @@ def test_load_image(image_path, blob):
 def artifacts(tmp_path_factory, plain17):
     directory = tmp_path_factory.mktemp("hostile-artifacts")
     write_artifacts(directory, plain17, 4, LABELS, MODEL_KEY, nonces=(bytes(12), bytes(range(12))))
-    return directory, (directory / "partition.json").read_bytes()
+    return directory, {name: (directory / name).read_bytes()
+                       for name in ("partition.json", "backnet.cfg")}
+
+
+def deploy_mutated(artifacts, name: str, blob: bytes) -> None:
+    """Deploy with artifact ``name`` replaced by ``blob`` and rehashed in the
+    manifest, then put the original back. ``deploy`` must raise an
+    ``IrshieldError`` or return a Deployment whose Hello encodes."""
+    directory, originals = artifacts
+    rewrite_artifact(directory, name, blob)
+    try:
+        dep = deploy(directory, k=1, root_key=ROOT_KEY)
+    except IrshieldError:
+        return
+    finally:
+        rewrite_artifact(directory, name, originals[name])
+    protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
 
 
 @HOSTILE
 @given(data=st.data())
 def test_deploy_partition_record(artifacts, data):
-    directory, record = artifacts
-    rewrite_artifact(directory, "partition.json", data.draw(mutated_text(record)))
-    try:
-        dep = deploy(directory, k=1, root_key=ROOT_KEY)
-    except IrshieldError:
-        return
-    protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
+    record = artifacts[1]["partition.json"]
+    deploy_mutated(artifacts, "partition.json", data.draw(mutated_text(record)))
+
+
+@HOSTILE
+@given(data=st.data())
+def test_deploy_back_config(artifacts, data):
+    config = artifacts[1]["backnet.cfg"]
+    deploy_mutated(artifacts, "backnet.cfg", data.draw(mutated_text(config)))
 
 
 @pytest.fixture(scope="module")

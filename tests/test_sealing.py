@@ -84,6 +84,14 @@ class TestSealOpen:
         with pytest.raises(AuthError):
             open_container(relabeled, KEY)
 
+    def test_opener_names_the_content_type_it_expects(self):
+        # an image and a result both open under the image key; the role tells them apart
+        box = seal(b"result bytes", KEY, "result")
+        assert box.expect_type("result") is box
+        for other in ("frontnet", "labels", "image"):
+            with pytest.raises(AuthError, match=f"container holds result, expected {other}"):
+                box.expect_type(other)
+
     def test_every_field_tamper_fails(self):
         payload = np.random.default_rng(0).bytes(256)
         box = seal(payload, KEY, "image")
@@ -110,6 +118,10 @@ class TestSealOpen:
             SealedContainer.decode(b"QRSC" + blob[4:])
         with pytest.raises(ProtocolError, match="length"):
             SealedContainer.decode(blob + b"extra")
+        with pytest.raises(ProtocolError, match="unsupported container version 2"):
+            SealedContainer.decode(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
+        with pytest.raises(ProtocolError, match="unknown container content type 9"):
+            SealedContainer.decode(blob[:8] + b"\x09" + blob[9:])
 
 
 class TestSplitNetwork:

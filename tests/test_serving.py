@@ -161,6 +161,20 @@ class TestDeploy:
         with pytest.raises(ProtocolError, match=r"input_shape must be three integers"):
             deploy(record_dir, k=3, root_key=ROOT_KEY)
 
+    def test_back_model_without_softmax_refused(self, record_dir):
+        # every Predict would otherwise be answered as a malformed image
+        config = (record_dir / "backnet.cfg").read_text()
+        assert config.endswith("[softmax]\n")
+        rewrite_artifact(record_dir, "backnet.cfg", config[: -len("[softmax]\n")].encode())
+        with pytest.raises(ProtocolError, match=r"back model must end in a \[softmax\] layer"):
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
+
+    def test_back_config_not_utf8_refused(self, record_dir):
+        config = (record_dir / "backnet.cfg").read_bytes()
+        rewrite_artifact(record_dir, "backnet.cfg", b"\xff\xfe" + config)
+        with pytest.raises(ProtocolError, match="back model config is not UTF-8 text"):
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
+
 
 def provisioned_session(dep, img_key=IMG_KEY):
     session = dep.new_session()
@@ -200,6 +214,16 @@ class TestHandlePredict:
         blob[-1] ^= 0x40
         with pytest.raises(AuthError):
             handle_predict(dep, session, bytes(blob))
+
+    def test_sealed_result_replayed_as_image_denied(self, artifact_dir, plain17):
+        # a result opens under the image key, but an image opener refuses it
+        dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
+        session = provisioned_session(dep)
+        sealed = seal(seed_image(plain17.input_shape, 503).encode(), IMG_KEY, "image")
+        result = handle_predict(dep, session, sealed)
+        with pytest.raises(AuthError, match="container holds result, expected image"):
+            handle_predict(dep, session, result)
+        assert session.state == "ready"
 
 
 class WireDriver:
@@ -286,6 +310,22 @@ class TestServing:
             assert code == protocol.ERR_AUTH_FAILURE
             msg_type, _ = driver.predict(seal(x.encode(), IMG_KEY, "image").encode())
             assert msg_type == protocol.MSG_RESULT
+        finally:
+            driver.close()
+
+    def test_result_replayed_as_predict_yields_auth_error_and_connection_survives(
+        self, server, plain17
+    ):
+        driver = WireDriver(server.address)
+        try:
+            driver.handshake()
+            image = seal(seed_image(plain17.input_shape, 517).encode(), IMG_KEY, "image").encode()
+            msg_type, result = driver.predict(image)
+            assert msg_type == protocol.MSG_RESULT
+            msg_type, payload = driver.predict(result)
+            assert msg_type == protocol.MSG_ERROR
+            assert protocol.decode_error(payload)[0] == protocol.ERR_AUTH_FAILURE
+            assert driver.predict(image)[0] == protocol.MSG_RESULT
         finally:
             driver.close()
 
@@ -428,6 +468,21 @@ class TestServing:
         write_netpbm(seed_image(plain17.input_shape, 516), x_path)
         with pytest.raises(ResultAuthError):
             client_predict(server.address, x_path, MODEL_KEY, IMG_KEY, ROOT_KEY)
+
+    def test_image_echoed_as_result_reported_distinctly(self, artifact_dir, test_image):
+        # a host that answers Predict with the client's own sealed image
+        class EchoServer(Server):
+            def _answer(self, session, msg_type, payload):
+                if msg_type == protocol.MSG_PREDICT:
+                    return payload
+                return super()._answer(session, msg_type, payload)
+
+        srv = EchoServer(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY)).start()
+        try:
+            with pytest.raises(ResultAuthError):
+                client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+        finally:
+            srv.stop()
 
     def test_concurrent_clients_with_distinct_keys(self, server, plain17, tmp_path):
         n_clients = 8
