@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .netdef import LayerSpec, build_network, serialize_network, weights_layout
+from .netdef import LayerSpec, NetworkDef, serialize_network, weights_layout
 
 __all__ = ["gen_fixture_model", "FIXTURE_ARCHS"]
 
@@ -121,7 +121,7 @@ def gen_fixture_model(arch: str, seed: int, classes: int) -> tuple[str, bytes]:
         raise ValueError(f"unknown fixture arch {arch!r}; expected one of {FIXTURE_ARCHS}")
 
     input_shape, layers = _ARCHS[arch](classes)
-    net = build_network(
+    net = NetworkDef(
         input_shape, tuple(replace(layer, index=i) for i, layer in enumerate(layers, start=1))
     )
     rng = np.random.default_rng(seed)

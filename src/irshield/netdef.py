@@ -68,7 +68,6 @@ __all__ = [
     "parse_config",
     "parse_network",
     "serialize_network",
-    "build_network",
     "route_crossings",
     "valid_partition_points",
     "layer_output_shape",
@@ -107,17 +106,34 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkDef:
-    """A shape-validated network: layer specs, optional weights, and the
-    input/output shape of every layer.
+    """A shape-checked network: layer specs (1-based indices in order),
+    optional weights, and the input/output shape of every layer, derived from
+    the layers at construction (a layer that does not fit raises ShapeError).
 
     Immutable after load; safe to share across threads.
     """
 
     input_shape: tuple[int, int, int]  # (w, h, c)
     layers: tuple[LayerSpec, ...]
-    weights: tuple | None  # per layer, {weights_layout name: array}
-    layer_input_shapes: tuple[tuple[int, int, int], ...] = field(repr=False)
-    layer_output_shapes: tuple[tuple[int, int, int], ...] = field(repr=False)
+    weights: tuple | None = None  # per layer, {weights_layout name: array}
+    layer_input_shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    layer_output_shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        in_shapes: list[tuple[int, int, int]] = []
+        out_shapes: list[tuple[int, int, int]] = []
+        for position, layer in enumerate(self.layers, start=1):
+            if layer.index != position:
+                raise ShapeError(f"layer {position} carries index {layer.index}")
+            sources = ()
+            if layer.sources:  # only a route has sources
+                if not (0 < min(layer.sources) and max(layer.sources) < position):
+                    raise ShapeError(f"layer {position}: sources {layer.sources} must precede it")
+                sources = tuple(out_shapes[s - 1] for s in layer.sources)
+            in_shapes.append(out_shapes[-1] if out_shapes else self.input_shape)
+            out_shapes.append(layer_output_shape(layer, in_shapes[-1], sources))
+        object.__setattr__(self, "layer_input_shapes", tuple(in_shapes))
+        object.__setattr__(self, "layer_output_shapes", tuple(out_shapes))
 
     @property
     def n_layers(self) -> int:
@@ -293,25 +309,6 @@ def layer_output_shape(
     raise ShapeError(f"{name}: unknown kind {layer.kind!r}")
 
 
-def build_network(input_shape: tuple[int, int, int], layers: tuple[LayerSpec, ...]) -> NetworkDef:
-    """A structure-only NetworkDef over ``layers`` (1-based indices in
-    order), with every layer's input and output shape propagated and checked."""
-    in_shapes: list[tuple[int, int, int]] = []
-    out_shapes: list[tuple[int, int, int]] = []
-    for layer in layers:
-        in_shape = out_shapes[-1] if out_shapes else input_shape
-        sources = tuple(out_shapes[s - 1] for s in layer.sources)
-        in_shapes.append(in_shape)
-        out_shapes.append(layer_output_shape(layer, in_shape, sources))
-    return NetworkDef(
-        input_shape=input_shape,
-        layers=tuple(layers),
-        weights=None,
-        layer_input_shapes=tuple(in_shapes),
-        layer_output_shapes=tuple(out_shapes),
-    )
-
-
 def route_crossings(net: NetworkDef, cut: int, last: int | None = None) -> list[tuple[int, int]]:
     """``(layer, source)`` pairs of the routes in layers ``cut+1..last`` (default: to
     the end) that read layer ``cut`` or earlier, which a range starting after ``cut``
@@ -363,7 +360,7 @@ def parse_config(config_text: str) -> NetworkDef:
         if layer.kind == "softmax" and layer.index != len(layers):
             raise ConfigError("softmax must be the final layer", lline)
 
-    return build_network(input_shape, tuple(layers))
+    return NetworkDef(input_shape, tuple(layers))
 
 
 def _frozen(arr: np.ndarray, shape) -> np.ndarray:

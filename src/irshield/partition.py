@@ -61,27 +61,12 @@ def split_network(net: NetworkDef, cut: int) -> tuple[NetworkDef, NetworkDef]:
         detail = ", ".join(f"layer {t} routes from layer {s}" for t, s in offenders)
         raise PartitionError(f"cut {cut} crosses a route span: {detail}")
 
-    front = NetworkDef(
-        input_shape=net.input_shape,
-        layers=net.layers[:cut],
-        weights=net.weights[:cut],
-        layer_input_shapes=net.layer_input_shapes[:cut],
-        layer_output_shapes=net.layer_output_shapes[:cut],
+    back_layers = tuple(
+        replace(layer, index=layer.index - cut, sources=tuple(s - cut for s in layer.sources))
+        for layer in net.layers[cut:]
     )
-    back_layers = []
-    for layer in net.layers[cut:]:
-        rebased = replace(layer, index=layer.index - cut)
-        if layer.kind == "route":
-            rebased = replace(rebased, sources=tuple(s - cut for s in layer.sources))
-        back_layers.append(rebased)
-    back = NetworkDef(
-        input_shape=net.layer_output_shapes[cut - 1],
-        layers=tuple(back_layers),
-        weights=net.weights[cut:],
-        layer_input_shapes=net.layer_input_shapes[cut:],
-        layer_output_shapes=net.layer_output_shapes[cut:],
-    )
-    return front, back
+    return (NetworkDef(net.input_shape, net.layers[:cut], net.weights[:cut]),
+            NetworkDef(net.layer_output_shapes[cut - 1], back_layers, net.weights[cut:]))
 
 
 def pack_model(config_text: str, weights: bytes) -> bytes:
@@ -229,8 +214,8 @@ def load_artifacts(directory: str | Path) -> PartitionArtifacts:
         raise ProtocolError("the back model must end in a [softmax] layer")
     return PartitionArtifacts(
         directory=directory,
-        frontnet_sealed=SealedContainer.decode(blobs["frontnet.sealed"]),
-        labels_sealed=SealedContainer.decode(blobs["labels.sealed"]),
+        frontnet_sealed=SealedContainer.decode(blobs["frontnet.sealed"]).expect_type("frontnet"),
+        labels_sealed=SealedContainer.decode(blobs["labels.sealed"]).expect_type("labels"),
         backnet=backnet,
         meta=_read_record(blobs["partition.json"], backnet),
         manifest=manifest,

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from irshield.fixtures import gen_fixture_model
-from irshield.netdef import build_network, parse_network
+from irshield.netdef import NetworkDef, parse_network
 from irshield.partition import MANIFEST_NAME, parse_manifest, render_manifest
 from irshield.tensor import Tensor
 from irshield.workload import flop_profile
@@ -44,7 +44,7 @@ def rewrite_artifact(directory: Path, name: str, blob: bytes) -> None:
 def one_layer_flops(layer, input_shape: tuple[int, int, int]) -> int:
     """FLOPs of ``layer`` (index 1) costed as the only layer of a network
     whose input has shape (w, h, c)."""
-    return flop_profile(build_network(input_shape, (layer,))).total
+    return flop_profile(NetworkDef(input_shape, (layer,))).total
 
 
 @pytest.fixture(scope="session")

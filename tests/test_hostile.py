@@ -6,7 +6,10 @@ one, off by one, doubled, the top bit, all ones, or any value). The contract
 is the same for all of them: the input parses, or the decoder raises an
 ``IrshieldError`` that the shared error table does not map to
 ``ERR_INTERNAL``. A ready enclave session answers every mutated Infer or Map
-frame with an error frame or a well-formed reply, and stays ready. The file
+frame with an error frame or a well-formed reply, and stays ready. A fresh
+session answers every mutated Attest or ProvisionKeys frame with its reply
+or an error code other than ``ERR_INTERNAL``; a refused ProvisionKeys leaves
+it ``failed`` and holding no key. The file
 readers are held to their own error type: the netpbm reader to
 ``ShapeError``, and ``parse_network`` on mutated weight bytes to
 ``WeightsError``. A deployment whose ``partition.json`` or ``backnet.cfg``
@@ -14,7 +17,6 @@ was mutated and rehashed in the manifest either fails with an
 ``IrshieldError`` or can answer Hello.
 """
 
-import os
 import re
 import socket
 import struct
@@ -25,11 +27,16 @@ from hypothesis import strategies as st
 
 from irshield import protocol
 from irshield.enclave import (
+    MSG_ATTEST_EVIDENCE,
+    MSG_ATTEST_REQ,
     MSG_ERROR,
     MSG_INFER,
     MSG_IR,
     MSG_MAP,
+    MSG_PROVISION,
+    MSG_PROVISION_OK,
     MSG_RESULT,
+    _wrap_key,
     attest,
     build_key_message,
     decode_result_payload,
@@ -49,6 +56,7 @@ from irshield.server import deploy
 from irshield.tensor import Tensor
 
 from conftest import rewrite_artifact, seed_image
+from test_enclave import held_secrets
 
 MODEL_KEY = bytes(range(32))
 IMG_KEY = bytes(range(32, 64))
@@ -265,13 +273,31 @@ def test_parse_manifest_then_measurement(blob):
 
 
 @pytest.fixture(scope="module")
-def session(front):
-    session = enclave_create(seal(pack_model(*serialize_network(front)), MODEL_KEY, "frontnet"),
-                             seal("\n".join(LABELS).encode(), MODEL_KEY, "labels"))
-    nonce = os.urandom(32)
-    evidence = attest(session, nonce, ROOT_KEY)
-    provision_keys(session, build_key_message(
-        ROOT_KEY, evidence.measurement, nonce, evidence.mac, MODEL_KEY, IMG_KEY))
+def sealed(front):
+    """The sealed front model and labels every enclave session here is made over."""
+    return (seal(pack_model(*serialize_network(front)), MODEL_KEY, "frontnet"),
+            seal("\n".join(LABELS).encode(), MODEL_KEY, "labels"))
+
+
+# With a fixed client nonce every session over the same artifacts attests to
+# the same evidence, so one key message provisions any of them.
+NONCE = bytes(range(96, 128))
+
+
+@pytest.fixture(scope="module")
+def handshake(sealed):
+    """The wrap key and key message of a session attested with ``NONCE``."""
+    evidence = attest(enclave_create(*sealed), NONCE, ROOT_KEY)
+    wrap = _wrap_key(ROOT_KEY, evidence.measurement, NONCE, evidence.mac)
+    return wrap, build_key_message(ROOT_KEY, evidence.measurement, NONCE, evidence.mac,
+                                   MODEL_KEY, IMG_KEY, nonce=bytes(12))
+
+
+@pytest.fixture(scope="module")
+def session(sealed, handshake):
+    session = enclave_create(*sealed)
+    attest(session, NONCE, ROOT_KEY)
+    provision_keys(session, handshake[1])
     return session
 
 
@@ -315,3 +341,71 @@ def test_enclave_map(session, data):
         decode_result_payload(open_container(SealedContainer.decode(payload), IMG_KEY))
 
     assert_error_or_reply(session, data.draw(mutated(request, fields)), MSG_RESULT, check_result)
+
+
+def reply_type(session, request: bytes) -> int:
+    """The type of the session's reply to ``request``; an error frame must
+    carry a code other than ``ERR_INTERNAL``."""
+    msg_type, payload = protocol.unpack_frame(session.call(request))
+    if msg_type == MSG_ERROR:
+        code, message = protocol.decode_error(payload)
+        assert code != protocol.ERR_INTERNAL, message
+    return msg_type
+
+
+def frame_type(request: bytes) -> int | None:
+    try:
+        return protocol.unpack_frame(request)[0]
+    except ProtocolError:
+        return None
+
+
+@HOSTILE
+@given(data=st.data())
+def test_enclave_attest_frame(sealed, data):
+    # any 32-byte root key attests; only the nonce's length is checked
+    session = enclave_create(*sealed)
+    request = protocol.pack_frame(MSG_ATTEST_REQ, ROOT_KEY + NONCE)
+    got = reply_type(session, data.draw(mutated(request, ((0, "B"), (1, "<Q")))))
+    assert got in (MSG_ATTEST_EVIDENCE, MSG_ERROR)
+    assert session.state == ("attested" if got == MSG_ATTEST_EVIDENCE else "created")
+
+
+@st.composite
+def provision_requests(draw, wrap: bytes, key_msg: bytes):
+    """A ProvisionKeys frame mutated as by ``mutated``, a frame around a
+    mutated key message, or one whose sender holds the wrap key and wraps
+    mutated key material."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    kind = draw(st.sampled_from(["frame", "message", "keys"]))
+    if kind == "frame":
+        return draw(mutated(protocol.pack_frame(MSG_PROVISION, key_msg), ((0, "B"), (1, "<Q"))))
+    if kind == "message":
+        return protocol.pack_frame(MSG_PROVISION, draw(mutated(key_msg)))
+    keys = draw(mutated(MODEL_KEY + IMG_KEY))
+    nonce = bytes(12)
+    return protocol.pack_frame(
+        MSG_PROVISION, nonce + AESGCM(wrap).encrypt(nonce, keys, b"irshield-keys"))
+
+
+@HOSTILE
+@given(data=st.data())
+def test_enclave_provision_frame(sealed, handshake, data):
+    wrap, key_msg = handshake
+    session = enclave_create(*sealed)
+    attest(session, NONCE, ROOT_KEY)
+    request = data.draw(provision_requests(wrap, key_msg))
+    got = reply_type(session, request)
+    assert got in (MSG_PROVISION_OK, MSG_ERROR)
+    if got == MSG_PROVISION_OK:
+        assert session.state == "ready"
+    elif frame_type(request) == MSG_PROVISION:
+        # a refused ProvisionKeys fails the session and leaves it no secret
+        assert session.state == "failed"
+        secrets = {"root key": ROOT_KEY, "model key": MODEL_KEY, "image key": IMG_KEY,
+                   "wrap key": wrap}
+        assert held_secrets(session, secrets) == []
+    else:
+        # a frame of another type or length never reaches the handler
+        assert session.state == "attested"

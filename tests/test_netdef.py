@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from irshield.errors import ConfigError, ShapeError, WeightsError
 from irshield.netdef import (
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
+    LayerSpec,
+    NetworkDef,
     parse_config,
     parse_network,
     serialize_network,
@@ -228,6 +232,37 @@ def test_kernel_must_fit_input():
     cfg = "[net]\nwidth=2\nheight=2\nchannels=1\n\n[convolutional]\nfilters=1\nsize=5\n"
     with pytest.raises(ShapeError, match=r"layer 1 \(convolutional\)"):
         parse_config(cfg)
+
+
+CONV3 = LayerSpec(index=1, kind="convolutional", filters=2, size=3)
+
+
+def test_network_derives_every_layer_shape():
+    route = LayerSpec(index=2, kind="route", sources=(1,))
+    net = NetworkDef((4, 4, 1), (CONV3, route))
+    assert net.weights is None
+    assert net.layer_input_shapes == ((4, 4, 1), (2, 2, 2))
+    assert net.layer_output_shapes == ((2, 2, 2), (2, 2, 2))
+    with pytest.raises(TypeError):
+        NetworkDef((4, 4, 1), (CONV3,), None, ((4, 4, 1),), ((2, 2, 2),))
+
+
+def test_layer_that_does_not_fit_refused_at_construction():
+    with pytest.raises(ShapeError, match=r"layer 1 \(convolutional\): kernel 3 does not fit input 2x2"):
+        NetworkDef((2, 2, 1), (CONV3,))
+    # replace constructs again, so its shapes are derived and checked again
+    with pytest.raises(ShapeError, match="does not fit"):
+        replace(NetworkDef((4, 4, 1), (CONV3,)), input_shape=(2, 2, 1))
+
+
+@pytest.mark.parametrize("layers, message", [
+    ((replace(CONV3, index=2),), "layer 1 carries index 2"),
+    ((CONV3, LayerSpec(index=2, kind="route", sources=(2,))), r"layer 2: sources \(2,\)"),
+    ((CONV3, LayerSpec(index=2, kind="route", sources=(0,))), r"layer 2: sources \(0,\)"),
+])
+def test_layer_numbering_checked_at_construction(layers, message):
+    with pytest.raises(ShapeError, match=message):
+        NetworkDef((4, 4, 1), layers)
 
 
 def test_serialize_round_trip(plain17):

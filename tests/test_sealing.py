@@ -4,7 +4,7 @@ import pytest
 from irshield.engine import forward, forward_range
 from irshield.errors import AuthError, PartitionError, ProtocolError
 from irshield.fixtures import gen_fixture_model
-from irshield.netdef import parse_network, serialize_network
+from irshield.netdef import parse_network, serialize_network, valid_partition_points
 from irshield.partition import (
     load_artifacts,
     pack_model,
@@ -143,6 +143,18 @@ class TestSplitNetwork:
             ir = forward_range(front, 1, front.n_layers, x)
             out = forward_range(back, 1, back.n_layers, ir)
             assert out.array.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("arch", ["plain17", "plain28", "denseblock"])
+    def test_halves_carry_the_parent_shapes_at_every_valid_cut(self, arch, request):
+        net = request.getfixturevalue(arch)
+        for cut in sorted(valid_partition_points(net)):
+            front, back = split_network(net, cut)
+            assert front.input_shape == net.input_shape
+            assert front.layer_input_shapes == net.layer_input_shapes[:cut]
+            assert front.layer_output_shapes == net.layer_output_shapes[:cut]
+            assert back.input_shape == net.layer_output_shapes[cut - 1]
+            assert back.layer_input_shapes == net.layer_input_shapes[cut:]
+            assert back.layer_output_shapes == net.layer_output_shapes[cut:]
 
     def test_interior_cut_rejected(self, denseblock):
         with pytest.raises(PartitionError, match="routes from layer"):

@@ -169,6 +169,18 @@ class TestDeploy:
         with pytest.raises(ProtocolError, match=r"back model must end in a \[softmax\] layer"):
             deploy(record_dir, k=3, root_key=ROOT_KEY)
 
+    @pytest.mark.parametrize("slots, message", [
+        (("labels.sealed", "frontnet.sealed"), "container holds labels, expected frontnet"),
+        (("frontnet.sealed", "frontnet.sealed"), "container holds frontnet, expected labels"),
+    ])
+    def test_sealed_artifact_in_the_wrong_slot_refused(self, record_dir, slots, message):
+        # each container's content type is in its clear header
+        blobs = [(record_dir / name).read_bytes() for name in slots]
+        rewrite_artifact(record_dir, "frontnet.sealed", blobs[0])
+        rewrite_artifact(record_dir, "labels.sealed", blobs[1])
+        with pytest.raises(AuthError, match=message):
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
+
     def test_back_config_not_utf8_refused(self, record_dir):
         config = (record_dir / "backnet.cfg").read_bytes()
         rewrite_artifact(record_dir, "backnet.cfg", b"\xff\xfe" + config)

@@ -32,7 +32,7 @@ from irshield.fixtures import _draw
 from irshield.netdef import (
     ACTIVATIONS,
     LayerSpec,
-    build_network,
+    NetworkDef,
     layer_output_shape,
     parse_network,
     serialize_network,
@@ -99,7 +99,7 @@ def networks(draw):
 
 def _weighted(input_shape, layers, seed: int):
     """The parsed network over ``layers``, with weights drawn as the fixtures draw them."""
-    net = build_network(input_shape, tuple(layers))
+    net = NetworkDef(input_shape, tuple(layers))
     rng = np.random.default_rng(seed)
     per_layer = [
         {name: _draw(rng, name, dims) for name, dims in weights_layout(layer, s)}
