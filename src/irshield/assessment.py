@@ -197,7 +197,7 @@ def _score_layers(layers, irval: NetworkDef, probs, baseline: float) -> list[Lay
     if not layers:
         return []
     n, oc = irval.n_layers, irval.input_shape[2]
-    split = _oracle_split(irval, 1 + sum(out.channels for _, out in layers))
+    split = _oracle_split(irval, 1 + sum(out.shape[2] for _, out in layers))
     pending = np.zeros((1, *irval.input_shape[1::-1]), np.float32)  # row 0: the all-zero image
     heads, varying = [], []
     for k, (i, out) in enumerate(layers, start=1):
@@ -214,7 +214,7 @@ def _score_layers(layers, irval: NetworkDef, probs, baseline: float) -> list[Lay
     kls = kl_divergence(probs, q.reshape(len(q), -1)).tolist()
     stats, at = [], 1
     for (i, out), rows in zip(layers, varying):
-        scores = [kls[0]] * out.channels  # constant maps share the zero image's score
+        scores = [kls[0]] * out.shape[2]  # constant maps share the zero image's score
         for j, kl in zip(rows.tolist(), kls[at : at + len(rows)]):
             scores[j] = kl
         at += len(rows)

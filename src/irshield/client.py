@@ -63,8 +63,8 @@ def client_predict(
     image = load_image(image_path)
 
     with socket.create_connection(server_addr, timeout=TIMEOUT_S) as sock:
-        version = protocol.PROTOCOL_VERSION.to_bytes(4, "little")
-        info = protocol.parse_server_hello(_exchange(sock, protocol.MSG_HELLO, version))
+        hello = _exchange(sock, protocol.MSG_HELLO, protocol.CLIENT_HELLO)
+        info = protocol.parse_server_hello(hello)
         if image.shape != info["input_shape"]:
             image = resize_to_shape(image, info["input_shape"])
 

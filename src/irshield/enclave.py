@@ -40,7 +40,7 @@ from .engine import forward_range
 from .errors import AuthError, IrshieldError, ProtocolError, ShapeError, StateError
 from .netdef import parse_network
 from .partition import unpack_model
-from .sealing import KEY_LEN, NONCE_LEN, SealedContainer, open_container, seal
+from .sealing import KEY_LEN, NONCE_LEN, SealedContainer, check_key, open_container, seal
 from .tensor import Tensor
 
 __all__ = [
@@ -71,6 +71,12 @@ MSG_IR = 0x15
 MSG_MAP = 0x16
 MSG_RESULT = 0x17
 MSG_ERROR = 0x1F
+
+_ATTEST_REQUEST = struct.Struct(f"{KEY_LEN}s32s")  # root key, client nonce
+_EVIDENCE = struct.Struct("32s32s")  # measurement, MAC
+_COUNT = struct.Struct("<I")  # entries in a class-mapping request or a result
+_MAP_ENTRY = struct.Struct("<If")  # class index, score
+_RESULT_ENTRY = struct.Struct("<IfH")  # class index, score, label length; the label follows
 
 def _mac(root_key: bytes, *parts: bytes) -> bytes:
     return hmac.new(root_key, b"".join(parts), hashlib.sha256).digest()
@@ -117,12 +123,11 @@ def build_key_message(
     # the AES library loads on first use, as in :mod:`irshield.sealing`
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-    if len(model_key) != KEY_LEN or len(img_key) != KEY_LEN:
-        raise ValueError(f"keys must be {KEY_LEN} bytes")
-    wrap = _wrap_key(root_key, measurement, client_nonce, evidence_mac)
+    keys = check_key(model_key, "model key") + check_key(img_key, "image key")
+    wrap = _wrap_key(check_key(root_key, "root key"), measurement, client_nonce, evidence_mac)
     if nonce is None:
         nonce = os.urandom(NONCE_LEN)
-    return nonce + AESGCM(wrap).encrypt(nonce, model_key + img_key, b"irshield-keys")
+    return nonce + AESGCM(wrap).encrypt(nonce, keys, b"irshield-keys")
 
 
 @dataclass(frozen=True)
@@ -132,27 +137,25 @@ class AttestationEvidence:
 
 
 def encode_result_payload(entries: list[tuple[int, str, float]]) -> bytes:
-    chunks = [struct.pack("<I", len(entries))]
+    chunks = [_COUNT.pack(len(entries))]
     for index, label, score in entries:
         raw = label.encode()
-        chunks.append(struct.pack("<If", index, score))
-        chunks.append(struct.pack("<H", len(raw)))
+        chunks.append(_RESULT_ENTRY.pack(index, score, len(raw)))
         chunks.append(raw)
     return b"".join(chunks)
 
 
 def decode_result_payload(blob: bytes) -> list[tuple[int, str, float]]:
-    if len(blob) < 4:
+    if len(blob) < _COUNT.size:
         raise ProtocolError("result payload shorter than its count header")
-    (count,) = struct.unpack_from("<I", blob, 0)
-    pos = 4
+    (count,) = _COUNT.unpack_from(blob)
+    pos = _COUNT.size
     out = []
     for _ in range(count):
-        if len(blob) < pos + 10:
+        if len(blob) < pos + _RESULT_ENTRY.size:
             raise ProtocolError("result payload truncated")
-        index, score = struct.unpack_from("<If", blob, pos)
-        (label_len,) = struct.unpack_from("<H", blob, pos + 8)
-        pos += 10
+        index, score, label_len = _RESULT_ENTRY.unpack_from(blob, pos)
+        pos += _RESULT_ENTRY.size
         if len(blob) < pos + label_len:
             raise ProtocolError("result payload truncated")
         try:
@@ -235,13 +238,13 @@ class EnclaveSession:
         self._labels = None
 
     def _handle_attest(self, payload: bytes) -> bytes:
-        if len(payload) != 64:
+        if len(payload) != _ATTEST_REQUEST.size:
             raise ProtocolError("attest request must carry a 32-byte root key and nonce")
-        root_key, client_nonce = payload[:32], payload[32:]
+        root_key, client_nonce = _ATTEST_REQUEST.unpack(payload)
         mac = _mac(root_key, b"attest", self.measurement, client_nonce)
         self._wrap = _wrap_key(root_key, self.measurement, client_nonce, mac)
         self.state = "attested"
-        return self.measurement + mac
+        return _EVIDENCE.pack(self.measurement, mac)
 
     def _handle_provision(self, payload: bytes) -> bytes:
         from cryptography.exceptions import InvalidTag
@@ -294,15 +297,15 @@ class EnclaveSession:
         return ir.encode()
 
     def _handle_map(self, payload: bytes) -> bytes:
-        # u32 count, then count (u32 index, f32 score) entries; the seal
-        # nonce is always drawn here, never taken from the host
-        if len(payload) < 4:
+        # a count, then that many entries; the seal nonce is always drawn
+        # here, never taken from the host
+        if len(payload) < _COUNT.size:
             raise ProtocolError("class-mapping request truncated")
-        (count,) = struct.unpack_from("<I", payload, 0)
-        if len(payload) != 4 + count * 8:
+        (count,) = _COUNT.unpack_from(payload)
+        if len(payload) != _COUNT.size + count * _MAP_ENTRY.size:
             raise ProtocolError("class-mapping request length does not match its entry count")
         entries = []
-        for index, score in struct.iter_unpack("<If", payload[4:]):
+        for index, score in _MAP_ENTRY.iter_unpack(payload[_COUNT.size :]):
             if not (1 <= index <= len(self._labels)):
                 raise ShapeError(f"class index {index} outside 1..{len(self._labels)}")
             entries.append((index, self._labels[index - 1], score))
@@ -342,10 +345,9 @@ def enclave_create(
 def attest(session: EnclaveSession, client_nonce: bytes, root_key: bytes) -> AttestationEvidence:
     """MAC the session measurement together with the client's nonce, which
     the enclave refuses unless it is 32 bytes."""
-    if len(root_key) != KEY_LEN:
-        raise ValueError(f"root key must be {KEY_LEN} bytes")
-    payload = _call(session, MSG_ATTEST_REQ, root_key + client_nonce)
-    return AttestationEvidence(measurement=payload[:32], mac=payload[32:])
+    # joined, not packed: a nonce of another length reaches the enclave, which refuses it
+    payload = _call(session, MSG_ATTEST_REQ, check_key(root_key, "root key") + client_nonce)
+    return AttestationEvidence(*_EVIDENCE.unpack(payload))
 
 
 def provision_keys(session: EnclaveSession, key_msg: bytes) -> None:
@@ -366,7 +368,5 @@ def map_classes(session: EnclaveSession, pv_top: list[tuple[int, float]]) -> byt
     """Translate (class index, score) pairs to labeled results, sealed under
     the session's image key with a nonce the enclave draws. Returns the
     encoded result container exactly as the enclave framed it."""
-    body = struct.pack("<I", len(pv_top))
-    for index, score in pv_top:
-        body += struct.pack("<If", index, score)
-    return _call(session, MSG_MAP, body)
+    body = b"".join(_MAP_ENTRY.pack(index, score) for index, score in pv_top)
+    return _call(session, MSG_MAP, _COUNT.pack(len(pv_top)) + body)

@@ -67,7 +67,7 @@ def resize_to_shape(image: Tensor, shape: tuple[int, int, int]) -> Tensor:
     channel replication (1 -> c) or averaging (c -> 1 -> c')."""
     w, h, c = shape
     adapted = _adapt_channels(bilinear_resize(image.array, h, w), c)
-    return Tensor.from_array(np.clip(adapted, 0.0, 1.0).astype(np.float32))
+    return Tensor.from_array(np.clip(adapted, 0.0, 1.0))
 
 
 # --- netpbm ------------------------------------------------------------------
@@ -135,8 +135,7 @@ def load_image(path: str | Path) -> Tensor:
     if samples.max(initial=0) > maxval:
         raise ShapeError("netpbm sample exceeds declared maxval")
 
-    scaled = (samples / maxval).astype(np.float32)
     # raster order is row-major with interleaved channels
-    arr = scaled.reshape(height, width, channels).transpose(2, 0, 1)
+    arr = (samples / maxval).reshape(height, width, channels).transpose(2, 0, 1)
     return Tensor.from_array(arr)
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import PartitionError, ProtocolError, ShapeError
 from .netdef import NetworkDef, parse_network, route_crossings, serialize_network
+from .protocol import check_input_shape
 from .sealing import SealedContainer, seal
 
 __all__ = [
@@ -224,8 +225,8 @@ def load_artifacts(directory: str | Path) -> PartitionArtifacts:
 
 def _read_record(blob: bytes, backnet: NetworkDef) -> dict:
     """The partition record, refused unless it holds the keys ``write_artifacts``
-    writes and its two shapes are three u32 sizes each, the boundary tensor's
-    being the back model's input."""
+    writes and its two shapes are three u32 sizes each, the input's one a
+    client can send and the boundary tensor's the back model's input."""
     try:
         meta = json.loads(blob)
     except ValueError:  # not UTF-8, not JSON, or a number too long to convert
@@ -239,6 +240,7 @@ def _read_record(blob: bytes, backnet: NetworkDef) -> dict:
         if not (isinstance(shape, list) and len(shape) == 3
                 and all(type(d) is int and 0 < d < 2**32 for d in shape)):
             raise ProtocolError(f"partition.json {key} must be three integers in [1, 2**32)")
+    check_input_shape(tuple(meta["input_shape"]), "partition.json")
     if backnet.input_shape != tuple(meta["ir_shape"]):
         raise ShapeError(
             f"back model expects input {backnet.input_shape}, "

@@ -4,7 +4,8 @@ Frame layout: type u8 | payload length u64 LE | payload. Types::
 
     01 Hello          client: u32 LE protocol version
                       server: u32 LE version, u32 w, u32 h, u32 c,
-                              u32 classes, u32 k
+                              u32 classes, u32 k; a shape with a zero
+                              size or over 64 MiB of f32 values is refused
     02 AttestRequest  32-byte client nonce
     03 AttestEvidence 32-byte measurement + 32-byte MAC
     04 ProvisionKeys  wrapped key message (empty payload as the server ack)
@@ -20,6 +21,7 @@ own message types.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 from typing import NoReturn
@@ -41,6 +43,7 @@ __all__ = [
     "ERR_INTERNAL",
     "MAX_PAYLOAD",
     "PROTOCOL_VERSION",
+    "CLIENT_HELLO",
     "REPLY_TYPES",
     "pack_frame",
     "unpack_frame",
@@ -52,6 +55,7 @@ __all__ = [
     "read_frame",
     "send_frame",
     "FrameTooLarge",
+    "check_input_shape",
     "server_hello_payload",
     "parse_server_hello",
 ]
@@ -81,8 +85,12 @@ ERR_INTERNAL = 5
 
 MAX_PAYLOAD = 64 * 1024 * 1024
 PROTOCOL_VERSION = 1
+CLIENT_HELLO = PROTOCOL_VERSION.to_bytes(4, "little")
 _HEADER = struct.Struct("<BQ")
 HEADER_LEN = _HEADER.size
+_ERROR_CODE = struct.Struct("<H")
+# version, input w, h, c, classes, k
+_SERVER_HELLO = struct.Struct("<IIIIII")
 
 
 class FrameTooLarge(ProtocolError):
@@ -133,14 +141,14 @@ def error_code(exc: BaseException) -> int:
 
 
 def error_payload(code: int, message: str) -> bytes:
-    return struct.pack("<H", code) + message.encode()
+    return _ERROR_CODE.pack(code) + message.encode()
 
 
 def decode_error(payload: bytes) -> tuple[int, str]:
-    if len(payload) < 2:
+    if len(payload) < _ERROR_CODE.size:
         raise ProtocolError("error payload shorter than its code")
-    (code,) = struct.unpack_from("<H", payload, 0)
-    return code, payload[2:].decode(errors="replace")
+    (code,) = _ERROR_CODE.unpack_from(payload)
+    return code, payload[_ERROR_CODE.size :].decode(errors="replace")
 
 
 def raise_error(payload: bytes) -> NoReturn:
@@ -177,15 +185,24 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes) -> None:
     sock.sendall(encode_frame(msg_type, payload))
 
 
+def check_input_shape(shape: tuple[int, int, int], source: str) -> None:
+    """Refuse a (w, h, c) input shape that cannot be sent as one Predict: one
+    with a zero size, or whose f32 values alone exceed ``MAX_PAYLOAD``."""
+    if not 0 < math.prod(shape) <= MAX_PAYLOAD // 4:
+        w, h, c = shape
+        raise ProtocolError(f"{source} input shape {w}x{h}x{c} cannot be sent in one Predict")
+
+
 def server_hello_payload(input_shape: tuple[int, int, int], classes: int, k: int) -> bytes:
-    w, h, c = input_shape
-    return struct.pack("<IIIIII", PROTOCOL_VERSION, w, h, c, classes, k)
+    return _SERVER_HELLO.pack(PROTOCOL_VERSION, *input_shape, classes, k)
 
 
 def parse_server_hello(payload: bytes) -> dict:
-    if len(payload) != 24:
-        raise ProtocolError(f"server hello must be 24 bytes, got {len(payload)}")
-    version, w, h, c, classes, k = struct.unpack("<IIIIII", payload)
+    """The Hello reply's fields, if its version is ours and its shape can be sent."""
+    if len(payload) != _SERVER_HELLO.size:
+        raise ProtocolError(f"server hello must be {_SERVER_HELLO.size} bytes, got {len(payload)}")
+    version, w, h, c, classes, k = _SERVER_HELLO.unpack(payload)
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version {version}")
+    check_input_shape((w, h, c), "server hello")
     return {"version": version, "input_shape": (w, h, c), "classes": classes, "k": k}

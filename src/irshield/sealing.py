@@ -29,6 +29,7 @@ __all__ = [
     "SealedContainer",
     "seal",
     "open_container",
+    "check_key",
     "CONTAINER_MAGIC",
     "CONTAINER_VERSION",
     "KEY_LEN",
@@ -48,9 +49,10 @@ CONTENT_NAMES = {code: name for name, code in CONTENT_TYPES.items()}
 _HEADER = struct.Struct(f"<4sIB{NONCE_LEN}sQ")
 
 
-def _check_key(key: bytes) -> bytes:
+def check_key(key: bytes, name: str = "key") -> bytes:
+    """``key`` as bytes, or ValueError naming it unless it is ``KEY_LEN`` bytes."""
     if not isinstance(key, (bytes, bytearray)) or len(key) != KEY_LEN:
-        raise ValueError(f"key must be exactly {KEY_LEN} bytes")
+        raise ValueError(f"{name} must be {KEY_LEN} bytes")
     return bytes(key)
 
 
@@ -111,7 +113,7 @@ def seal(
     """
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-    key = _check_key(key)
+    key = check_key(key)
     try:
         code = CONTENT_TYPES[content_type]
     except KeyError:
@@ -136,7 +138,7 @@ def open_container(container: SealedContainer, key: bytes) -> bytes:
     from cryptography.exceptions import InvalidTag
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-    key = _check_key(key)
+    key = check_key(key)
     try:
         return AESGCM(key).decrypt(
             container.nonce,

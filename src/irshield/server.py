@@ -34,7 +34,7 @@ from .engine import forward, top_k
 from .errors import IrshieldError, ProtocolError
 from .netdef import NetworkDef
 from .partition import PartitionArtifacts, load_artifacts
-from .sealing import KEY_LEN
+from .sealing import check_key
 
 __all__ = ["Deployment", "deploy", "handle_predict", "Server"]
 
@@ -70,8 +70,7 @@ def deploy(model_dir: str | Path, k: int = 5, *, root_key: bytes) -> Deployment:
     the back model, whose class count bounds ``k``. No enclave session is made
     here: each connection gets its own from :meth:`Deployment.new_session`.
     """
-    if not isinstance(root_key, bytes) or len(root_key) != KEY_LEN:
-        raise ValueError(f"root key must be {KEY_LEN} bytes")
+    root_key = check_key(root_key, "root key")
     artifacts = load_artifacts(model_dir)
     classes = artifacts.backnet.class_count()
     if not (1 <= k <= classes):
@@ -211,9 +210,8 @@ class Server:
         """The payload of the reply to one client frame."""
         dep = self.dep
         if msg_type == protocol.MSG_HELLO:
-            version = protocol.PROTOCOL_VERSION
-            if payload != version.to_bytes(4, "little"):
-                raise ProtocolError(f"client hello must carry protocol version {version}")
+            if payload != protocol.CLIENT_HELLO:
+                raise ProtocolError(f"client hello is not version {protocol.PROTOCOL_VERSION}")
             return protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
         if msg_type == protocol.MSG_ATTEST_REQUEST:
             evidence = attest(session, payload, dep.root_key)

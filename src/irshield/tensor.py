@@ -1,8 +1,9 @@
 """Dense 3-D tensors (width x height x channels) of 32-bit reals.
 
-The flat element order, of the constructor's ``data`` and of the encoded
-values, is channel-major, then row-major within a channel:
-``data[c*(w*h) + y*w + x]``. All layer math in :mod:`irshield.engine`
+A tensor is made only by :meth:`Tensor.from_array` from a ``(c, h, w)``
+array. The flat order of the encoded values is that array's:
+channel-major, then row-major within a channel,
+``values[c*(w*h) + y*w + x]``. All layer math in :mod:`irshield.engine`
 consumes and produces this layout.
 """
 
@@ -16,6 +17,10 @@ from .errors import ShapeError
 
 __all__ = ["Tensor"]
 
+# the encoded form: u32 LE w, h, c, then f32 LE values
+_HEADER = struct.Struct("<III")
+_VALUE = np.dtype("<f4")
+
 
 class Tensor:
     """A w x h x c block of float32 values backed by a numpy array.
@@ -26,33 +31,17 @@ class Tensor:
 
     __slots__ = ("_arr",)
 
-    def __init__(self, width: int, height: int, channels: int, data):
-        if width < 1 or height < 1 or channels < 1:
-            raise ShapeError(
-                f"tensor dimensions must be positive, got {width}x{height}x{channels}"
-            )
-        arr = np.asarray(data, dtype=np.float32).reshape(-1)
-        expected = width * height * channels
-        if arr.size != expected:
-            raise ShapeError(
-                f"tensor data length {arr.size} != w*h*c = {expected} "
-                f"for shape {width}x{height}x{channels}"
-            )
-        arr = arr.reshape(channels, height, width).copy()
-        arr.flags.writeable = False
-        self._arr = arr
-
     @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Tensor":
-        """Wrap a ``(c, h, w)`` array."""
-        if arr.ndim != 3:
-            raise ShapeError(f"expected a 3-D (c, h, w) array, got ndim={arr.ndim}")
-        c, h, w = arr.shape
-        return cls(w, h, c, arr)
-
-    @property
-    def channels(self) -> int:
-        return self._arr.shape[0]
+    def from_array(cls, arr) -> "Tensor":
+        """A tensor holding a float32 copy of a non-empty ``(c, h, w)`` array."""
+        arr = np.array(arr, dtype=np.float32, order="C")
+        if arr.ndim != 3 or arr.size == 0:
+            raise ShapeError(f"a tensor is a 3-D (c, h, w) array of positive dimensions, "
+                             f"got shape {arr.shape}")
+        arr.flags.writeable = False
+        tensor = cls.__new__(cls)
+        tensor._arr = arr
+        return tensor
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -71,30 +60,25 @@ class Tensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self._arr.shape == other._arr.shape and bool(
-            (self._arr == other._arr).all()
-        )
+        return np.array_equal(self._arr, other._arr)
 
     def __repr__(self) -> str:
         w, h, c = self.shape
         return f"Tensor({w}x{h}x{c})"
 
     # Binary codec used wherever tensors cross a byte boundary (sealed image
-    # payloads, enclave boundary messages): u32 LE w, h, c then f32 LE values.
+    # payloads, enclave boundary messages).
 
     def encode(self) -> bytes:
-        w, h, c = self.shape
-        return struct.pack("<III", w, h, c) + self._arr.astype("<f4").tobytes()
+        return _HEADER.pack(*self.shape) + self._arr.astype(_VALUE).tobytes()
 
     @classmethod
     def decode(cls, blob: bytes) -> "Tensor":
-        if len(blob) < 12:
-            raise ShapeError("tensor blob shorter than its 12-byte header")
-        w, h, c = struct.unpack_from("<III", blob, 0)
-        expected = 12 + 4 * w * h * c
+        if len(blob) < _HEADER.size:
+            raise ShapeError(f"tensor blob shorter than its {_HEADER.size}-byte header")
+        w, h, c = _HEADER.unpack_from(blob)
+        expected = _HEADER.size + _VALUE.itemsize * w * h * c
         if len(blob) != expected:
-            raise ShapeError(
-                f"tensor blob length {len(blob)} != expected {expected} bytes"
-            )
-        values = np.frombuffer(blob, dtype="<f4", offset=12)
-        return cls(w, h, c, values)
+            raise ShapeError(f"tensor blob length {len(blob)} != expected {expected} bytes")
+        values = np.frombuffer(blob, dtype=_VALUE, offset=_HEADER.size)
+        return cls.from_array(values.reshape(c, h, w))

@@ -11,7 +11,7 @@ increasing across every real topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 from .netdef import LayerSpec, NetworkDef
 
@@ -60,15 +60,11 @@ def flop_profile(net: NetworkDef) -> FlopProfile:
         )
     ]
     total = sum(counts)
-    cumulative = []
-    running = 0
-    for count in counts:
-        running += count
-        cumulative.append(float(Fraction(running, total)))
     return FlopProfile(
         kinds=tuple(layer.kind for layer in net.layers),
         per_layer=tuple(counts),
-        cumulative=tuple(cumulative),
+        # int / int is correctly rounded: the nearest float to the exact ratio
+        cumulative=tuple(running / total for running in accumulate(counts)),
         total=total,
     )
 

@@ -275,7 +275,7 @@ def _span_01_image():
     rng = np.random.default_rng(8)
     vals = rng.random(16)
     vals[0], vals[-1] = 0.0, 1.0
-    return Tensor(4, 4, 1, vals.astype(np.float32))
+    return Tensor.from_array(vals.reshape(1, 4, 4))
 
 
 class TestAssessLayer:
@@ -480,7 +480,7 @@ class TestConstantMapsShareOnePass:
         irgen = parse_network(UNPADDED_GEN_CFG, pack_weights(
             *np.random.default_rng(12).normal(0.0, 1.0, 3 + 27 + 2 + 6)))
         irval = _small_oracle()
-        x = Tensor(8, 8, 1, np.full(64, 0.7))
+        x = Tensor.from_array(np.full((1, 8, 8), 0.7))
         for out in _generator_outputs(x, irgen, irgen.n_layers - 1):
             assert np.all(out.array == out.array[:, :1, :1])
         report = assess_model([x], irgen, irval)
@@ -507,7 +507,7 @@ class TestConstantMapsShareOnePass:
     @pytest.mark.parametrize("oracle_arch", ["plain17", "denseblock"])
     def test_multi_input_report_with_a_constant_image(self, oracle_arch, plain17, denseblock):
         oracle = plain17 if oracle_arch == "plain17" else denseblock
-        xs = [seed_image(plain17.input_shape, 84), Tensor(32, 32, 3, np.full(32 * 32 * 3, 0.4)),
+        xs = [seed_image(plain17.input_shape, 84), Tensor.from_array(np.full((3, 32, 32), 0.4)),
               seed_image(plain17.input_shape, 85)]
         want = assess_one_map_at_a_time(xs, plain17, oracle)
         assert report_tsv(assess_model(xs, plain17, oracle)) == report_tsv(want)

@@ -12,7 +12,7 @@ from irshield.imageio import load_image
 from irshield.netdef import parse_network
 from irshield.sealing import SealedContainer
 
-from conftest import rewrite_artifact, seed_image, write_netpbm
+from conftest import GOLDEN_DIR, rewrite_artifact, seed_image, write_netpbm
 
 MODEL_KEY_HEX = bytes(range(32)).hex()
 IMG_KEY_HEX = bytes(range(32, 64)).hex()
@@ -178,6 +178,39 @@ def test_partition_deterministic_with_seed(model_files, labels_file, tmp_path):
         ])
         blobs.append((out / "frontnet.sealed").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+WALKTHROUGH_GOLDEN = GOLDEN_DIR / "walkthrough.json"
+
+
+def run_walkthrough(demo):
+    """The README walkthrough's offline steps, with the inputs CI gives them,
+    in ``demo``; returns the text of each pinned output by its path there."""
+    for name, seed in (("model", "42"), ("oracle", "2")):
+        assert main(["gen-fixture", "--arch", "plain17", "--seed", seed, "--classes", "10",
+                     "--out-prefix", str(demo / name)]) == 0
+    images = demo / "images"
+    images.mkdir()
+    for k in (0, 1):
+        raster = bytes((i * 7 + 91 * k) % 256 for i in range(3072))
+        (images / f"img-{k}.ppm").write_bytes(b"P6 32 32 255\n" + raster)
+    assert main(["assess", "--model", str(demo / "model.cfg"),
+                 "--weights", str(demo / "model.weights"),
+                 "--oracle", str(demo / "oracle.cfg"),
+                 "--oracle-weights", str(demo / "oracle.weights"),
+                 "--images", str(images), "--out-prefix", str(demo / "report")]) == 0
+    (demo / "labels.txt").write_text("".join(f"class-{i}\n" for i in range(10)))
+    assert main(["partition", "--model", str(demo / "model.cfg"),
+                 "--weights", str(demo / "model.weights"), "--cut", "12",
+                 "--labels", str(demo / "labels.txt"), "--model-key", MODEL_KEY_HEX,
+                 "--seed", "5", "--out", str(demo / "artifacts")]) == 0
+    return {name: (demo / name).read_text()
+            for name in ("report.tsv", "report.txt", "artifacts/manifest.txt")}
+
+
+def test_walkthrough_outputs_match_golden(tmp_path):
+    # CLI assess and partition --seed output, pinned byte for byte across commits
+    assert run_walkthrough(tmp_path) == json.loads(WALKTHROUGH_GOLDEN.read_text())
 
 
 def test_partition_seed_nonce_depends_on_cut(model_files, labels_file, tmp_path):

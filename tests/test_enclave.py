@@ -150,10 +150,25 @@ class TestAttest:
             attest(session, bytes(length), ROOT_KEY)
         assert session.state == "created"
 
+    @pytest.mark.parametrize("root_key", [ROOT_KEY[:31], ROOT_KEY.hex(), None])
+    def test_root_key_of_another_length_refused_before_the_enclave(self, plain17, root_key):
+        setup = build_setup(plain17, 4)
+        session = enclave_create(setup["fn_sealed"], setup["lbl_sealed"], audit=[])
+        with pytest.raises(ValueError, match="^root key must be 32 bytes$"):
+            attest(session, bytes(32), root_key)
+        assert session.state == "created" and session.boundary_output() == b""
+
 
 class TestProvision:
     def test_happy_path(self, plain17):
         ready_session(build_setup(plain17, 4))
+
+    @pytest.mark.parametrize("slot, name", [(0, "root key"), (4, "model key"), (5, "image key")])
+    def test_key_message_names_the_key_of_another_length(self, slot, name):
+        args = [ROOT_KEY, bytes(32), bytes(32), bytes(32), MODEL_KEY, IMG_KEY]
+        args[slot] = args[slot][:-1]
+        with pytest.raises(ValueError, match=f"^{name} must be 32 bytes$"):
+            build_key_message(*args)
 
     def test_wrong_model_key_fails_session(self, plain17):
         setup = build_setup(plain17, 4)
@@ -337,7 +352,7 @@ class TestInfer:
     def test_wrong_shape_denied(self, plain17):
         setup = build_setup(plain17, 4)
         session = ready_session(setup)
-        small = Tensor(4, 4, 3, np.zeros(48, dtype=np.float32))
+        small = Tensor.from_array(np.zeros((3, 4, 4)))
         with pytest.raises(ProtocolError, match="does not match layer 1's expected input"):
             infer_encrypted_image(session, sealed_image(small))
 
@@ -357,7 +372,7 @@ class TestInfer:
         audit: list[bytes] = []
         session = ready_session(setup, audit=audit)
         w, h, c = plain17.input_shape
-        huge = Tensor(w, h, c, np.full(w * h * c, 3e38, dtype=np.float32))
+        huge = Tensor.from_array(np.full((c, h, w), 3e38))
         assert not forward_range(setup["front"], 1, 4, huge).is_finite()
         before = len(audit)
         with pytest.raises(IrshieldError, match="non-finite activations"):

@@ -23,7 +23,7 @@ def tiny_net(body: str, *weights: float):
 
 def test_single_class_softmax_is_one():
     net = tiny_net("[convolutional]\nfilters=1\nsize=1\nactivation=linear\n\n[softmax]\n", 0.0, 1.0)
-    probs = forward(net, Tensor(1, 1, 1, [0.37]))
+    probs = forward(net, Tensor.from_array([[[0.37]]]))
     assert probs.shape == (1,)
     assert probs[0] == 1.0
 
@@ -31,19 +31,19 @@ def test_single_class_softmax_is_one():
 def test_symmetric_logits_give_half_half():
     net = tiny_net("[convolutional]\nfilters=2\nsize=1\nactivation=linear\n\n[softmax]\n",
                    0.0, 0.0, 0.0, 0.0)
-    probs = forward(net, Tensor(1, 1, 1, [0.0]))
+    probs = forward(net, Tensor.from_array([[[0.0]]]))
     assert list(probs) == [0.5, 0.5]
 
 
 def test_forward_requires_softmax():
     net = tiny_net("[convolutional]\nfilters=1\nsize=1\n", 0.0, 1.0)
     with pytest.raises(ShapeError, match="softmax-terminated"):
-        forward(net, Tensor(1, 1, 1, [1.0]))
+        forward(net, Tensor.from_array([[[1.0]]]))
 
 
 def test_forward_rejects_wrong_input_shape(plain17):
     with pytest.raises(ShapeError, match="does not match"):
-        forward(plain17, Tensor(4, 4, 3, np.zeros(48)))
+        forward(plain17, Tensor.from_array(np.zeros((3, 4, 4))))
 
 
 def test_empty_batch_refused(plain17):

@@ -21,6 +21,7 @@ import re
 import socket
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -102,7 +103,7 @@ FRAME = protocol.pack_frame(protocol.MSG_PREDICT, bytes(range(40)))
 HELLO = protocol.server_hello_payload((32, 32, 3), 10, 5)
 ERROR = protocol.error_payload(protocol.ERR_MALFORMED, "frame length mismatch")
 CONTAINER = seal(bytes(range(48)), IMG_KEY, "image", nonce=bytes(12)).encode()
-TENSOR = Tensor(4, 3, 2, [float(i) for i in range(24)]).encode()
+TENSOR = Tensor.from_array(np.arange(24).reshape(2, 3, 4)).encode()
 # entries start at 4; each is u32 index, f32 score, u16 label length, label
 RESULT = encode_result_payload([(3, "cat", 0.5), (7, "dög", 0.25)])
 MANIFEST = render_manifest({

@@ -28,7 +28,7 @@ class TestNetpbm:
         assert t.array[1, 1, 0] == 1.0  # green channel, second row
 
     def test_binary_round_trip_pgm(self, tmp_path):
-        src = Tensor(5, 4, 1, np.linspace(0, 1, 20, dtype=np.float32))
+        src = Tensor.from_array(np.linspace(0, 1, 20, dtype=np.float32).reshape(1, 4, 5))
         path = tmp_path / "b.pgm"
         write_netpbm(src, path)
         back = load_image(path)
@@ -228,7 +228,7 @@ class TestResize:
                 assert out[i, j].tobytes() == bilinear_resize(maps[i, j], 7, 4).tobytes()
 
     def test_gray_replicated_to_three_channels(self):
-        t = Tensor(2, 2, 1, [0.0, 0.25, 0.5, 1.0])
+        t = Tensor.from_array([[[0.0, 0.25], [0.5, 1.0]]])
         out = resize_to_shape(t, (4, 4, 3))
         assert out.shape == (4, 4, 3)
         np.testing.assert_array_equal(out.array[0], out.array[1])

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -285,23 +286,42 @@ def test_serialize_round_trip_denseblock(denseblock):
 
 
 class TestTensor:
+    def test_from_array_copies_to_frozen_float32(self):
+        src = np.arange(12, dtype=np.float64).reshape(3, 2, 2)
+        t = Tensor.from_array(src)
+        src[0, 0, 0] = 99.0
+        assert t.array.dtype == np.float32 and t.array[0, 0, 0] == 0.0
+        assert not t.array.flags.writeable and t.array.flags.c_contiguous
+        assert t.shape == (2, 2, 3)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 2, 2, 1), (0, 2, 2), (3, 2, 0)])
+    def test_from_array_refuses_other_than_non_empty_3d(self, shape):
+        with pytest.raises(ShapeError, match=r"3-D \(c, h, w\) array of positive dimensions"):
+            Tensor.from_array(np.zeros(shape))
+
     def test_length_validated(self):
-        with pytest.raises(ShapeError, match="data length"):
-            Tensor(2, 2, 1, [1.0, 2.0, 3.0])
+        # the encoded values must be exactly w*h*c, no more
+        blob = Tensor.from_array(np.zeros((1, 2, 2))).encode()
+        with pytest.raises(ShapeError, match="blob length"):
+            Tensor.decode(blob + bytes(4))
 
     def test_layout_channel_major_then_rows(self):
-        t = Tensor(2, 2, 2, list(range(8)))
+        t = Tensor.decode(struct.pack("<III", 2, 2, 2) + struct.pack("<8f", *range(8)))
         assert t.array[0, 0, 1] == 1  # x fastest
         assert t.array[0, 1, 0] == 2  # then y
         assert t.array[1, 0, 0] == 4  # channel slowest
 
     def test_codec_round_trip(self):
-        t = Tensor(3, 2, 4, np.arange(24, dtype=np.float32) / 7)
+        t = Tensor.from_array(np.arange(24, dtype=np.float32).reshape(4, 2, 3) / 7)
         back = Tensor.decode(t.encode())
         assert back == t
         assert back.shape == (3, 2, 4)
 
     def test_decode_rejects_bad_length(self):
-        blob = Tensor(2, 2, 1, [0.0] * 4).encode()
+        blob = Tensor.from_array(np.zeros((1, 2, 2))).encode()
         with pytest.raises(ShapeError, match="blob length"):
             Tensor.decode(blob[:-1])
+
+    def test_decode_refuses_a_zero_size(self):
+        with pytest.raises(ShapeError, match=r"3-D \(c, h, w\) array of positive dimensions"):
+            Tensor.decode(struct.pack("<III", 0, 2, 2))

@@ -176,3 +176,15 @@ class TestServerHello:
         payload[0] = 9
         with pytest.raises(ProtocolError, match="version"):
             protocol.parse_server_hello(bytes(payload))
+
+    @pytest.mark.parametrize("shape", [(0, 32, 3), (32, 32, 0), (65535, 65535, 3),
+                                       (4096, 1024, 5)])
+    def test_unsendable_input_shape_refused(self, shape):
+        # a zero size, or more f32 values than one Predict frame can carry
+        with pytest.raises(ProtocolError, match="cannot be sent in one Predict"):
+            protocol.parse_server_hello(protocol.server_hello_payload(shape, 10, 5))
+
+    def test_largest_sendable_input_shape(self):
+        shape = (4096, 1024, 4)  # 16 Mi f32 values fill MAX_PAYLOAD exactly
+        info = protocol.parse_server_hello(protocol.server_hello_payload(shape, 10, 5))
+        assert info["input_shape"] == shape

@@ -65,8 +65,10 @@ class TestSealOpen:
             open_container(box, OTHER_KEY)
 
     def test_key_length_enforced(self):
-        with pytest.raises(ValueError, match="32 bytes"):
+        with pytest.raises(ValueError, match="^key must be 32 bytes$"):
             seal(b"x", b"short", "image")
+        with pytest.raises(ValueError, match="^key must be 32 bytes$"):
+            open_container(seal(b"x", KEY, "image"), KEY[:-1])
         with pytest.raises(ValueError, match="unknown content type"):
             seal(b"x", KEY, "telemetry")
 

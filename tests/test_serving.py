@@ -161,6 +161,13 @@ class TestDeploy:
         with pytest.raises(ProtocolError, match=r"input_shape must be three integers"):
             deploy(record_dir, k=3, root_key=ROOT_KEY)
 
+    def test_record_with_unsendable_input_shape_refused(self, record_dir):
+        # deploy never advertises in its Hello a shape no client can send
+        edit_record(record_dir, input_shape=[65535, 65535, 3])
+        with pytest.raises(ProtocolError,
+                           match="partition.json input shape 65535x65535x3 cannot be sent"):
+            deploy(record_dir, k=3, root_key=ROOT_KEY)
+
     def test_back_model_without_softmax_refused(self, record_dir):
         # every Predict would otherwise be answered as a malformed image
         config = (record_dir / "backnet.cfg").read_text()
@@ -392,7 +399,7 @@ class TestServing:
         monkeypatch.setattr(dep, "new_session", lambda: enclave_create(
             dep.artifacts.frontnet_sealed, dep.artifacts.labels_sealed, audit=audit))
         w, h, c = plain17.input_shape
-        image = Tensor(w, h, c, np.full(w * h * c, 3e38, dtype=np.float32))
+        image = Tensor.from_array(np.full((c, h, w), 3e38))
         self.assert_refused_and_connection_survives(server, plain17, image, protocol.ERR_INTERNAL)
         # attest, provision, the refusal, then the follow-up predict's
         # intermediate tensor and result
@@ -452,6 +459,36 @@ class TestServing:
         # the wrap of (model_key || img_key) is 12 + 64 + 16 bytes; no
         # received payload of that size means no key message ever arrived
         assert all(len(chunk) != 92 for chunk in tap)
+
+    @pytest.mark.parametrize("shape", [(0, 32, 3), (65535, 65535, 3)])
+    def test_unsendable_hello_shape_refused_before_any_resize(self, shape, test_image,
+                                                             monkeypatch):
+        # a one-shot host that answers Hello with a shape no Predict can carry
+        import irshield.client as client_mod
+
+        def refuse(*args):
+            raise AssertionError("the client resized its image to the host's shape")
+
+        monkeypatch.setattr(client_mod, "resize_to_shape", refuse)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def answer_hello():
+                conn, _ = listener.accept()
+                with conn:
+                    protocol.read_frame(conn)
+                    protocol.send_frame(conn, protocol.MSG_HELLO,
+                                        protocol.server_hello_payload(shape, 10, 3))
+                    while conn.recv(4096):  # until the client hangs up
+                        pass
+
+            host = threading.Thread(target=answer_hello, daemon=True)
+            host.start()
+            try:
+                with pytest.raises(ProtocolError, match="cannot be sent in one Predict"):
+                    client_predict(listener.getsockname()[:2], test_image,
+                                   MODEL_KEY, IMG_KEY, ROOT_KEY)
+            finally:
+                host.join(timeout=10)
+            assert not host.is_alive()
 
     def test_wrong_model_key_raises_auth_error(self, server, test_image):
         # the error frame's code picks the exception type, as on the enclave boundary

@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from irshield.errors import ShapeError
+from irshield.fixtures import FIXTURE_ARCHS, gen_fixture_model
 from irshield.netdef import LayerSpec, parse_config
 from irshield.workload import flop_profile, frontnet_fraction, profile_tsv
 
@@ -134,6 +137,14 @@ class TestFlopProfile:
         profile = flop_profile(denseblock)
         # layer 5 concatenates four 4-channel 16x16 maps
         assert profile.per_layer[4] == 16 * 16 * 16
+
+    @pytest.mark.parametrize("arch", FIXTURE_ARCHS)
+    @pytest.mark.parametrize("classes", [2, 10, 1000])
+    def test_cumulative_is_the_exact_ratio_rounded(self, arch, classes):
+        # the reference: each prefix sum over the total as an exact rational, then rounded
+        profile = flop_profile(parse_config(gen_fixture_model(arch, 0, classes)[0]))
+        exact = (Fraction(running, profile.total) for running in accumulate(profile.per_layer))
+        assert profile.cumulative == tuple(map(float, exact))
 
     def test_golden_fixture_fractions(self, plain17, plain28, denseblock):
         golden = json.loads((GOLDEN_DIR / "flop_fractions.json").read_text())
