@@ -310,22 +310,11 @@ def assess_model(
 def report_tsv(report: AssessmentReport) -> str:
     """Machine-readable rendering: one tab-separated record per layer, column
     order layer, min_kl, max_kl, argmin_j, delta, valid, chosen."""
-    lines = []
-    for row in report.layers:
-        lines.append(
-            "\t".join(
-                (
-                    str(row.layer),
-                    repr(row.min_kl),
-                    repr(row.max_kl),
-                    str(row.argmin_j),
-                    repr(row.delta),
-                    "1" if row.layer in report.valid_points else "0",
-                    "1" if row.layer == report.chosen else "0",
-                )
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        f"{row.layer}\t{row.min_kl!r}\t{row.max_kl!r}\t{row.argmin_j}\t{row.delta!r}"
+        f"\t{int(row.layer in report.valid_points)}\t{int(row.layer == report.chosen)}\n"
+        for row in report.layers
+    )
 
 
 def report_table(report: AssessmentReport) -> str:

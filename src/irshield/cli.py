@@ -26,7 +26,8 @@ from .fixtures import FIXTURE_ARCHS, gen_fixture_model
 from .imageio import load_image, resize_to_shape
 from .netdef import parse_config, parse_network
 from .partition import parse_manifest, write_artifacts
-from .sealing import CONTENT_TYPES, NONCE_LEN, SealedContainer, open_container, seal
+from .sealing import CONTENT_TYPES, KEY_LEN, NONCE_LEN, SealedContainer, open_container
+from .sealing import seal
 from .server import Server, deploy
 from .workload import flop_profile, profile_tsv
 
@@ -48,7 +49,7 @@ def _key_arg(value: str) -> bytes:
         key = bytes.fromhex(value)
     except ValueError:
         raise argparse.ArgumentTypeError("keys are hex strings") from None
-    if len(key) != 32:
+    if len(key) != KEY_LEN:
         raise argparse.ArgumentTypeError("keys are 32 bytes (64 hex chars)")
     return key
 

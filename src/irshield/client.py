@@ -13,7 +13,8 @@ import socket
 from pathlib import Path
 
 from . import protocol
-from .enclave import build_key_message, decode_result_payload, verify_evidence
+from .enclave import CLIENT_NONCE_LEN, AttestationEvidence, build_key_message, verify_evidence
+from .enclave import decode_result_payload
 from .errors import AuthError, ProtocolError
 from .imageio import load_image, resize_to_shape
 from .sealing import SealedContainer, open_container, seal
@@ -68,11 +69,9 @@ def client_predict(
         if image.shape != info["input_shape"]:
             image = resize_to_shape(image, info["input_shape"])
 
-        nonce = os.urandom(32)
-        evidence = _exchange(sock, protocol.MSG_ATTEST_REQUEST, nonce)
-        if len(evidence) != 64:
-            raise ProtocolError("attestation evidence must be 64 bytes")
-        measurement, mac = evidence[:32], evidence[32:]
+        nonce = os.urandom(CLIENT_NONCE_LEN)
+        evidence = AttestationEvidence.decode(_exchange(sock, protocol.MSG_ATTEST_REQUEST, nonce))
+        measurement, mac = evidence.measurement, evidence.mac
         if not verify_evidence(root_key, measurement, nonce, mac):
             raise AttestationRejected("attestation MAC failed; aborting before key transfer")
         if expected_measurement is not None and measurement != expected_measurement:

@@ -40,7 +40,8 @@ from .engine import forward_range
 from .errors import AuthError, IrshieldError, ProtocolError, ShapeError, StateError
 from .netdef import parse_network
 from .partition import unpack_model
-from .sealing import KEY_LEN, NONCE_LEN, SealedContainer, check_key, open_container, seal
+from .sealing import KEY_LEN, NONCE_LEN, TAG_LEN, SealedContainer, check_key, decrypt, encrypt
+from .sealing import open_container, seal
 from .tensor import Tensor
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "encode_result_payload",
     "decode_result_payload",
     "CODE_IDENTITY",
+    "CLIENT_NONCE_LEN",
 ]
 
 CODE_IDENTITY = b"irshield-enclave/1"
@@ -72,8 +74,13 @@ MSG_MAP = 0x16
 MSG_RESULT = 0x17
 MSG_ERROR = 0x1F
 
-_ATTEST_REQUEST = struct.Struct(f"{KEY_LEN}s32s")  # root key, client nonce
-_EVIDENCE = struct.Struct("32s32s")  # measurement, MAC
+CLIENT_NONCE_LEN = 32
+_ATTEST_REQUEST = struct.Struct(f"{KEY_LEN}s{CLIENT_NONCE_LEN}s")  # root key, client nonce
+_EVIDENCE = struct.Struct("32s32s")  # measurement (SHA-256), MAC (HMAC-SHA256)
+_KEYS = struct.Struct(f"{KEY_LEN}s{KEY_LEN}s")  # model key, image key
+# the key message: a nonce, then the keys under AES-256-GCM with their tag
+_KEY_MESSAGE = struct.Struct(f"{NONCE_LEN}s{_KEYS.size + TAG_LEN}s")
+_KEYS_AAD = b"irshield-keys"
 _COUNT = struct.Struct("<I")  # entries in a class-mapping request or a result
 _MAP_ENTRY = struct.Struct("<If")  # class index, score
 _RESULT_ENTRY = struct.Struct("<IfH")  # class index, score, label length; the label follows
@@ -110,30 +117,32 @@ def _wrap_key(root_key: bytes, measurement: bytes, client_nonce: bytes, evidence
     return _mac(root_key, b"provision-wrap", measurement, client_nonce, evidence_mac)
 
 
-def build_key_message(
-    root_key: bytes,
-    measurement: bytes,
-    client_nonce: bytes,
-    evidence_mac: bytes,
-    model_key: bytes,
-    img_key: bytes,
-    nonce: bytes | None = None,
-) -> bytes:
+def build_key_message(root_key: bytes, measurement: bytes, client_nonce: bytes,
+                      evidence_mac: bytes, model_key: bytes, img_key: bytes,
+                      nonce: bytes | None = None) -> bytes:
     """Client-side wrapping of (model_key, img_key) to an attested session."""
-    # the AES library loads on first use, as in :mod:`irshield.sealing`
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
-    keys = check_key(model_key, "model key") + check_key(img_key, "image key")
+    keys = _KEYS.pack(check_key(model_key, "model key"), check_key(img_key, "image key"))
     wrap = _wrap_key(check_key(root_key, "root key"), measurement, client_nonce, evidence_mac)
     if nonce is None:
         nonce = os.urandom(NONCE_LEN)
-    return nonce + AESGCM(wrap).encrypt(nonce, keys, b"irshield-keys")
+    return _KEY_MESSAGE.pack(nonce, encrypt(wrap, nonce, keys, _KEYS_AAD))
 
 
 @dataclass(frozen=True)
 class AttestationEvidence:
+    """The AttestEvidence payload: the session measurement and its MAC."""
+
     measurement: bytes
     mac: bytes
+
+    def encode(self) -> bytes:
+        return _EVIDENCE.pack(self.measurement, self.mac)
+
+    @classmethod
+    def decode(cls, blob: bytes) -> "AttestationEvidence":
+        if len(blob) != _EVIDENCE.size:
+            raise ProtocolError(f"attestation evidence must be {_EVIDENCE.size} bytes")
+        return cls(*_EVIDENCE.unpack(blob))
 
 
 def encode_result_payload(entries: list[tuple[int, str, float]]) -> bytes:
@@ -239,29 +248,22 @@ class EnclaveSession:
 
     def _handle_attest(self, payload: bytes) -> bytes:
         if len(payload) != _ATTEST_REQUEST.size:
-            raise ProtocolError("attest request must carry a 32-byte root key and nonce")
+            raise ProtocolError(f"attest request must carry a {CLIENT_NONCE_LEN}-byte nonce")
         root_key, client_nonce = _ATTEST_REQUEST.unpack(payload)
         mac = _mac(root_key, b"attest", self.measurement, client_nonce)
         self._wrap = _wrap_key(root_key, self.measurement, client_nonce, mac)
         self.state = "attested"
-        return _EVIDENCE.pack(self.measurement, mac)
+        return AttestationEvidence(self.measurement, mac).encode()
 
     def _handle_provision(self, payload: bytes) -> bytes:
-        from cryptography.exceptions import InvalidTag
-        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
         wrap, self._wrap = self._wrap, None
         try:
-            if len(payload) < NONCE_LEN + 16:
-                raise AuthError("key message too short")
-            try:
-                keys = AESGCM(wrap).decrypt(payload[:NONCE_LEN], payload[NONCE_LEN:],
-                                            b"irshield-keys")
-            except InvalidTag:
-                raise AuthError("key message rejected: not bound to this session") from None
-            if len(keys) != 2 * KEY_LEN:
-                raise AuthError("key message carried malformed key material")
-            model_key, img_key = keys[:KEY_LEN], keys[KEY_LEN:]
+            if len(payload) != _KEY_MESSAGE.size:
+                raise AuthError(f"key message must be {_KEY_MESSAGE.size} bytes")
+            # AES-GCM keeps the length, so the keys that open are _KEYS.size bytes
+            keys = decrypt(wrap, *_KEY_MESSAGE.unpack(payload), _KEYS_AAD,
+                           "key message rejected: not bound to this session")
+            model_key, img_key = _KEYS.unpack(keys)
             model_blob = open_container(self._fn_sealed.expect_type("frontnet"), model_key)
             labels_blob = open_container(self._lbl_sealed.expect_type("labels"), model_key)
             try:
@@ -327,8 +329,6 @@ def _call(session: EnclaveSession, msg_type: int, payload: bytes) -> bytes:
     got_type, got_payload = protocol.unpack_frame(response)
     if got_type == MSG_ERROR:
         protocol.raise_error(got_payload)
-    if got_type != _REQUESTS[msg_type][3]:
-        raise ProtocolError(f"unexpected boundary response type {got_type:#x}")
     return got_payload
 
 
@@ -344,10 +344,10 @@ def enclave_create(
 
 def attest(session: EnclaveSession, client_nonce: bytes, root_key: bytes) -> AttestationEvidence:
     """MAC the session measurement together with the client's nonce, which
-    the enclave refuses unless it is 32 bytes."""
+    the enclave refuses unless it is ``CLIENT_NONCE_LEN`` bytes."""
     # joined, not packed: a nonce of another length reaches the enclave, which refuses it
     payload = _call(session, MSG_ATTEST_REQ, check_key(root_key, "root key") + client_nonce)
-    return AttestationEvidence(*_EVIDENCE.unpack(payload))
+    return AttestationEvidence.decode(payload)
 
 
 def provision_keys(session: EnclaveSession, key_msg: bytes) -> None:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -78,6 +79,8 @@ __all__ = [
 
 WEIGHTS_MAGIC = b"IRSW"
 WEIGHTS_VERSION = 1
+_WEIGHTS_HEADER = struct.Struct("<4sI")  # magic, format version; the values follow
+_WEIGHT = np.dtype("<f4")
 
 ACTIVATIONS = ("linear", "relu", "leaky")
 
@@ -373,9 +376,11 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
     """Parse and shape-check a model definition together with its weights."""
     net = parse_config(config_text)
 
-    if len(weights_bytes) < 8 or weights_bytes[:4] != WEIGHTS_MAGIC:
+    if len(weights_bytes) < _WEIGHTS_HEADER.size:
+        raise WeightsError(f"weights blob shorter than its {_WEIGHTS_HEADER.size}-byte header")
+    magic, version = _WEIGHTS_HEADER.unpack_from(weights_bytes)
+    if magic != WEIGHTS_MAGIC:
         raise WeightsError("weights blob lacks the IRSW magic header")
-    version = int.from_bytes(weights_bytes[4:8], "little")
     if version != WEIGHTS_VERSION:
         raise WeightsError(f"unsupported weights format version {version}")
 
@@ -384,14 +389,14 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
         for layer, in_shape in zip(net.layers, net.layer_input_shapes)
     ]
     total_floats = sum(math.prod(shape) for layout in layouts for _, shape in layout)
-    expected_bytes = 8 + 4 * total_floats
+    expected_bytes = _WEIGHTS_HEADER.size + _WEIGHT.itemsize * total_floats
     if len(weights_bytes) != expected_bytes:
         raise WeightsError(
             f"weights length mismatch: expected {expected_bytes} bytes, "
             f"got {len(weights_bytes)} bytes"
         )
 
-    values = np.frombuffer(weights_bytes, dtype="<f4", offset=8)
+    values = np.frombuffer(weights_bytes, dtype=_WEIGHT, offset=_WEIGHTS_HEADER.size)
     cursor = 0
     per_layer = []
     for layout in layouts:
@@ -436,8 +441,8 @@ def serialize_network(net: NetworkDef) -> tuple[str, bytes]:
     ]
     config_text = "\n\n".join(blocks) + "\n"
 
-    chunks = [WEIGHTS_MAGIC, WEIGHTS_VERSION.to_bytes(4, "little")]
+    chunks = [_WEIGHTS_HEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION)]
     for layer, in_shape, lw in zip(net.layers, net.layer_input_shapes, net.weights):
         for name, _ in weights_layout(layer, in_shape):
-            chunks.append(lw[name].astype("<f4").tobytes())
+            chunks.append(lw[name].astype(_WEIGHT).tobytes())
     return config_text, b"".join(chunks)

@@ -43,6 +43,7 @@ ARTIFACT_NAMES = (
     "labels.sealed",
     "partition.json",
 )
+_BUNDLE_HEADER = struct.Struct("<Q")  # config length
 _RECORD_KEYS = {"back_layers", "classes", "cut", "front_layers", "input_shape", "ir_shape"}
 
 
@@ -74,16 +75,17 @@ def pack_model(config_text: str, weights: bytes) -> bytes:
     """Bundle a serialized model into one blob: u64 LE config length,
     config UTF-8, weights."""
     cfg = config_text.encode()
-    return struct.pack("<Q", len(cfg)) + cfg + weights
+    return _BUNDLE_HEADER.pack(len(cfg)) + cfg + weights
 
 
 def unpack_model(blob: bytes) -> tuple[str, bytes]:
-    if len(blob) < 8:
+    if len(blob) < _BUNDLE_HEADER.size:
         raise ProtocolError("model bundle shorter than its length header")
-    (cfg_len,) = struct.unpack_from("<Q", blob, 0)
-    if len(blob) < 8 + cfg_len:
+    (cfg_len,) = _BUNDLE_HEADER.unpack_from(blob)
+    cfg_end = _BUNDLE_HEADER.size + cfg_len
+    if len(blob) < cfg_end:
         raise ProtocolError("model bundle truncated")
-    return _config_text(blob[8 : 8 + cfg_len], "front"), blob[8 + cfg_len :]
+    return _config_text(blob[_BUNDLE_HEADER.size : cfg_end], "front"), blob[cfg_end:]
 
 
 def _config_text(raw: bytes, half: str) -> str:
@@ -119,14 +121,9 @@ class PartitionArtifacts:
     manifest: dict[str, str]
 
 
-def write_artifacts(
-    directory: str | Path,
-    net: NetworkDef,
-    cut: int,
-    labels: list[str],
-    model_key: bytes,
-    nonces: tuple[bytes, bytes] | None = None,
-) -> PartitionArtifacts:
+def write_artifacts(directory: str | Path, net: NetworkDef, cut: int, labels: list[str],
+                    model_key: bytes, nonces: tuple[bytes, bytes] | None = None
+                    ) -> PartitionArtifacts:
     """Partition ``net`` at ``cut`` and write the deployable artifact set."""
     n_classes = net.class_count()
     if len(labels) != n_classes:
@@ -176,14 +173,7 @@ def write_artifacts(
         hashes[name] = hashlib.sha256(blob).hexdigest()
     (directory / MANIFEST_NAME).write_text(render_manifest(hashes))
 
-    return PartitionArtifacts(
-        directory=directory,
-        frontnet_sealed=fn_sealed,
-        labels_sealed=lbl_sealed,
-        backnet=back,
-        meta=meta,
-        manifest=hashes,
-    )
+    return PartitionArtifacts(directory, fn_sealed, lbl_sealed, back, meta, hashes)
 
 
 def load_artifacts(directory: str | Path) -> PartitionArtifacts:

@@ -55,6 +55,7 @@ __all__ = [
     "read_frame",
     "send_frame",
     "FrameTooLarge",
+    "ConnectionClosed",
     "check_input_shape",
     "server_hello_payload",
     "parse_server_hello",
@@ -85,9 +86,9 @@ ERR_INTERNAL = 5
 
 MAX_PAYLOAD = 64 * 1024 * 1024
 PROTOCOL_VERSION = 1
-CLIENT_HELLO = PROTOCOL_VERSION.to_bytes(4, "little")
+_CLIENT_HELLO = struct.Struct("<I")  # version
+CLIENT_HELLO = _CLIENT_HELLO.pack(PROTOCOL_VERSION)
 _HEADER = struct.Struct("<BQ")
-HEADER_LEN = _HEADER.size
 _ERROR_CODE = struct.Struct("<H")
 # version, input w, h, c, classes, k
 _SERVER_HELLO = struct.Struct("<IIIIII")
@@ -95,6 +96,10 @@ _SERVER_HELLO = struct.Struct("<IIIIII")
 
 class FrameTooLarge(ProtocolError):
     """Incoming frame declared a payload beyond the 64 MiB cap."""
+
+
+class ConnectionClosed(ConnectionError):
+    """The peer closed the connection between frames, not within one."""
 
 
 # Exception type -> error code; the first matching entry wins and any other
@@ -117,12 +122,12 @@ def pack_frame(msg_type: int, payload: bytes) -> bytes:
 
 def unpack_frame(blob: bytes) -> tuple[int, bytes]:
     """Split a buffer holding exactly one frame into (type, payload)."""
-    if len(blob) < HEADER_LEN:
+    if len(blob) < _HEADER.size:
         raise ProtocolError("frame shorter than its header")
     msg_type, length = _HEADER.unpack_from(blob, 0)
-    if len(blob) != HEADER_LEN + length:
+    if len(blob) != _HEADER.size + length:
         raise ProtocolError("frame length mismatch")
-    return msg_type, blob[HEADER_LEN:]
+    return msg_type, blob[_HEADER.size :]
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -170,9 +175,13 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
 
 
 def read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one frame. Raises FrameTooLarge/ProtocolError on bad headers and
-    ConnectionError when the peer goes away."""
-    header = _recv_exactly(sock, HEADER_LEN)
+    """Read one frame. Raises FrameTooLarge/ProtocolError on bad headers,
+    ConnectionClosed when the peer closes before the frame starts, and
+    ConnectionError when it goes away within the frame."""
+    header = sock.recv(_HEADER.size)
+    if not header:
+        raise ConnectionClosed("connection closed")
+    header += _recv_exactly(sock, _HEADER.size - len(header))
     msg_type, length = _HEADER.unpack(header)
     if msg_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown wire message type {msg_type}")

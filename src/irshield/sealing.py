@@ -10,9 +10,10 @@ names the type it expects (:meth:`SealedContainer.expect_type`). Byte layout::
 
 Keys are 32 raw bytes and never appear in any serialized form.
 
-The AES library is imported by the functions that use it, not with the
-package: a process that only assesses or profiles models never loads it,
-which keeps about 6 MB out of its resident memory.
+This module alone uses the AES library, through :func:`encrypt` and
+:func:`decrypt`, which the key message shares. It is imported on first use,
+not with the package: a process that only assesses or profiles models never
+loads it, which keeps about 6 MB out of its resident memory.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "seal",
     "open_container",
     "check_key",
+    "encrypt",
+    "decrypt",
     "CONTAINER_MAGIC",
     "CONTAINER_VERSION",
     "KEY_LEN",
@@ -54,6 +57,25 @@ def check_key(key: bytes, name: str = "key") -> bytes:
     if not isinstance(key, (bytes, bytearray)) or len(key) != KEY_LEN:
         raise ValueError(f"{name} must be {KEY_LEN} bytes")
     return bytes(key)
+
+
+def encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    """AES-256-GCM: the ciphertext, then its ``TAG_LEN``-byte tag."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return AESGCM(key).encrypt(nonce, plaintext, aad)
+
+
+def decrypt(key: bytes, nonce: bytes, sealed: bytes, aad: bytes, refusal: str) -> bytes:
+    """The plaintext of ``encrypt``'s output; any tamper or other key raises
+    AuthError(refusal)."""
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    try:
+        return AESGCM(key).decrypt(nonce, sealed, aad)
+    except InvalidTag:
+        raise AuthError(refusal) from None
 
 
 @dataclass(frozen=True)
@@ -100,19 +122,13 @@ class SealedContainer:
         return cls(content_type, nonce, blob[_HEADER.size : tag_start], blob[tag_start:])
 
 
-def seal(
-    plaintext: bytes,
-    key: bytes,
-    content_type: str,
-    nonce: bytes | None = None,
-) -> SealedContainer:
+def seal(plaintext: bytes, key: bytes, content_type: str,
+         nonce: bytes | None = None) -> SealedContainer:
     """Encrypt and authenticate plaintext under a 256-bit key.
 
     A fresh random nonce is drawn per call; tests may inject one, but a
     caller reusing nonces under one key forfeits every AES-GCM guarantee.
     """
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
     key = check_key(key)
     try:
         code = CONTENT_TYPES[content_type]
@@ -124,28 +140,12 @@ def seal(
         nonce = os.urandom(NONCE_LEN)
     elif len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    sealed = AESGCM(key).encrypt(nonce, bytes(plaintext), bytes([code]))
-    return SealedContainer(
-        content_type=code,
-        nonce=nonce,
-        ciphertext=sealed[:-TAG_LEN],
-        tag=sealed[-TAG_LEN:],
-    )
+    sealed = encrypt(key, nonce, bytes(plaintext), bytes([code]))
+    return SealedContainer(code, nonce, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
 
 
 def open_container(container: SealedContainer, key: bytes) -> bytes:
     """Verify and decrypt; raises AuthError on any tamper or key mismatch."""
-    from cryptography.exceptions import InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
-    key = check_key(key)
-    try:
-        return AESGCM(key).decrypt(
-            container.nonce,
-            container.ciphertext + container.tag,
-            bytes([container.content_type]),
-        )
-    except InvalidTag:
-        raise AuthError(
-            f"authentication failed for {container.content_name} container"
-        ) from None
+    return decrypt(check_key(key), container.nonce, container.ciphertext + container.tag,
+                   bytes([container.content_type]),
+                   f"authentication failed for {container.content_name} container")

@@ -180,7 +180,9 @@ class Server:
         try:
             with conn:
                 self._session_loop(conn, self.dep.new_session())
-        except (ConnectionError, OSError) as exc:
+        except protocol.ConnectionClosed:
+            log.info("connection %s closed", peer)
+        except OSError as exc:
             log.info("connection %s dropped: %s", peer, exc)
         except Exception:
             log.exception("connection %s failed", peer)
@@ -214,8 +216,7 @@ class Server:
                 raise ProtocolError(f"client hello is not version {protocol.PROTOCOL_VERSION}")
             return protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
         if msg_type == protocol.MSG_ATTEST_REQUEST:
-            evidence = attest(session, payload, dep.root_key)
-            return evidence.measurement + evidence.mac
+            return attest(session, payload, dep.root_key).encode()
         if msg_type == protocol.MSG_PROVISION_KEYS:
             provision_keys(session, payload)
             return b""

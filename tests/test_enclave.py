@@ -268,6 +268,20 @@ class TestProvision:
         )
         assert session.state == "failed"
 
+    def test_non_utf8_labels_are_an_auth_failure(self, plain17):
+        setup = build_setup(plain17, 4)
+        setup["lbl_sealed"] = seal(b"label-0\n\xff\xfe", MODEL_KEY, "labels")
+        session, key_msg, secrets = attested_session(setup)
+        msg_type, reply = protocol.unpack_frame(
+            session.call(protocol.pack_frame(MSG_PROVISION, key_msg))
+        )
+        assert msg_type == MSG_ERROR
+        assert protocol.decode_error(reply) == (
+            protocol.ERR_AUTH_FAILURE, "labels artifact is not UTF-8 text"
+        )
+        assert session.state == "failed"
+        assert held_secrets(session, secrets) == []
+
     def test_swapped_labels_container_fails(self, plain17):
         setup = build_setup(plain17, 4)
         other = build_setup(plain17, 4, model_key=WRONG_KEY)

@@ -1,9 +1,12 @@
 """Generated hostile inputs for every decoder on the serving path.
 
 Each decoder gets a well-formed input with one mutation: a flipped bit, a
-cut, appended bytes, or one u8/u16/u32/u64 field rewritten to lie (zero,
-one, off by one, doubled, the top bit, all ones, or any value). The contract
-is the same for all of them: the input parses, or the decoder raises an
+cut, appended bytes, or one field rewritten to lie. The fields come from the
+``struct.Struct`` records the program itself reads and writes, through one
+helper, ``fields``. An integer field lies with zero, one, off by one,
+doubled, the top bit, all ones, or any value; a bytes field (a magic, nonce,
+key, measurement or MAC) with zeros, ones, or any bytes of its length.
+The contract is the same for all of them: the input parses, or the decoder raises an
 ``IrshieldError`` that the shared error table does not map to
 ``ERR_INTERNAL``. A ready enclave session answers every mutated Infer or Map
 frame with an error frame or a well-formed reply, and stays ready. A fresh
@@ -17,6 +20,8 @@ was mutated and rehashed in the manifest either fails with an
 ``IrshieldError`` or can answer Hello.
 """
 
+import importlib
+import pkgutil
 import re
 import socket
 import struct
@@ -26,7 +31,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irshield import protocol
+import irshield
+from irshield import enclave, netdef, partition, protocol, sealing, tensor
 from irshield.enclave import (
     MSG_ATTEST_EVIDENCE,
     MSG_ATTEST_REQ,
@@ -52,7 +58,7 @@ from irshield.netdef import parse_network, serialize_network
 from irshield.partition import (
     pack_model, parse_manifest, render_manifest, split_network, unpack_model, write_artifacts,
 )
-from irshield.sealing import SealedContainer, open_container, seal
+from irshield.sealing import NONCE_LEN, SealedContainer, encrypt, open_container, seal
 from irshield.server import deploy
 from irshield.tensor import Tensor
 
@@ -67,11 +73,58 @@ LABELS = [f"label-{i}" for i in range(10)]
 HOSTILE = settings(derandomize=True, max_examples=150, deadline=None)
 
 
+_FIELD = re.compile(r"(\d*)([a-zA-Z?])")
+
+
+def walk(record: struct.Struct):
+    """Each field of ``record`` as ``(offset, format, lies)``: integer and
+    ``Ns`` bytes fields are given lies, floats are skipped."""
+    order = record.format[0] if record.format[0] in "@=<>!" else ""
+    consumed = order
+    for count, code in _FIELD.findall(record.format[len(order):]):
+        for one in [count + code] if code == "s" else [code] * int(count or 1):
+            # a zero-count field of the same code gives the aligned start
+            yield struct.calcsize(f"{consumed}0{code}"), order + one, code not in "efd"
+            consumed += one
+
+
+def fields(*layout) -> tuple[tuple[int, str], ...]:
+    """The ``(offset, format)`` of every field that can lie in ``layout``, whose
+    items lie end to end: each is a ``struct.Struct`` record, or the number of
+    bytes of something that is not one (a label, say)."""
+    out, at = [], 0
+    for part in layout:
+        if isinstance(part, struct.Struct):
+            out += [(at + offset, fmt) for offset, fmt, lies in walk(part) if lies]
+            part = part.size
+        at += part
+    return tuple(out)
+
+
+def src_structs():
+    for info in pkgutil.iter_modules(irshield.__path__):
+        module = importlib.import_module(f"irshield.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, struct.Struct):
+                yield pytest.param(value, id=f"{info.name}.{name}")
+
+
+@pytest.mark.parametrize("record", list(src_structs()))
+def test_fields_cover_each_src_struct(record):
+    # the fields that lie and the floats skipped fill the record, each where it packs
+    walked = list(walk(record))
+    assert sum(struct.calcsize(fmt) for _, fmt, _ in walked) == record.size
+    values = [bytes([k]) * struct.calcsize(fmt) if fmt.endswith("s") else k
+              for k, (_, fmt, _) in enumerate(walked, start=1)]
+    blob = record.pack(*values)
+    assert [struct.unpack_from(fmt, blob, offset)[0] for offset, fmt, _ in walked] == values
+
+
 @st.composite
-def mutated(draw, blob: bytes, fields: tuple[tuple[int, str], ...] = ()):
+def mutated(draw, blob: bytes, record_fields: tuple[tuple[int, str], ...] = ()):
     """``blob`` with one bit flipped, cut short, extended, or with one of its
     ``(offset, struct format)`` fields rewritten to lie."""
-    kind = draw(st.sampled_from(["flip", "cut", "append"] + ["lie"] * 3 * bool(fields)))
+    kind = draw(st.sampled_from(["flip", "cut", "append"] + ["lie"] * 3 * bool(record_fields)))
     if kind == "flip":
         bit = draw(st.integers(0, 8 * len(blob) - 1))
         out = bytearray(blob)
@@ -81,12 +134,17 @@ def mutated(draw, blob: bytes, fields: tuple[tuple[int, str], ...] = ()):
         return blob[: draw(st.integers(0, len(blob) - 1))]
     if kind == "append":
         return blob + draw(st.binary(min_size=1, max_size=32))
-    offset, fmt = draw(st.sampled_from(fields))
+    offset, fmt = draw(st.sampled_from(record_fields))
     (true,) = struct.unpack_from(fmt, blob, offset)
-    top = 2 ** (8 * struct.calcsize(fmt)) - 1
-    lies = sorted({v for v in (0, 1, true - 1, true + 1, 2 * true, top // 2 + 1, top)
-                   if 0 <= v <= top and v != true})
-    value = draw(st.sampled_from(lies) | st.integers(0, top))
+    size = struct.calcsize(fmt)
+    if isinstance(true, bytes):
+        lies = [v for v in (bytes(size), b"\xff" * size) if v != true]
+        value = draw(st.sampled_from(lies) | st.binary(min_size=size, max_size=size))
+    else:
+        top = 2 ** (8 * size) - 1
+        lies = sorted({v for v in (0, 1, true - 1, true + 1, 2 * true, top // 2 + 1, top)
+                       if 0 <= v <= top and v != true})
+        value = draw(st.sampled_from(lies) | st.integers(0, top))
     out = bytearray(blob)
     struct.pack_into(fmt, out, offset, value)
     return bytes(out)
@@ -102,10 +160,13 @@ def parses_or_refuses(decode, blob: bytes) -> None:
 FRAME = protocol.pack_frame(protocol.MSG_PREDICT, bytes(range(40)))
 HELLO = protocol.server_hello_payload((32, 32, 3), 10, 5)
 ERROR = protocol.error_payload(protocol.ERR_MALFORMED, "frame length mismatch")
-CONTAINER = seal(bytes(range(48)), IMG_KEY, "image", nonce=bytes(12)).encode()
+CONTAINER = seal(bytes(range(48)), IMG_KEY, "image", nonce=bytes(NONCE_LEN)).encode()
 TENSOR = Tensor.from_array(np.arange(24).reshape(2, 3, 4)).encode()
-# entries start at 4; each is u32 index, f32 score, u16 label length, label
-RESULT = encode_result_payload([(3, "cat", 0.5), (7, "dög", 0.25)])
+RESULT_ENTRIES = [(3, "cat", 0.5), (7, "dög", 0.25)]
+RESULT = encode_result_payload(RESULT_ENTRIES)
+# the count, then each entry's record followed by its label
+RESULT_FIELDS = fields(enclave._COUNT, *[part for _, label, _ in RESULT_ENTRIES
+                                         for part in (enclave._RESULT_ENTRY, len(label.encode()))])
 MANIFEST = render_manifest({
     "frontnet.sealed": "0123456789abcdef" * 4,
     "labels.sealed": "fedcba9876543210" * 4,
@@ -114,13 +175,13 @@ MANIFEST = render_manifest({
 
 
 @HOSTILE
-@given(mutated(FRAME, ((0, "B"), (1, "<Q"))))
+@given(mutated(FRAME, fields(protocol._HEADER)))
 def test_unpack_frame(blob):
     parses_or_refuses(protocol.unpack_frame, blob)
 
 
 @HOSTILE
-@given(mutated(FRAME, ((0, "B"), (1, "<Q"))))
+@given(mutated(FRAME, fields(protocol._HEADER)))
 def test_read_frame(blob):
     # the peer sends the bytes and closes: a lying length or a cut ends in
     # ConnectionError, a bad type or an oversized length in ProtocolError
@@ -136,31 +197,31 @@ def test_read_frame(blob):
 
 
 @HOSTILE
-@given(mutated(HELLO, tuple((4 * i, "<I") for i in range(6))))
+@given(mutated(HELLO, fields(protocol._SERVER_HELLO)))
 def test_parse_server_hello(blob):
     parses_or_refuses(protocol.parse_server_hello, blob)
 
 
 @HOSTILE
-@given(mutated(ERROR, ((0, "<H"),)))
+@given(mutated(ERROR, fields(protocol._ERROR_CODE)))
 def test_decode_error(blob):
     parses_or_refuses(protocol.decode_error, blob)
 
 
 @HOSTILE
-@given(mutated(CONTAINER, ((4, "<I"), (8, "B"), (21, "<Q"))))
+@given(mutated(CONTAINER, fields(sealing._HEADER)))
 def test_sealed_container_decode(blob):
     parses_or_refuses(SealedContainer.decode, blob)
 
 
 @HOSTILE
-@given(mutated(TENSOR, ((0, "<I"), (4, "<I"), (8, "<I"))))
+@given(mutated(TENSOR, fields(tensor._HEADER)))
 def test_tensor_decode(blob):
     parses_or_refuses(Tensor.decode, blob)
 
 
 @HOSTILE
-@given(mutated(RESULT, ((0, "<I"), (4, "<I"), (12, "<H"), (17, "<I"), (25, "<H"))))
+@given(mutated(RESULT, RESULT_FIELDS))
 def test_decode_result_payload(blob):
     parses_or_refuses(decode_result_payload, blob)
 
@@ -252,7 +313,7 @@ def front(plain17):
 def test_parse_network_weights(front, data):
     config, weights = serialize_network(front)
     try:
-        parse_network(config, data.draw(mutated(weights, ((0, "<I"), (4, "<I")))))
+        parse_network(config, data.draw(mutated(weights, fields(netdef._WEIGHTS_HEADER))))
     except WeightsError:
         pass
 
@@ -261,7 +322,7 @@ def test_parse_network_weights(front, data):
 @given(data=st.data())
 def test_unpack_model(front, data):
     bundle = pack_model(*serialize_network(front))
-    parses_or_refuses(unpack_model, data.draw(mutated(bundle, ((0, "<Q"),))))
+    parses_or_refuses(unpack_model, data.draw(mutated(bundle, fields(partition._BUNDLE_HEADER))))
 
 
 @HOSTILE
@@ -317,8 +378,8 @@ def assert_error_or_reply(session, request: bytes, reply_type: int, check_reply)
 def test_enclave_infer_frame(session, front, data):
     image = seed_image(front.input_shape, 900).encode()
     request = protocol.pack_frame(MSG_INFER, seal(image, IMG_KEY, "image").encode())
-    fields = ((0, "B"), (1, "<Q"), (13, "<I"), (17, "B"), (30, "<Q"))
-    assert_error_or_reply(session, data.draw(mutated(request, fields)), MSG_IR, Tensor.decode)
+    request = data.draw(mutated(request, fields(protocol._HEADER, sealing._HEADER)))
+    assert_error_or_reply(session, request, MSG_IR, Tensor.decode)
 
 
 @HOSTILE
@@ -326,7 +387,7 @@ def test_enclave_infer_frame(session, front, data):
 def test_enclave_infer_sealed_tensor(session, front, data):
     # a client that holds the image key can seal any tensor bytes it likes
     image = seed_image(front.input_shape, 901).encode()
-    blob = data.draw(mutated(image, ((0, "<I"), (4, "<I"), (8, "<I"))))
+    blob = data.draw(mutated(image, fields(tensor._HEADER)))
     request = protocol.pack_frame(MSG_INFER, seal(blob, IMG_KEY, "image").encode())
     assert_error_or_reply(session, request, MSG_IR, Tensor.decode)
 
@@ -334,14 +395,15 @@ def test_enclave_infer_sealed_tensor(session, front, data):
 @HOSTILE
 @given(data=st.data())
 def test_enclave_map(session, data):
-    body = struct.pack("<I", 3) + b"".join(struct.pack("<If", i, 0.25 * i) for i in (2, 5, 9))
+    pairs = [(i, 0.25 * i) for i in (2, 5, 9)]
+    body = enclave._COUNT.pack(len(pairs)) + b"".join(enclave._MAP_ENTRY.pack(*p) for p in pairs)
     request = protocol.pack_frame(MSG_MAP, body)
-    fields = ((0, "B"), (1, "<Q"), (9, "<I"), (13, "<I"), (21, "<I"), (29, "<I"))
+    layout = fields(protocol._HEADER, enclave._COUNT, *[enclave._MAP_ENTRY] * len(pairs))
 
     def check_result(payload):
         decode_result_payload(open_container(SealedContainer.decode(payload), IMG_KEY))
 
-    assert_error_or_reply(session, data.draw(mutated(request, fields)), MSG_RESULT, check_result)
+    assert_error_or_reply(session, data.draw(mutated(request, layout)), MSG_RESULT, check_result)
 
 
 def reply_type(session, request: bytes) -> int:
@@ -367,7 +429,8 @@ def test_enclave_attest_frame(sealed, data):
     # any 32-byte root key attests; only the nonce's length is checked
     session = enclave_create(*sealed)
     request = protocol.pack_frame(MSG_ATTEST_REQ, ROOT_KEY + NONCE)
-    got = reply_type(session, data.draw(mutated(request, ((0, "B"), (1, "<Q")))))
+    got = reply_type(session, data.draw(mutated(request, fields(protocol._HEADER,
+                                                                enclave._ATTEST_REQUEST))))
     assert got in (MSG_ATTEST_EVIDENCE, MSG_ERROR)
     assert session.state == ("attested" if got == MSG_ATTEST_EVIDENCE else "created")
 
@@ -377,17 +440,17 @@ def provision_requests(draw, wrap: bytes, key_msg: bytes):
     """A ProvisionKeys frame mutated as by ``mutated``, a frame around a
     mutated key message, or one whose sender holds the wrap key and wraps
     mutated key material."""
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
     kind = draw(st.sampled_from(["frame", "message", "keys"]))
     if kind == "frame":
-        return draw(mutated(protocol.pack_frame(MSG_PROVISION, key_msg), ((0, "B"), (1, "<Q"))))
+        frame = protocol.pack_frame(MSG_PROVISION, key_msg)
+        return draw(mutated(frame, fields(protocol._HEADER, enclave._KEY_MESSAGE)))
     if kind == "message":
-        return protocol.pack_frame(MSG_PROVISION, draw(mutated(key_msg)))
-    keys = draw(mutated(MODEL_KEY + IMG_KEY))
-    nonce = bytes(12)
-    return protocol.pack_frame(
-        MSG_PROVISION, nonce + AESGCM(wrap).encrypt(nonce, keys, b"irshield-keys"))
+        return protocol.pack_frame(MSG_PROVISION,
+                                   draw(mutated(key_msg, fields(enclave._KEY_MESSAGE))))
+    keys = draw(mutated(MODEL_KEY + IMG_KEY, fields(enclave._KEYS)))
+    # joined, not packed, so that keys of another length keep it
+    nonce = bytes(NONCE_LEN)
+    return protocol.pack_frame(MSG_PROVISION, nonce + encrypt(wrap, nonce, keys, enclave._KEYS_AAD))
 
 
 @HOSTILE

@@ -85,8 +85,33 @@ class TestFraming:
         try:
             a.sendall(struct.pack("<BQ", protocol.MSG_PREDICT, 100) + b"short")
             a.close()
-            with pytest.raises(ConnectionError):
+            with pytest.raises(ConnectionError, match="closed mid-frame") as exc:
                 protocol.read_frame(b)
+            assert not isinstance(exc.value, protocol.ConnectionClosed)
+        finally:
+            b.close()
+
+    def test_peer_disconnect_mid_header(self):
+        a, b = loopback_pair()
+        try:
+            a.sendall(struct.pack("<BQ", protocol.MSG_PREDICT, 100)[:3])
+            a.close()
+            with pytest.raises(ConnectionError, match="closed mid-frame") as exc:
+                protocol.read_frame(b)
+            assert not isinstance(exc.value, protocol.ConnectionClosed)
+        finally:
+            b.close()
+
+    def test_peer_close_between_frames(self):
+        a, b = loopback_pair()
+        try:
+            protocol.send_frame(a, protocol.MSG_PREDICT, b"last")
+            a.close()
+            assert protocol.read_frame(b) == (protocol.MSG_PREDICT, b"last")
+            # a clean close is still a ConnectionError to every caller
+            with pytest.raises(protocol.ConnectionClosed):
+                protocol.read_frame(b)
+            assert issubclass(protocol.ConnectionClosed, ConnectionError)
         finally:
             b.close()
 

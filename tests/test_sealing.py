@@ -49,6 +49,11 @@ class TestSealOpen:
         assert len(blob) == 29 + 3 + 16
         assert blob[-16:] == box.tag
 
+    @pytest.mark.parametrize("length", [11, 13])
+    def test_injected_nonce_of_another_length_refused(self, length):
+        with pytest.raises(ValueError, match="nonce must be 12 bytes"):
+            seal(b"payload", KEY, "image", nonce=bytes(length))
+
     def test_nonces_fresh_per_seal(self):
         seen_nonces = set()
         seen_cts = set()

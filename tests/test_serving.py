@@ -1,10 +1,12 @@
 import hashlib
 import json
+import logging
 import os
 import shutil
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from irshield.errors import (
     AuthError, PartitionError, ProtocolError, ShapeError, StateError, WeightsError,
 )
 from irshield.imageio import load_image
+from irshield.netdef import parse_network, serialize_network
 from irshield.partition import render_manifest, write_artifacts
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy, handle_predict
@@ -408,6 +411,33 @@ class TestServing:
             enclave.MSG_IR, enclave.MSG_RESULT,
         ]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_back_model_scores_refused_as_internal(self, artifact_dir, plain17,
+                                                              tmp_path):
+        # the host deploys a back model whose scores overflow: each Predict
+        # answers an error, never a result, and the connection stays open
+        directory = tmp_path / "overflow"
+        shutil.copytree(artifact_dir, directory)
+        back = parse_network((directory / "backnet.cfg").read_text(),
+                             (directory / "backnet.weights").read_bytes())
+        scaled = tuple({name: w * np.float32(1e30) for name, w in lw.items()}
+                       for lw in back.weights)
+        rewrite_artifact(directory, "backnet.weights",
+                         serialize_network(replace(back, weights=scaled))[1])
+        srv = Server(("127.0.0.1", 0), deploy(directory, k=3, root_key=ROOT_KEY)).start()
+        driver = WireDriver(srv.address)
+        try:
+            driver.handshake()
+            image = seal(seed_image(plain17.input_shape, 550).encode(), IMG_KEY, "image").encode()
+            for _ in range(2):
+                msg_type, payload = driver.predict(image)
+                assert msg_type == protocol.MSG_ERROR
+                assert protocol.decode_error(payload) == (
+                    protocol.ERR_INTERNAL, "back model produced non-finite scores")
+        finally:
+            driver.close()
+            srv.stop()
+
     def test_finished_connection_threads_are_pruned(self, server, test_image):
         for _ in range(50):
             client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
@@ -489,6 +519,38 @@ class TestServing:
             finally:
                 host.join(timeout=10)
             assert not host.is_alive()
+
+    @pytest.mark.parametrize("length", [63, 65])
+    def test_evidence_of_another_length_refused_before_keys(self, length, plain17, test_image):
+        # a one-shot host that answers Hello, then AttestRequest with evidence
+        # one byte short or long, and records every frame after it
+        after_evidence = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def answer():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(10)
+                    protocol.read_frame(conn)
+                    protocol.send_frame(conn, protocol.MSG_HELLO, protocol.server_hello_payload(
+                        plain17.input_shape, 10, 3))
+                    protocol.read_frame(conn)
+                    protocol.send_frame(conn, protocol.MSG_ATTEST_EVIDENCE, bytes(length))
+                    try:
+                        while True:
+                            after_evidence.append(protocol.read_frame(conn)[0])
+                    except OSError:  # the client hangs up
+                        pass
+
+            host = threading.Thread(target=answer, daemon=True)
+            host.start()
+            try:
+                with pytest.raises(ProtocolError, match="attestation evidence must be 64 bytes"):
+                    client_predict(listener.getsockname()[:2], test_image,
+                                   MODEL_KEY, IMG_KEY, ROOT_KEY)
+            finally:
+                host.join(timeout=10)
+            assert not host.is_alive()
+        assert after_evidence == []  # no ProvisionKeys, nor any other frame
 
     def test_wrong_model_key_raises_auth_error(self, server, test_image):
         # the error frame's code picks the exception type, as on the enclave boundary
@@ -633,6 +695,43 @@ class TestServing:
                     pass  # a reset from the server is a legal fuzz outcome
         got = client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
         assert got == expected_topk(plain17, test_image, 3)
+
+
+class TestConnectionLog:
+    """A peer that hangs up between frames is logged as closed; one that goes
+    away within a frame, as dropped."""
+
+    @staticmethod
+    def connection_lines(artifact_dir, caplog, client) -> list[str]:
+        caplog.set_level(logging.INFO, logger="irshield.server")
+        srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY)).start()
+        try:
+            client(srv.address)
+            # the connection's thread logs once it reads the hang-up
+            deadline = time.monotonic() + 5
+            while True:
+                lines = [r.getMessage() for r in caplog.records
+                         if r.name == "irshield.server" and r.getMessage().startswith("connection")]
+                if lines or time.monotonic() > deadline:
+                    return lines
+                time.sleep(0.01)
+        finally:
+            srv.stop()
+
+    def test_predict_then_hang_up_logs_closed(self, artifact_dir, test_image, caplog):
+        lines = self.connection_lines(artifact_dir, caplog, lambda address: client_predict(
+            address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY))
+        assert len(lines) == 1 and lines[0].endswith(" closed"), lines
+        assert not [line for line in caplog.messages if "dropped" in line]
+
+    def test_half_a_frame_then_hang_up_logs_dropped(self, artifact_dir, caplog):
+        def half_frame(address):
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(protocol.pack_frame(protocol.MSG_HELLO, protocol.CLIENT_HELLO)[:5])
+
+        lines = self.connection_lines(artifact_dir, caplog, half_frame)
+        assert len(lines) == 1, lines
+        assert lines[0].endswith(" dropped: connection closed mid-frame")
 
 
 HELLO = protocol.PROTOCOL_VERSION.to_bytes(4, "little")
