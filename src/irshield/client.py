@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import protocol
 from .enclave import CLIENT_NONCE_LEN, AttestationEvidence, build_key_message, verify_evidence
-from .enclave import decode_result_payload
 from .errors import AuthError, ProtocolError
 from .imageio import load_image, resize_to_shape
 from .sealing import SealedContainer, open_container, seal
@@ -90,4 +89,4 @@ def client_predict(
         plaintext = open_container(container.expect_type("result"), img_key)
     except AuthError:
         raise ResultAuthError("result container failed authentication") from None
-    return [(label, score) for _, label, score in decode_result_payload(plaintext)]
+    return [(label, score) for _, label, score in protocol.decode_result_payload(plaintext)]

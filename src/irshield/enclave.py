@@ -55,8 +55,6 @@ __all__ = [
     "build_key_message",
     "verify_evidence",
     "measurement_from_manifest",
-    "encode_result_payload",
-    "decode_result_payload",
     "CODE_IDENTITY",
     "CLIENT_NONCE_LEN",
 ]
@@ -81,9 +79,8 @@ _KEYS = struct.Struct(f"{KEY_LEN}s{KEY_LEN}s")  # model key, image key
 # the key message: a nonce, then the keys under AES-256-GCM with their tag
 _KEY_MESSAGE = struct.Struct(f"{NONCE_LEN}s{_KEYS.size + TAG_LEN}s")
 _KEYS_AAD = b"irshield-keys"
-_COUNT = struct.Struct("<I")  # entries in a class-mapping request or a result
+_COUNT = struct.Struct("<I")  # entries in a class-mapping request
 _MAP_ENTRY = struct.Struct("<If")  # class index, score
-_RESULT_ENTRY = struct.Struct("<IfH")  # class index, score, label length; the label follows
 
 def _mac(root_key: bytes, *parts: bytes) -> bytes:
     return hmac.new(root_key, b"".join(parts), hashlib.sha256).digest()
@@ -143,39 +140,6 @@ class AttestationEvidence:
         if len(blob) != _EVIDENCE.size:
             raise ProtocolError(f"attestation evidence must be {_EVIDENCE.size} bytes")
         return cls(*_EVIDENCE.unpack(blob))
-
-
-def encode_result_payload(entries: list[tuple[int, str, float]]) -> bytes:
-    chunks = [_COUNT.pack(len(entries))]
-    for index, label, score in entries:
-        raw = label.encode()
-        chunks.append(_RESULT_ENTRY.pack(index, score, len(raw)))
-        chunks.append(raw)
-    return b"".join(chunks)
-
-
-def decode_result_payload(blob: bytes) -> list[tuple[int, str, float]]:
-    if len(blob) < _COUNT.size:
-        raise ProtocolError("result payload shorter than its count header")
-    (count,) = _COUNT.unpack_from(blob)
-    pos = _COUNT.size
-    out = []
-    for _ in range(count):
-        if len(blob) < pos + _RESULT_ENTRY.size:
-            raise ProtocolError("result payload truncated")
-        index, score, label_len = _RESULT_ENTRY.unpack_from(blob, pos)
-        pos += _RESULT_ENTRY.size
-        if len(blob) < pos + label_len:
-            raise ProtocolError("result payload truncated")
-        try:
-            label = blob[pos : pos + label_len].decode()
-        except UnicodeDecodeError:
-            raise ProtocolError("result payload label is not UTF-8") from None
-        pos += label_len
-        out.append((index, label, score))
-    if pos != len(blob):
-        raise ProtocolError("result payload has trailing bytes")
-    return out
 
 
 class EnclaveSession:
@@ -311,7 +275,7 @@ class EnclaveSession:
             if not (1 <= index <= len(self._labels)):
                 raise ShapeError(f"class index {index} outside 1..{len(self._labels)}")
             entries.append((index, self._labels[index - 1], score))
-        return seal(encode_result_payload(entries), self._img_key, "result").encode()
+        return seal(protocol.encode_result_payload(entries), self._img_key, "result").encode()
 
 
 # request type -> (operation, required state, handler, reply type)

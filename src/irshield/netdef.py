@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -407,7 +407,10 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
             cursor += n
         per_layer.append(MappingProxyType(arrays))
 
-    return replace(net, weights=tuple(per_layer))
+    # set in place, not through replace(), which would derive every shape again;
+    # the network is new, and no one else holds it yet
+    object.__setattr__(net, "weights", tuple(per_layer))
+    return net
 
 
 # --- serialization ----------------------------------------------------------

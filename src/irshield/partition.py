@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import PartitionError, ProtocolError, ShapeError
 from .netdef import NetworkDef, parse_network, route_crossings, serialize_network
-from .protocol import check_input_shape
+from .protocol import MAX_LABEL_BYTES, check_input_shape
 from .sealing import SealedContainer, seal
 
 __all__ = [
@@ -137,9 +137,8 @@ def write_artifacts(directory: str | Path, net: NetworkDef, cut: int, labels: li
             size = len(label.encode())
         except UnicodeEncodeError:
             raise PartitionError(f"label {label[:20]!r} is not valid UTF-8 text") from None
-        if size > 0xFFFF:
-            # a result entry carries its label's length as a u16
-            raise PartitionError(f"label {label[:20]!r}... exceeds 65535 UTF-8 bytes")
+        if size > MAX_LABEL_BYTES:
+            raise PartitionError(f"label {label[:20]!r}... exceeds {MAX_LABEL_BYTES} UTF-8 bytes")
 
     front, back = split_network(net, cut)
     front_cfg, front_weights = serialize_network(front)

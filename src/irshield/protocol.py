@@ -27,6 +27,7 @@ import struct
 from typing import NoReturn
 
 from .errors import AuthError, IrshieldError, ProtocolError, ShapeError, StateError
+from .tensor import _VALUE
 
 __all__ = [
     "MSG_HELLO",
@@ -59,6 +60,9 @@ __all__ = [
     "check_input_shape",
     "server_hello_payload",
     "parse_server_hello",
+    "MAX_LABEL_BYTES",
+    "encode_result_payload",
+    "decode_result_payload",
 ]
 
 MSG_HELLO = 1
@@ -92,6 +96,12 @@ _HEADER = struct.Struct("<BQ")
 _ERROR_CODE = struct.Struct("<H")
 # version, input w, h, c, classes, k
 _SERVER_HELLO = struct.Struct("<IIIIII")
+# a result payload, the plaintext of a sealed Result: an entry count, then
+# each entry and its label's UTF-8 bytes
+_RESULT_COUNT = struct.Struct("<I")
+_RESULT_ENTRY = struct.Struct("<IfH")  # class index, score, label length
+# the longest label an entry can carry: its length field with every bit set
+*_, MAX_LABEL_BYTES = _RESULT_ENTRY.unpack(b"\xff" * _RESULT_ENTRY.size)
 
 
 class FrameTooLarge(ProtocolError):
@@ -197,7 +207,7 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes) -> None:
 def check_input_shape(shape: tuple[int, int, int], source: str) -> None:
     """Refuse a (w, h, c) input shape that cannot be sent as one Predict: one
     with a zero size, or whose f32 values alone exceed ``MAX_PAYLOAD``."""
-    if not 0 < math.prod(shape) <= MAX_PAYLOAD // 4:
+    if not 0 < math.prod(shape) <= MAX_PAYLOAD // _VALUE.itemsize:
         w, h, c = shape
         raise ProtocolError(f"{source} input shape {w}x{h}x{c} cannot be sent in one Predict")
 
@@ -215,3 +225,36 @@ def parse_server_hello(payload: bytes) -> dict:
         raise ProtocolError(f"unsupported protocol version {version}")
     check_input_shape((w, h, c), "server hello")
     return {"version": version, "input_shape": (w, h, c), "classes": classes, "k": k}
+
+
+def encode_result_payload(entries: list[tuple[int, str, float]]) -> bytes:
+    chunks = [_RESULT_COUNT.pack(len(entries))]
+    for index, label, score in entries:
+        raw = label.encode()
+        chunks.append(_RESULT_ENTRY.pack(index, score, len(raw)))
+        chunks.append(raw)
+    return b"".join(chunks)
+
+
+def decode_result_payload(blob: bytes) -> list[tuple[int, str, float]]:
+    if len(blob) < _RESULT_COUNT.size:
+        raise ProtocolError("result payload shorter than its count header")
+    (count,) = _RESULT_COUNT.unpack_from(blob)
+    pos = _RESULT_COUNT.size
+    out = []
+    for _ in range(count):
+        if len(blob) < pos + _RESULT_ENTRY.size:
+            raise ProtocolError("result payload truncated")
+        index, score, label_len = _RESULT_ENTRY.unpack_from(blob, pos)
+        pos += _RESULT_ENTRY.size
+        if len(blob) < pos + label_len:
+            raise ProtocolError("result payload truncated")
+        try:
+            label = blob[pos : pos + label_len].decode()
+        except UnicodeDecodeError:
+            raise ProtocolError("result payload label is not UTF-8") from None
+        pos += label_len
+        out.append((index, label, score))
+    if pos != len(blob):
+        raise ProtocolError("result payload has trailing bytes")
+    return out

@@ -113,7 +113,6 @@ class Server:
         self.tap = tap
         self._sock = socket.create_server(listen_addr)
         self.address = self._sock.getsockname()[:2]
-        self._stop = threading.Event()
         # every open connection and the thread serving it; the accept loop
         # adds an entry before the thread starts, the thread removes it
         self._conns: dict[socket.socket, threading.Thread] = {}
@@ -128,16 +127,13 @@ class Server:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        # closing a listening socket does not wake a blocked accept(); poke it
+        """Stop accepting, end every open connection and wait for its thread."""
         try:
-            socket.create_connection(self.address, timeout=1).close()
-        except OSError:
+            # on Linux this wakes the blocked accept() with EINVAL, which ends the accept loop
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # an earlier stop() closed it
             pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._sock.close()
         # once the accept loop has ended, no connection is added behind this snapshot
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
@@ -146,7 +142,7 @@ class Server:
         for conn in live:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
+            except OSError:  # the peer reset it: the socket is no longer connected
                 pass
         for thread in live.values():
             thread.join(timeout=5)
@@ -157,13 +153,10 @@ class Server:
 
     def _accept_loop(self) -> None:
         log.info("serving on %s:%d", *self.address)
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, peer = self._sock.accept()
             except OSError:
-                break
-            if self._stop.is_set():
-                conn.close()
                 break
             thread = threading.Thread(target=self._serve_connection, args=(conn, peer), daemon=True)
             with self._conn_lock:
@@ -179,7 +172,8 @@ class Server:
     def _serve_connection(self, conn: socket.socket, peer) -> None:
         try:
             with conn:
-                self._session_loop(conn, self.dep.new_session())
+                code = self._session_loop(conn, self.dep.new_session())
+            log.info("connection %s ended by the server: error code %d", peer, code)
         except protocol.ConnectionClosed:
             log.info("connection %s closed", peer)
         except OSError as exc:
@@ -190,9 +184,9 @@ class Server:
             with self._conn_lock:
                 self._conns.pop(conn, None)
 
-    def _session_loop(self, conn: socket.socket, session: EnclaveSession) -> None:
+    def _session_loop(self, conn: socket.socket, session: EnclaveSession) -> int:
         """Read a frame, answer it, send the reply, until a failure that is
-        not a Predict's closes the connection."""
+        not a Predict's ends the connection; returns that failure's code."""
         while True:
             msg_type = None
             try:
@@ -201,12 +195,12 @@ class Server:
                 reply = self._answer(session, msg_type, payload)
                 reply_type = protocol.REPLY_TYPES[msg_type]
             except IrshieldError as exc:
-                reply_type = protocol.MSG_ERROR
-                reply = protocol.error_payload(protocol.error_code(exc), str(exc))
+                reply_type, code = protocol.MSG_ERROR, protocol.error_code(exc)
+                reply = protocol.error_payload(code, str(exc))
             self._record(reply)
             protocol.send_frame(conn, reply_type, reply)
             if reply_type == protocol.MSG_ERROR and msg_type != protocol.MSG_PREDICT:
-                return
+                return code
 
     def _answer(self, session: EnclaveSession, msg_type: int, payload: bytes) -> bytes:
         """The payload of the reply to one client frame."""

@@ -57,15 +57,6 @@ class Tensor:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self._arr).all())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return np.array_equal(self._arr, other._arr)
-
-    def __repr__(self) -> str:
-        w, h, c = self.shape
-        return f"Tensor({w}x{h}x{c})"
-
     # Binary codec used wherever tensors cross a byte boundary (sealed image
     # payloads, enclave boundary messages).
 

@@ -24,7 +24,6 @@ from irshield.client import client_predict
 from irshield.enclave import (
     attest,
     build_key_message,
-    decode_result_payload,
     enclave_create,
     infer_encrypted_image,
     map_classes,
@@ -36,6 +35,7 @@ from irshield.fixtures import gen_fixture_model
 from irshield.imageio import load_image
 from irshield.netdef import LayerSpec, parse_network, serialize_network
 from irshield.partition import pack_model, split_network, write_artifacts
+from irshield.protocol import decode_result_payload
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy
 from irshield.workload import flop_profile, frontnet_fraction

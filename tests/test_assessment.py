@@ -577,6 +577,26 @@ class TestOracleSplit:
         assert _oracle_split(single, 1) == 1
 
 
+class TestAssessModelRefusals:
+    def test_exactly_uniform_oracle_refused(self):
+        # all-zero weights give two equal logits: probabilities [0.5, 0.5], baseline exactly 0
+        cfg = "[net]\nwidth=4\nheight=4\nchannels=1\n\n[connected]\noutput=2\n\n[softmax]\n"
+        oracle = parse_network(cfg, pack_weights(*[0.0] * (2 + 2 * 16)))
+        x = _span_01_image()
+        assert forward(oracle, x).tolist() == [0.5, 0.5]
+        assert uniform_baseline(forward(oracle, x)) == 0.0
+        irgen = parse_network(IDENTITY_GEN_CFG, pack_weights(0.0, 1.0))
+        with pytest.raises(ValueError) as info:
+            assess_model([x], irgen, oracle)
+        assert str(info.value) == ("oracle classified an input as exactly uniform; "
+                                   "layer ratios are undefined")
+
+    def test_input_ids_of_another_length_refused(self, plain17):
+        with pytest.raises(ValueError) as info:
+            assess_model([seed_image(plain17.input_shape, 68)], plain17, plain17, input_ids=["a", "b"])
+        assert str(info.value) == "input_ids must match the number of inputs"
+
+
 class TestNonFiniteInput:
     """Non-finite pixels are refused up front; an overflow names its layer."""
 

@@ -465,3 +465,33 @@ def test_serve_and_predict_end_to_end(model_files, labels_file, image_dir, tmp_p
     want = [(labels[i - 1], s) for i, s in top_k(forward(net, load_image(image_path)), 3)]
     got = [(line.split("\t")[0], float(line.split("\t")[1])) for line in out_lines]
     assert got == want
+
+
+def test_serve_interrupted_exits_1_without_a_traceback(monkeypatch, capsys):
+    import irshield.cli as cli_mod
+
+    class InterruptedServer:
+        def __init__(self, addr, dep):
+            pass
+
+        def run_forever(self):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "deploy", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli_mod, "Server", InterruptedServer)
+    assert main(["serve", "--dir", "artifacts", "--root-key", ROOT_KEY_HEX]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_module_run_as_a_script_exits_with_the_command_status(tmp_path, monkeypatch, capsys):
+    import runpy
+
+    # run the module's code afresh as __main__, as "python -m irshield.cli" does
+    monkeypatch.delitem(sys.modules, "irshield.cli")
+    missing = tmp_path / "missing.sealed"
+    monkeypatch.setattr(sys, "argv", ["irshield", "open", "--key", IMG_KEY_HEX,
+                                      "--in", str(missing), "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("irshield.cli", run_name="__main__")
+    assert info.value.code == 1
+    assert capsys.readouterr().err.startswith("irshield: error: ")

@@ -15,7 +15,6 @@ from irshield.enclave import (
     AttestationEvidence,
     attest,
     build_key_message,
-    decode_result_payload,
     enclave_create,
     infer_encrypted_image,
     map_classes,
@@ -27,6 +26,7 @@ from irshield.engine import forward, forward_range, top_k
 from irshield.errors import AuthError, IrshieldError, ProtocolError, StateError
 from irshield.netdef import serialize_network
 from irshield.partition import pack_model, parse_manifest, split_network
+from irshield.protocol import decode_result_payload
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.tensor import Tensor
 
@@ -339,7 +339,7 @@ class TestInfer:
         x = seed_image(plain17.input_shape, 90)
         ir = infer_encrypted_image(session, sealed_image(x))
         want = forward_range(setup["front"], 1, 4, x)
-        assert ir == want
+        np.testing.assert_array_equal(ir.array, want.array)
 
     def test_tampered_image_denied_with_no_ir_bytes(self, plain17):
         setup = build_setup(plain17, 4)

@@ -46,8 +46,6 @@ from irshield.enclave import (
     _wrap_key,
     attest,
     build_key_message,
-    decode_result_payload,
-    encode_result_payload,
     enclave_create,
     measurement_from_manifest,
     provision_keys,
@@ -58,6 +56,7 @@ from irshield.netdef import parse_network, serialize_network
 from irshield.partition import (
     pack_model, parse_manifest, render_manifest, split_network, unpack_model, write_artifacts,
 )
+from irshield.protocol import decode_result_payload, encode_result_payload
 from irshield.sealing import NONCE_LEN, SealedContainer, encrypt, open_container, seal
 from irshield.server import deploy
 from irshield.tensor import Tensor
@@ -165,8 +164,8 @@ TENSOR = Tensor.from_array(np.arange(24).reshape(2, 3, 4)).encode()
 RESULT_ENTRIES = [(3, "cat", 0.5), (7, "dög", 0.25)]
 RESULT = encode_result_payload(RESULT_ENTRIES)
 # the count, then each entry's record followed by its label
-RESULT_FIELDS = fields(enclave._COUNT, *[part for _, label, _ in RESULT_ENTRIES
-                                         for part in (enclave._RESULT_ENTRY, len(label.encode()))])
+RESULT_FIELDS = fields(protocol._RESULT_COUNT, *[part for _, label, _ in RESULT_ENTRIES
+                                                for part in (protocol._RESULT_ENTRY, len(label.encode()))])
 MANIFEST = render_manifest({
     "frontnet.sealed": "0123456789abcdef" * 4,
     "labels.sealed": "fedcba9876543210" * 4,

@@ -266,6 +266,46 @@ def test_layer_numbering_checked_at_construction(layers, message):
         NetworkDef((4, 4, 1), layers)
 
 
+def test_unknown_layer_kind_refused_at_construction():
+    with pytest.raises(ShapeError) as info:
+        NetworkDef((4, 4, 1), (LayerSpec(index=1, kind="upsample"),))
+    assert str(info.value) == "layer 1 (upsample): unknown kind 'upsample'"
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ("[softmax]\n\n" + NET, "line 1: first section must be [net], got [softmax]"),
+    (NET, "line 1: model defines no layers"),
+])
+def test_config_without_a_first_net_or_a_layer_refused(cfg, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == message
+
+
+def test_structure_only_network_not_serialized():
+    with pytest.raises(WeightsError) as info:
+        serialize_network(parse_config(MINIMAL_CFG))
+    assert str(info.value) == "cannot serialize a structure-only NetworkDef"
+
+
+def test_parse_network_derives_each_shape_once(monkeypatch):
+    from irshield import netdef
+    from irshield.fixtures import gen_fixture_model
+
+    cfg, weights = gen_fixture_model("plain17", 42, 10)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].index)
+        return layer_output_shape(*args)
+
+    layer_output_shape = netdef.layer_output_shape
+    monkeypatch.setattr(netdef, "layer_output_shape", counted)
+    net = parse_network(cfg, weights)
+    assert calls == list(range(1, 18))
+    assert net.n_layers == 17 and len(net.weights) == 17
+
+
 def test_serialize_round_trip(plain17):
     cfg, weights = serialize_network(plain17)
     again = parse_network(cfg, weights)
@@ -314,7 +354,7 @@ class TestTensor:
     def test_codec_round_trip(self):
         t = Tensor.from_array(np.arange(24, dtype=np.float32).reshape(4, 2, 3) / 7)
         back = Tensor.decode(t.encode())
-        assert back == t
+        np.testing.assert_array_equal(back.array, t.array)
         assert back.shape == (3, 2, 4)
 
     def test_decode_rejects_bad_length(self):

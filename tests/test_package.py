@@ -43,3 +43,11 @@ def test_every_module_export_resolves(module):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         irshield.no_such_name
+
+
+def test_name_loads_from_its_module_on_first_use_and_is_kept(monkeypatch):
+    from irshield.tensor import Tensor
+
+    monkeypatch.delitem(vars(irshield), "Tensor", raising=False)  # as if never used
+    assert irshield.Tensor is Tensor
+    assert vars(irshield)["Tensor"] is Tensor

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,11 @@ class TestSealOpen:
 
 
 class TestSplitNetwork:
+    def test_structure_only_network_not_split(self, plain17):
+        with pytest.raises(PartitionError) as info:
+            split_network(replace(plain17, weights=None), 4)
+        assert str(info.value) == "cannot split a structure-only NetworkDef"
+
     def test_plain17_cut4_composition_bit_exact(self, plain17):
         front, back = split_network(plain17, 4)
         assert front.n_layers == 4
@@ -236,6 +243,35 @@ class TestArtifacts:
         (tmp_path / "m" / "manifest.txt").write_text(render_manifest(hashes))
         with pytest.raises(ProtocolError, match="hash mismatch for labels.sealed"):
             load_artifacts(tmp_path / "m")
+
+    @pytest.mark.parametrize("label", ["", "two\nlines"])
+    def test_empty_or_multi_line_label_refused(self, tmp_path, plain17, label):
+        labels = [f"class-{i}" for i in range(9)] + [label]
+        with pytest.raises(PartitionError) as info:
+            write_artifacts(tmp_path / "m", plain17, 4, labels, KEY)
+        assert str(info.value) == f"labels must be non-empty single lines, got {label!r}"
+
+    def test_blank_manifest_lines_are_skipped(self, tmp_path, plain17):
+        labels = [f"class-{i}" for i in range(10)]
+        arts = write_artifacts(tmp_path / "m", plain17, 4, labels, KEY)
+        manifest = tmp_path / "m" / "manifest.txt"
+        manifest.write_text("\n" + manifest.read_text().replace("\n", "\n \t\n", 1) + "\n")
+        assert load_artifacts(tmp_path / "m").manifest == arts.manifest
+
+    def test_missing_manifest_refused(self, tmp_path, plain17):
+        write_artifacts(tmp_path / "m", plain17, 4, [f"class-{i}" for i in range(10)], KEY)
+        (tmp_path / "m" / "manifest.txt").unlink()
+        with pytest.raises(ProtocolError) as info:
+            load_artifacts(tmp_path / "m")
+        assert str(info.value) == f"missing manifest.txt in {tmp_path / 'm'}"
+
+    def test_manifest_lacking_an_entry_refused(self, tmp_path, plain17):
+        arts = write_artifacts(tmp_path / "m", plain17, 4, [f"class-{i}" for i in range(10)], KEY)
+        hashes = {name: digest for name, digest in arts.manifest.items() if name != "labels.sealed"}
+        (tmp_path / "m" / "manifest.txt").write_text(render_manifest(hashes))
+        with pytest.raises(ProtocolError) as info:
+            load_artifacts(tmp_path / "m")
+        assert str(info.value) == "manifest lacks an entry for labels.sealed"
 
     def test_missing_artifact_detected(self, tmp_path, plain17):
         labels = [f"class-{i}" for i in range(10)]

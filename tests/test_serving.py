@@ -4,6 +4,7 @@ import logging
 import os
 import shutil
 import socket
+import struct
 import threading
 import time
 from dataclasses import replace
@@ -16,7 +17,6 @@ from irshield.client import AttestationRejected, ResultAuthError, client_predict
 from irshield.enclave import (
     attest,
     build_key_message,
-    decode_result_payload,
     enclave_create,
     measurement_from_manifest,
     provision_keys,
@@ -26,9 +26,10 @@ from irshield.engine import forward, top_k
 from irshield.errors import (
     AuthError, PartitionError, ProtocolError, ShapeError, StateError, WeightsError,
 )
-from irshield.imageio import load_image
+from irshield.imageio import load_image, resize_to_shape
 from irshield.netdef import parse_network, serialize_network
 from irshield.partition import render_manifest, write_artifacts
+from irshield.protocol import decode_result_payload
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy, handle_predict
 from irshield.tensor import Tensor
@@ -217,8 +218,6 @@ class TestHandlePredict:
         sealed = seal(image.encode(), IMG_KEY, "image")
         result = handle_predict(dep, session, sealed)
         opened = open_container(SealedContainer.decode(result), IMG_KEY)
-        from irshield.enclave import decode_result_payload
-
         got = [(label, score) for _, label, score in decode_result_payload(opened)]
         assert got == expected_topk(plain17, test_image, 3)
 
@@ -311,8 +310,6 @@ class TestServing:
                 msg_type, payload = driver.predict(seal(x.encode(), IMG_KEY, "image").encode())
                 assert msg_type == protocol.MSG_RESULT
                 opened = open_container(SealedContainer.decode(payload), IMG_KEY)
-                from irshield.enclave import decode_result_payload
-
                 got = [(label, score) for _, label, score in decode_result_payload(opened)]
                 want = [(LABELS10[i - 1], s) for i, s in top_k(forward(plain17, x), 3)]
                 assert got == want
@@ -520,6 +517,36 @@ class TestServing:
                 host.join(timeout=10)
             assert not host.is_alive()
 
+    def test_reply_of_another_type_refused(self, test_image):
+        # a one-shot host that answers Hello with a Result frame
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def answer_hello():
+                conn, _ = listener.accept()
+                with conn:
+                    protocol.read_frame(conn)
+                    protocol.send_frame(conn, protocol.MSG_RESULT, b"")
+                    while conn.recv(4096):  # until the client hangs up
+                        pass
+
+            host = threading.Thread(target=answer_hello, daemon=True)
+            host.start()
+            try:
+                with pytest.raises(ProtocolError) as info:
+                    client_predict(listener.getsockname()[:2], test_image,
+                                   MODEL_KEY, IMG_KEY, ROOT_KEY)
+            finally:
+                host.join(timeout=10)
+            assert not host.is_alive()
+        assert str(info.value) == "unexpected message type 6 in reply to type 1"
+
+    def test_image_of_another_shape_is_resized_to_the_hello_shape(self, server, plain17,
+                                                                    tmp_path):
+        path = tmp_path / "small.pgm"
+        write_netpbm(seed_image((20, 12, 1), 505), path)
+        want = top_k(forward(plain17, resize_to_shape(load_image(path), plain17.input_shape)), 3)
+        got = client_predict(server.address, path, MODEL_KEY, IMG_KEY, ROOT_KEY)
+        assert got == [(LABELS10[i - 1], score) for i, score in want]
+
     @pytest.mark.parametrize("length", [63, 65])
     def test_evidence_of_another_length_refused_before_keys(self, length, plain17, test_image):
         # a one-shot host that answers Hello, then AttestRequest with evidence
@@ -724,6 +751,18 @@ class TestConnectionLog:
         assert len(lines) == 1 and lines[0].endswith(" closed"), lines
         assert not [line for line in caplog.messages if "dropped" in line]
 
+    def test_refused_hello_logs_ended_by_the_server(self, artifact_dir, caplog):
+        def hello_of_version_2(address):
+            with socket.create_connection(address, timeout=10) as sock:
+                protocol.send_frame(sock, protocol.MSG_HELLO, (2).to_bytes(4, "little"))
+                assert protocol.read_frame(sock)[0] == protocol.MSG_ERROR
+                with pytest.raises(protocol.ConnectionClosed):
+                    protocol.read_frame(sock)
+
+        lines = self.connection_lines(artifact_dir, caplog, hello_of_version_2)
+        assert len(lines) == 1, lines
+        assert lines[0].endswith(f" ended by the server: error code {protocol.ERR_MALFORMED}")
+
     def test_half_a_frame_then_hang_up_logs_dropped(self, artifact_dir, caplog):
         def half_frame(address):
             with socket.create_connection(address, timeout=10) as sock:
@@ -732,6 +771,91 @@ class TestConnectionLog:
         lines = self.connection_lines(artifact_dir, caplog, half_frame)
         assert len(lines) == 1, lines
         assert lines[0].endswith(" dropped: connection closed mid-frame")
+
+
+class TestLifecycle:
+    """stop() shuts the listening socket down, which wakes the blocked accept()
+    on Linux; every open connection is then shut down and its thread joined."""
+
+    def test_stop_wakes_accept_at_once_and_may_repeat(self, artifact_dir):
+        srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY)).start()
+        time.sleep(0.05)  # the accept loop is blocked in accept()
+        start = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - start < 1
+        assert not srv._accept_thread.is_alive()
+        srv.stop()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(srv.address, timeout=1).close()
+
+    def test_run_forever_serves_on_the_calling_thread_until_stopped(self, artifact_dir, plain17,
+                                                                    test_image):
+        srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY))
+        runner = threading.Thread(target=srv.run_forever)
+        runner.start()
+        try:
+            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            assert got == expected_topk(plain17, test_image, 3)
+        finally:
+            srv.stop()
+            runner.join(timeout=5)
+        assert not runner.is_alive()
+
+    def test_stop_with_a_connection_its_peer_reset(self, artifact_dir, caplog):
+        # the connection's thread is held in the tap while its peer resets the
+        # connection, so stop() shuts down a socket that is no longer connected
+        caplog.set_level(logging.INFO, logger="irshield.server")
+        held, release = threading.Event(), threading.Event()
+
+        class HoldingTap(list):
+            def append(self, item):
+                held.set()
+                release.wait(10)
+                super().append(item)
+
+        srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY),
+                     tap=HoldingTap()).start()
+        timer = threading.Timer(0.5, release.set)
+        try:
+            with socket.create_connection(srv.address, timeout=10) as sock:
+                sock.sendall(protocol.pack_frame(protocol.MSG_HELLO, protocol.CLIENT_HELLO))
+                assert held.wait(10)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            time.sleep(0.1)  # the reset reaches the server's socket
+            timer.start()
+            srv.stop()
+        finally:
+            release.set()
+            timer.cancel()
+            srv.stop()
+        assert [line for line in caplog.messages if " dropped: " in line]
+
+    def test_unexpected_exception_is_logged_as_failed_and_the_daemon_serves_on(
+            self, artifact_dir, plain17, test_image, caplog, monkeypatch):
+        import irshield.server as server_mod
+
+        caplog.set_level(logging.INFO, logger="irshield.server")
+        failures = [RuntimeError("back model bug")]
+
+        def forward_failing_once(net, x):
+            if failures:
+                raise failures.pop()
+            return forward(net, x)
+
+        monkeypatch.setattr(server_mod, "forward", forward_failing_once)
+        srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY)).start()
+        try:
+            # the connection closes without a reply to the Predict
+            with pytest.raises(ConnectionError):
+                client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            assert got == expected_topk(plain17, test_image, 3)
+        finally:
+            srv.stop()
+        failed = [r for r in caplog.records if r.getMessage().endswith(" failed")]
+        assert len(failed) == 1
+        assert failed[0].getMessage().startswith("connection ")
+        assert str(failed[0].exc_info[1]) == "back model bug"
 
 
 HELLO = protocol.PROTOCOL_VERSION.to_bytes(4, "little")
