@@ -11,12 +11,15 @@ Each network compiles once to ``net.plan``, cached on the immutable NetworkDef: 
 step per layer, with its gather index, weights, windows and batch-norm fold bound. Byte
 rules: the fold is computed once, in float32; the convolution epilogue runs in place on
 the contiguous copy made after the transpose; the transposed weights stay a view (a
-contiguous copy changes the BLAS kernel, and with it the bytes).
+contiguous copy changes the BLAS kernel, and with it the bytes). A range chains its steps
+as ``y = run(y)``, keeping only outputs a route reads, and takes its input-shape and route
+checks from a per-layer table compiled with the plan.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,16 +32,22 @@ __all__ = ["forward", "forward_range", "forward_range_batch", "top_k", "LEAKY_SL
 
 LEAKY_SLOPE = np.float32(0.1)
 BN_EPSILON = np.float32(1e-6)  # added to the stored variance in the batch-norm fold
+_PAD_ROW = np.zeros((1, 1), np.float32)  # the gather's padding column at n = 1
+_PAD_ROW.flags.writeable = False
 
 
-def _activate(out: np.ndarray, activation: str) -> None:
-    """Apply ``activation`` to ``out`` in place."""
-    if activation == "relu":
-        np.maximum(out, np.float32(0), out=out)
-    elif activation == "leaky":
-        # max(0.1x, x) has the bytes of the select where(x > 0, x, 0.1x), signed zeros
-        # included; the product goes first, so a NaN comes back quieted, as from the select
-        np.maximum(out * LEAKY_SLOPE, out, out=out)
+def _relu(out: np.ndarray) -> None:
+    np.maximum(out, np.float32(0), out=out)
+
+
+def _leaky(out: np.ndarray) -> None:
+    # max(0.1x, x) has the bytes of the select where(x > 0, x, 0.1x), signed zeros
+    # included; the product goes first, so a NaN comes back quieted, as from the select
+    np.maximum(out * LEAKY_SLOPE, out, out=out)
+
+
+# each activation applied in place, resolved once per layer when the plan is built
+_ACTIVATIONS = {"linear": None, "relu": _relu, "leaky": _leaky}
 
 
 @functools.lru_cache(maxsize=32)
@@ -56,8 +65,9 @@ def _im2col_index(c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
 
 def _im2col(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``(n, positions, c*k*k)`` columns; the index is in range, so "wrap" skips bounds checks."""
-    flat = np.concatenate([x.reshape(len(x), -1), np.zeros((len(x), 1), np.float32)], axis=1)
-    return np.take(flat, index, axis=1, mode="wrap")
+    n = len(x)
+    pad = _PAD_ROW if n == 1 else np.zeros((n, 1), np.float32)
+    return np.concatenate([x.reshape(n, -1), pad], axis=1).take(index, axis=1, mode="wrap")
 
 
 def _bn_fold(lw) -> tuple[np.ndarray, np.ndarray]:
@@ -67,21 +77,24 @@ def _bn_fold(lw) -> tuple[np.ndarray, np.ndarray]:
     return (lw["bn_scale"] / denom)[:, None, None], beta[:, None, None]
 
 
-def _conv(index, wmat_t, out_shape, gamma, beta, activation, x: np.ndarray) -> np.ndarray:
+def _conv(index, wmat_t, out_shape, gamma, beta, activate, x: np.ndarray) -> np.ndarray:
     out = (_im2col(x, index) @ wmat_t).transpose(0, 2, 1).reshape(len(x), *out_shape).copy()
     if gamma is not None:
         np.multiply(out, gamma, out=out)
     np.add(out, beta, out=out)
-    _activate(out, activation)
+    if activate is not None:
+        activate(out)
     return out
 
 
 def _maxpool(windows, x: np.ndarray) -> np.ndarray:
     # max is exact, so folding the k*k strided window offsets gives the window max bytes
-    first, *rest = (x[:, :, ys, xs] for ys, xs in windows)
-    out = np.maximum(first, rest[0]) if rest else first
-    for offset in rest[1:]:
-        np.maximum(out, offset, out=out)
+    if len(windows) == 1:
+        return np.ascontiguousarray(x[windows[0]])
+    first, second, *rest = windows
+    out = np.maximum(x[first], x[second])
+    for window in rest:
+        np.maximum(out, x[window], out=out)
     return out
 
 
@@ -108,9 +121,22 @@ def _route(*sources: np.ndarray) -> np.ndarray:
     return np.concatenate(sources, axis=1)
 
 
-def compile_plan(net: NetworkDef) -> tuple:
-    """One ``(sources, run)`` step per layer, ``run`` taking layers ``sources``' outputs."""
-    steps = []
+class Plan(NamedTuple):
+    """A network's compiled layers, and what a range starting at each layer checks."""
+
+    # per layer (run, sources, keep): ``run`` returns the layer's C-contiguous float32
+    # output from the layer before's, or from the outputs of ``sources`` for a route;
+    # ``keep`` marks an output that a later route reads
+    steps: tuple
+    # per layer (expected input (c, h, w), the last layer a range starting there may
+    # reach, the PartitionError message of a range that goes past it)
+    starts: tuple
+
+
+def compile_plan(net: NetworkDef) -> Plan:
+    """The network's :class:`Plan`, with everything each step needs bound."""
+    steps, starts = [], []
+    read = {src for layer in net.layers for src in layer.sources}
     shapes = zip(net.layers, net.weights, net.layer_input_shapes, net.layer_output_shapes)
     for layer, lw, (iw, ih, ic), (ow, oh, oc) in shapes:
         k, s = layer.size, layer.stride
@@ -119,9 +145,10 @@ def compile_plan(net: NetworkDef) -> tuple:
                            else (None, lw["biases"][:, None, None]))
             index = _im2col_index(ic, ih, iw, k, s, layer.pad_pixels())
             run = functools.partial(_conv, index, lw["filters"].reshape(oc, -1).T, (oc, oh, ow),
-                                    gamma, beta, layer.activation)
+                                    gamma, beta, _ACTIVATIONS[layer.activation])
         elif layer.kind == "maxpool":
-            run = functools.partial(_maxpool, [(slice(dy, dy + s * oh, s), slice(dx, dx + s * ow, s))
+            run = functools.partial(_maxpool, [(..., slice(dy, dy + s * oh, s),
+                                                slice(dx, dx + s * ow, s))
                                                for dy in range(k) for dx in range(k)])
         elif layer.kind == "avgpool":
             run = functools.partial(_avgpool, k, s)
@@ -129,8 +156,15 @@ def compile_plan(net: NetworkDef) -> tuple:
             run = functools.partial(_connected, lw["weights"], lw["biases"])
         else:
             run = {"softmax": _softmax, "route": _route}[layer.kind]
-        steps.append((layer.sources or (layer.index - 1,), run))
-    return tuple(steps)
+        steps.append((run, layer.sources, layer.index in read))
+        reach, refusal = net.n_layers, None
+        if crossings := route_crossings(net, layer.index - 1):
+            index, src = crossings[0]
+            reach = index - 1
+            refusal = (f"cross-boundary route: layer {index} routes from layer {src}, "
+                       f"before the start of the range at layer {layer.index}")
+        starts.append(((ic, ih, iw), reach, refusal))
+    return Plan(tuple(steps), tuple(starts))
 
 
 def forward_range_batch(net: NetworkDef, from_layer: int, to_layer: int,
@@ -142,23 +176,26 @@ def forward_range_batch(net: NetworkDef, from_layer: int, to_layer: int,
     if not (1 <= from_layer <= to_layer <= net.n_layers):
         raise ShapeError(f"invalid layer range [{from_layer}, {to_layer}] "
                          f"for a {net.n_layers}-layer network")
-    w, h, c = net.layer_input_shapes[from_layer - 1]
-    if x.ndim != 4 or x.shape[1:] != (c, h, w):
+    steps, starts = net.plan
+    chw, reach, refusal = starts[from_layer - 1]
+    if x.ndim != 4 or x.shape[1:] != chw:
+        c, h, w = chw
         got = "x".join(str(d) for d in x.shape[:0:-1]) if x.ndim == 4 else str(x.shape)
         raise ShapeError(f"input shape {got} does not match layer {from_layer}'s "
                          f"expected input {w}x{h}x{c}")
     if not len(x):
         raise ShapeError("empty batch: at least one image is required")
-    if crossings := route_crossings(net, from_layer - 1, to_layer):
-        index, src = crossings[0]
-        raise PartitionError(f"cross-boundary route: layer {index} routes from layer {src}, "
-                             f"before the start of the range at layer {from_layer}")
-    outputs = {from_layer - 1: np.ascontiguousarray(x, dtype=np.float32)}
-    for pos, (sources, run) in enumerate(net.plan[from_layer - 1 : to_layer], start=from_layer):
-        # contiguous, so a later layer sees the same memory order (and its
-        # reductions the same summation order) as after a range boundary
-        outputs[pos] = np.ascontiguousarray(run(*[outputs[i] for i in sources]))
-    return outputs[to_layer]
+    if to_layer > reach:
+        raise PartitionError(refusal)
+    y = np.ascontiguousarray(x, dtype=np.float32)
+    kept = {from_layer - 1: y}
+    # every step returns a contiguous array, so a later layer sees the same memory
+    # order (and its reductions the same summation order) as after a range boundary
+    for pos, (run, sources, keep) in enumerate(steps[from_layer - 1 : to_layer], start=from_layer):
+        y = run(*[kept[i] for i in sources]) if sources else run(y)
+        if keep:
+            kept[pos] = y
+    return y
 
 
 def forward_range(net: NetworkDef, from_layer: int, to_layer: int, x: Tensor) -> Tensor:

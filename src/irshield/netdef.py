@@ -152,8 +152,9 @@ class NetworkDef:
 
     @functools.cached_property
     def plan(self) -> tuple:
-        """The engine's compiled steps for this network, built on first use
-        and kept for its lifetime (see :func:`irshield.engine.compile_plan`)."""
+        """The engine's compiled steps and range checks for this network,
+        built on first use and kept for its lifetime (see
+        :func:`irshield.engine.compile_plan`)."""
         from .engine import compile_plan
 
         return compile_plan(self)

@@ -11,13 +11,14 @@ names the type it expects (:meth:`SealedContainer.expect_type`). Byte layout::
 Keys are 32 raw bytes and never appear in any serialized form.
 
 This module alone uses the AES library, through :func:`encrypt` and
-:func:`decrypt`, which the key message shares. It is imported on first use,
-not with the package: a process that only assesses or profiles models never
-loads it, which keeps about 6 MB out of its resident memory.
+:func:`decrypt`, which the key message shares. Its classes are imported once,
+on first use, not with the package: a process that only assesses or profiles
+models never loads it, which keeps about 6 MB out of its resident memory.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -59,22 +60,28 @@ def check_key(key: bytes, name: str = "key") -> bytes:
     return bytes(key)
 
 
-def encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
-    """AES-256-GCM: the ciphertext, then its ``TAG_LEN``-byte tag."""
+@functools.cache
+def _aes() -> tuple[type, type]:
+    """The ``AESGCM`` class and its ``InvalidTag`` error, imported on first use."""
+    from cryptography.exceptions import InvalidTag
     from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-    return AESGCM(key).encrypt(nonce, plaintext, aad)
+    return AESGCM, InvalidTag
+
+
+def encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    """AES-256-GCM: the ciphertext, then its ``TAG_LEN``-byte tag."""
+    aesgcm, _ = _aes()
+    return aesgcm(key).encrypt(nonce, plaintext, aad)
 
 
 def decrypt(key: bytes, nonce: bytes, sealed: bytes, aad: bytes, refusal: str) -> bytes:
     """The plaintext of ``encrypt``'s output; any tamper or other key raises
     AuthError(refusal)."""
-    from cryptography.exceptions import InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
+    aesgcm, invalid_tag = _aes()
     try:
-        return AESGCM(key).decrypt(nonce, sealed, aad)
-    except InvalidTag:
+        return aesgcm(key).decrypt(nonce, sealed, aad)
+    except invalid_tag:
         raise AuthError(refusal) from None
 
 

@@ -13,9 +13,11 @@ answers with an error frame and closes it.
 
 from __future__ import annotations
 
+import errno
 import logging
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +41,11 @@ from .sealing import check_key
 __all__ = ["Deployment", "deploy", "handle_predict", "Server"]
 
 log = logging.getLogger("irshield.server")
+
+_ACCEPT_RETRY_ERRNOS = frozenset(
+    {errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM, errno.ECONNABORTED})
+_ACCEPT_RETRY_PAUSE_S = 0.1
+
 
 @dataclass
 class Deployment:
@@ -156,8 +163,14 @@ class Server:
         while True:
             try:
                 conn, peer = self._sock.accept()
-            except OSError:
-                break
+            except OSError as exc:
+                # out of descriptors or buffers, or a peer that reset before its accept,
+                # passes; anything else, stop()'s EINVAL or EBADF among it, ends the loop
+                if exc.errno not in _ACCEPT_RETRY_ERRNOS:
+                    break
+                log.warning("accept: %s; retrying in %g s", exc, _ACCEPT_RETRY_PAUSE_S)
+                time.sleep(_ACCEPT_RETRY_PAUSE_S)
+                continue
             thread = threading.Thread(target=self._serve_connection, args=(conn, peer), daemon=True)
             with self._conn_lock:
                 self._conns[conn] = thread

@@ -15,9 +15,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from irshield.engine import (
     LEAKY_SLOPE,
-    _activate,
     _im2col,
     _im2col_index,
+    _leaky,
     forward,
     forward_range,
     forward_range_batch,
@@ -167,5 +167,5 @@ def test_leaky_matches_select_bytes():
     cases.append(rng.standard_normal((8, 4, 32, 32)).astype(np.float32) * np.float32(10))
     for x in cases:
         want = np.where(x > 0, x, x * LEAKY_SLOPE)
-        _activate(x, "leaky")
+        _leaky(x)
         assert x.tobytes() == want.tobytes()

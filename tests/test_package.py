@@ -25,12 +25,31 @@ assert "irshield.server" in sys.modules
 
 
 def test_import_loads_no_serving_stack_and_every_name_resolves():
+    proc = _run_probe(PROBE.format(modules=SERVING_MODULES))
+    assert proc.returncode == 0, proc.stderr
+
+
+ASSESS_PROBE = """
+import sys
+import numpy as np
+import irshield as ir
+model, oracle = (ir.parse_network(*ir.gen_fixture_model("plain17", seed, 10)) for seed in (42, 2))
+image = ir.Tensor.from_array(np.full((3, 32, 32), 0.5, np.float32))
+ir.assess_model([image], model, oracle)
+loaded = [name for name in sys.modules if name.split(".")[0] == "cryptography"]
+assert not loaded, f"assess_model loaded {loaded[:3]}"
+"""
+
+
+def _run_probe(code: str) -> subprocess.CompletedProcess:
     src = str(Path(irshield.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(modules=SERVING_MODULES)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_assess_model_never_imports_the_aes_library():
+    proc = _run_probe(ASSESS_PROBE)
     assert proc.returncode == 0, proc.stderr
 
 

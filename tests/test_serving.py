@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import logging
@@ -856,6 +857,47 @@ class TestLifecycle:
         assert len(failed) == 1
         assert failed[0].getMessage().startswith("connection ")
         assert str(failed[0].exc_info[1]) == "back model bug"
+
+    class ListenerFailingOnce:
+        """A listening socket whose first accept() raises ``error``."""
+
+        def __init__(self, sock, error):
+            self._sock, self._errors = sock, [error]
+
+        def accept(self):
+            if self._errors:
+                raise self._errors.pop()
+            return self._sock.accept()
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    def test_accept_out_of_descriptors_is_logged_and_retried(self, artifact_dir, plain17,
+                                                             test_image, caplog):
+        caplog.set_level(logging.INFO, logger="irshield.server")
+        srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY))
+        srv._sock = self.ListenerFailingOnce(srv._sock, OSError(errno.EMFILE, "Too many open files"))
+        srv.start()
+        try:
+            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            assert got == expected_topk(plain17, test_image, 3)
+        finally:
+            srv.stop()
+        assert not srv._accept_thread.is_alive()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["accept: [Errno 24] Too many open files; retrying in 0.1 s"]
+
+    def test_accept_error_that_is_not_transient_ends_the_loop(self, artifact_dir, caplog):
+        caplog.set_level(logging.INFO, logger="irshield.server")
+        srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY))
+        srv._sock = self.ListenerFailingOnce(srv._sock, OSError(errno.ENOTSOCK, "not a socket"))
+        srv.start()
+        srv._accept_thread.join(timeout=5)
+        try:
+            assert not srv._accept_thread.is_alive()
+        finally:
+            srv.stop()
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 HELLO = protocol.PROTOCOL_VERSION.to_bytes(4, "little")

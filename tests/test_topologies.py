@@ -5,13 +5,15 @@ engine implements: convolutions (batch norm on and off, every activation,
 size 1 and 3, stride 1 and 2, with and without padding), max and average
 pools (global average included), routes over layers of matching spatial
 size, and an optional connected layer and softmax head. Every network is
-checked these ways: batch rows equal lone passes byte for byte, the two
-halves of every valid cut compose bit for bit, the engine agrees with the
-scalar oracle in ``reference.py``, ``valid_partition_points`` equals a
-brute-force route-span check, and parse and serialize round-trip byte for
-byte. The route-span rule is also checked, against a scan of every (later
-layer, source) pair, where each of its users applies it: the engine refuses
-exactly the ranges that reach back past their start, the assessment
+checked these ways: batch rows equal lone passes byte for byte, every plan
+step returns a C-contiguous float32 array of its layer's output shape (the
+fixtures too), the two halves of every valid cut compose bit for bit, the
+engine agrees with the scalar oracle in ``reference.py``,
+``valid_partition_points`` equals a brute-force route-span check, and parse
+and serialize round-trip byte for byte. The route-span rule is also checked,
+against a scan of every (later layer, source) pair, where each of its users
+applies it: the engine refuses exactly the ranges that reach back past their
+start, naming the first pair ``route_crossings`` finds, the assessment
 generator's outputs equal passes from layer 1, and ``split_network`` names
 exactly the routes an invalid cut crosses. Mutated config text either parses
 or fails with a config, shape or weights error, never another exception type.
@@ -35,6 +37,7 @@ from irshield.netdef import (
     NetworkDef,
     layer_output_shape,
     parse_network,
+    route_crossings,
     serialize_network,
     valid_partition_points,
     weights_layout,
@@ -131,6 +134,30 @@ def test_batch_rows_equal_lone_passes(net, seed):
         assert_batch_matches_lone_passes(net, _images(net.input_shape, n, seed + n), net.n_layers)
 
 
+def assert_steps_return_contiguous_outputs(net, seed: int) -> None:
+    """Each plan step, fed what it reads, returns a C-contiguous float32 array
+    of its layer's output shape, at every batch size checked: the engine
+    chains the steps without copying between them."""
+    for n in SIZES:
+        outputs = {0: _images(net.input_shape, n, seed + n)}
+        for pos, (run, sources, _) in enumerate(net.plan.steps, start=1):
+            out = outputs[pos] = run(*[outputs[i] for i in sources or (pos - 1,)])
+            w, h, c = net.layer_output_shapes[pos - 1]
+            assert (out.shape, out.dtype) == ((n, c, h, w), np.float32), f"layer {pos}"
+            assert out.flags.c_contiguous, f"layer {pos}"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(networks(), st.integers(0, 2**16))
+def test_plan_steps_return_contiguous_float32_outputs(net, seed):
+    assert_steps_return_contiguous_outputs(net, seed)
+
+
+@pytest.mark.parametrize("arch", ["plain17", "plain28", "denseblock"])
+def test_fixture_plan_steps_return_contiguous_float32_outputs(arch, request):
+    assert_steps_return_contiguous_outputs(request.getfixturevalue(arch), 7)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(networks(), st.integers(0, 2**16))
 def test_halves_compose_bit_exactly_at_every_valid_cut(net, seed):
@@ -193,9 +220,15 @@ def test_engine_refuses_exactly_the_ranges_that_cross_a_route(net, seed):
     inputs = [x] + [forward_range(net, 1, i, x) for i in range(1, n)]  # layer a's input
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            if _crossing_pairs(net, a, b):
-                with pytest.raises(PartitionError, match="cross-boundary route"):
+            if crossed := _crossing_pairs(net, a, b):
+                # the refusal comes from the plan's start table; it names the
+                # first pair, the one route_crossings finds first
+                assert route_crossings(net, a - 1, b)[0] == crossed[0]
+                with pytest.raises(PartitionError) as info:
                     forward_range(net, a, b, inputs[a - 1])
+                layer, src = crossed[0]
+                assert str(info.value) == (f"cross-boundary route: layer {layer} routes from layer "
+                                           f"{src}, before the start of the range at layer {a}")
             else:
                 got = forward_range(net, a, b, inputs[a - 1]).array.tobytes()
                 assert got == forward_range(net, 1, b, x).array.tobytes(), f"[{a}, {b}]"
