@@ -9,6 +9,7 @@ only reads images; it writes none.
 from __future__ import annotations
 
 import functools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,59 +74,50 @@ def resize_to_shape(image: Tensor, shape: tuple[int, int, int]) -> Tensor:
 # --- netpbm ------------------------------------------------------------------
 
 
-class _TokenReader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
+# a comment, or a token (group 1) between whitespace bytes; in a bytes pattern
+# ``\s`` is exactly the set ``bytes.isspace`` tests
+_TOKEN = re.compile(rb"#[^\n]*\n?|(\S+)")
 
-    def token(self) -> bytes:
-        while self.pos < len(self.blob):
-            ch = self.blob[self.pos : self.pos + 1]
-            if ch == b"#":
-                nl = self.blob.find(b"\n", self.pos)
-                self.pos = len(self.blob) if nl < 0 else nl + 1
-            elif ch.isspace():
-                self.pos += 1
-            else:
-                break
-        start = self.pos
-        while self.pos < len(self.blob) and not self.blob[self.pos : self.pos + 1].isspace():
-            self.pos += 1
-        if start == self.pos:
-            raise ShapeError("truncated netpbm header")
-        return self.blob[start : self.pos]
 
-    def int_token(self, name: str) -> int:
-        # ASCII decimal digits only: int() would also take signs and underscores.
-        # Twenty digits hold any count a file can back; longer strings make int()
-        # or the float conversion of samples raise
-        tok = self.token()
-        if not tok.isdigit() or len(tok) > 20:
-            raise ShapeError(f"bad netpbm {name}: {tok[:24]!r}")
-        return int(tok)
+def _tokens(blob: bytes):
+    """Every token's match, comments skipped; asking past the last raises ShapeError."""
+    for match in _TOKEN.finditer(blob):
+        if match[1]:
+            yield match
+    raise ShapeError("truncated netpbm header")
+
+
+def _int(match: re.Match, name: str) -> int:
+    # ASCII decimal digits only: int() would also take signs and underscores.
+    # Twenty digits hold any count a file can back; longer strings make int()
+    # or the float conversion of samples raise
+    tok = match[1]
+    if not tok.isdigit() or len(tok) > 20:
+        raise ShapeError(f"bad netpbm {name}: {tok[:24]!r}")
+    return int(tok)
 
 
 def load_image(path: str | Path) -> Tensor:
     """Load a PGM/PPM file as a tensor with values in [0, 1]."""
     blob = Path(path).read_bytes()
-    reader = _TokenReader(blob)
-    magic = reader.token()
+    tokens = _tokens(blob)
+    magic = next(tokens)[1]
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ShapeError(f"unsupported netpbm magic {magic!r} (want P2/P3/P5/P6)")
     channels = 3 if magic in (b"P3", b"P6") else 1
-    width = reader.int_token("width")
-    height = reader.int_token("height")
-    maxval = reader.int_token("maxval")
+    width, height = _int(next(tokens), "width"), _int(next(tokens), "height")
+    header_end = next(tokens)
+    maxval = _int(header_end, "maxval")
     if not (0 < maxval < 65536):
         raise ShapeError(f"netpbm maxval {maxval} out of range")
     count = width * height * channels
 
     if magic in (b"P2", b"P3"):
-        samples = np.array([reader.int_token("sample") for _ in range(count)], dtype=np.float64)
+        samples = np.array([_int(next(tokens), "sample") for _ in range(count)], dtype=np.float64)
     else:
         # exactly one whitespace byte separates the header from the raster
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
-        raster = blob[reader.pos + 1 : reader.pos + 1 + count * dtype.itemsize]
+        raster = blob[header_end.end() + 1 : header_end.end() + 1 + count * dtype.itemsize]
         if len(raster) < count * dtype.itemsize:
             raise ShapeError(
                 f"netpbm raster too short: {len(raster) // dtype.itemsize} samples, "

@@ -39,7 +39,8 @@ convolution's ``stride`` is 1, ``pad`` and ``batch_normalize`` are 0 and
 ``[avgpool]`` with neither key is global average pooling. Pools use floor
 output sizing (windows never extend past the input edge). One table,
 ``_GRAMMAR``, holds every key with its default and check, and drives both
-parsing and serialization.
+parsing and serialization. Its rules hold for every network: ``NetworkDef``
+checks a hand-built layer, read as its section's keys, as the parser does.
 
 Weights are a separate binary blob: magic ``IRSW``, a u32 little-endian
 format version, then raw f32 little-endian values in layer order. Within a
@@ -123,17 +124,23 @@ class NetworkDef:
     layer_output_shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if fault := _grammar_fault("net", dict(zip(_GRAMMAR["net"], self.input_shape))):
+            raise ShapeError(f"input shape {self.input_shape}: {fault[1]}")
         in_shapes: list[tuple[int, int, int]] = []
         out_shapes: list[tuple[int, int, int]] = []
         for position, layer in enumerate(self.layers, start=1):
             if layer.index != position:
                 raise ShapeError(f"layer {position} carries index {layer.index}")
-            sources = ()
-            if layer.sources:  # only a route has sources
-                if not (0 < min(layer.sources) and max(layer.sources) < position):
-                    raise ShapeError(f"layer {position}: sources {layer.sources} must precede it")
-                sources = tuple(out_shapes[s - 1] for s in layer.sources)
+            values = _section_values(layer)
+            if fault := _grammar_fault(layer.kind, values, position, len(self.layers)):
+                raise ShapeError(f"layer {position} ({layer.kind}): {fault[1]}")
+            # a field that no key of the section writes keeps its default, as when parsed
+            parsed = vars(_layer_spec(position, layer.kind, values))
+            if stray := [f for f in parsed if f != "bias" and getattr(layer, f) != parsed[f]]:
+                raise ShapeError(f"layer {position} ({layer.kind}): [{layer.kind}] has no key "
+                                 f"for field {stray[0]!r}")
             in_shapes.append(out_shapes[-1] if out_shapes else self.input_shape)
+            sources = tuple(out_shapes[s - 1] for s in layer.sources)
             out_shapes.append(layer_output_shape(layer, in_shapes[-1], sources))
         object.__setattr__(self, "layer_input_shapes", tuple(in_shapes))
         object.__setattr__(self, "layer_output_shapes", tuple(out_shapes))
@@ -164,10 +171,11 @@ class NetworkDef:
 
 _REQUIRED = object()  # the key must be written
 _SIZE = object()  # the key defaults to the section's own size
+_INTEGER = (int, np.integer)
 
 # Every key of every section in written order, as key: (default, check). The
 # default is _REQUIRED, a constant or _SIZE. The check is a minimum, the allowed
-# values, or None; ``str`` marks text that the section's own rules read.
+# values, None (any integer, which a section rule reads), or ``tuple`` (route sources).
 _GRAMMAR = {
     "net": {"width": (_REQUIRED, 1), "height": (_REQUIRED, 1), "channels": (_REQUIRED, 1)},
     "convolutional": {
@@ -176,10 +184,63 @@ _GRAMMAR = {
     },
     "maxpool": {"size": (_REQUIRED, 1), "stride": (_SIZE, 1)},
     "avgpool": {"size": (0, None), "stride": (_SIZE, None)},
-    "route": {"layers": (_REQUIRED, str)},
+    "route": {"layers": (_REQUIRED, tuple)},
     "connected": {"output": (_REQUIRED, 1)},
     "softmax": {},
 }
+
+
+def _grammar_fault(kind: str, values: dict, index: int = 0, n_layers: int = 0) -> tuple | None:
+    """The first rule that a section's values (every key, _REQUIRED where unwritten)
+    break, as (the key at fault or None, message), or None. A layer passes its index
+    and, once known, its network's layer count; [net] passes neither."""
+    if kind not in _GRAMMAR:
+        return None, f"unknown kind {kind!r}"
+    if kind == "net" and index:
+        return None, "[net] may appear only once, first"
+    for key, (_, check) in _GRAMMAR[kind].items():
+        value = values[key]
+        if value is _REQUIRED:
+            return key, f"missing required key {key!r}"
+        if check is ACTIVATIONS:
+            if value not in check:
+                return key, f"unknown {key} {value!r} (expected one of {', '.join(check)})"
+        elif check is tuple:
+            if not (isinstance(value, tuple) and all(isinstance(s, _INTEGER) for s in value)):
+                return key, f"route layers must be integers, got {value!r}"
+            if not value:
+                return key, "route needs at least one source layer"
+            for src in value:
+                if src < 1:
+                    return key, f"route source {src} is not a 1-based layer index"
+                if src >= index:
+                    return key, (f"route source must precede layer: source {src} "
+                                 f"not before layer {index}")
+        elif not isinstance(value, _INTEGER):
+            return key, f"key {key!r} must be an integer, got {value!r}"
+        elif isinstance(check, int) and value < check:
+            return key, f"key {key!r} must be >= {check}, got {value}"
+        elif isinstance(check, tuple) and value not in check:
+            return key, f"key {key!r} must be {' or '.join(map(str, check))}"
+    if kind == "avgpool" and not (values["size"] == values["stride"] == 0
+                                  or min(values["size"], values["stride"]) > 0):
+        return None, "avgpool needs both size and stride, or neither (global)"
+    if kind == "softmax" and index < n_layers:
+        return None, "softmax must be the final layer"
+    return None
+
+
+def _section_values(layer: LayerSpec) -> dict[str, object]:
+    """``layer``'s fields as its section's keys: ``sources`` as ``layers``, a flag as 0 or 1."""
+    return {**{key: int(v) if isinstance(v, bool) else v for key, v in vars(layer).items()},
+            "layers": layer.sources}
+
+
+def _layer_spec(index: int, kind: str, values: dict) -> LayerSpec:
+    """The layer that a section's checked values declare."""
+    return LayerSpec(index=index, kind=kind, **{
+        "sources" if key == "layers" else key: bool(v) if key == "batch_normalize" else v
+        for key, v in values.items() if key in _GRAMMAR[kind]})
 
 
 def _parse_sections(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]]]]:
@@ -213,62 +274,25 @@ def _parse_sections(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]
     return sections
 
 
-def _read_keys(name: str, lineno: int, keys: dict) -> dict[str, object]:
-    """The value of every key of one section, in written order, each defaulted
-    and checked as the grammar says."""
+def _read_section(name: str, lineno: int, keys: dict, index: int = 0, n_layers: int = 0) -> dict:
+    """Every key's value in one section, defaulted and checked as the grammar says
+    (ConfigError at the key's line, else the section's). Text that does not read
+    as the integers a key holds stays text, which the check refuses."""
     values: dict[str, object] = {}
     for key, (default, check) in _GRAMMAR[name].items():
         if key not in keys:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {key!r}", lineno)
             values[key] = values["size"] if default is _SIZE else default
-            continue
-        text, value_line = keys[key]
-        if check is str or isinstance(check, tuple) and isinstance(check[0], str):
-            if check is not str and text not in check:
-                raise ConfigError(
-                    f"unknown {key} {text!r} (expected one of {', '.join(check)})", value_line
-                )
-            values[key] = text
-            continue
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be an integer, got {text!r}", value_line) from None
-        if isinstance(check, int) and value < check:
-            raise ConfigError(f"key {key!r} must be >= {check}, got {value}", value_line)
-        if isinstance(check, tuple) and value not in check:
-            raise ConfigError(f"key {key!r} must be {' or '.join(map(str, check))}", lineno)
-        values[key] = value
+        else:
+            text = keys[key][0]
+            try:
+                values[key] = (text if check is ACTIVATIONS else int(text) if check is not tuple
+                               else tuple(int(part) for part in text.split(",") if part.strip()))
+            except ValueError:
+                values[key] = text
+    if fault := _grammar_fault(name, values, index, n_layers):
+        key, message = fault
+        raise ConfigError(message, keys[key][1] if key in keys else lineno)
     return values
-
-
-def _layer_from_section(index: int, name: str, lineno: int, keys: dict) -> LayerSpec:
-    values = _read_keys(name, lineno, keys)
-    if name == "convolutional":
-        values["batch_normalize"] = bool(values["batch_normalize"])
-    if name == "avgpool":
-        size, stride = values["size"], values["stride"]
-        if size < 0 or stride < 0 or (size == 0) != (stride == 0):
-            raise ConfigError("avgpool needs both size and stride, or neither (global)", lineno)
-    if name == "route":
-        value, value_line = keys["layers"]
-        try:
-            sources = tuple(int(part.strip()) for part in value.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"route layers must be integers, got {value!r}", value_line) from None
-        if not sources:
-            raise ConfigError("route needs at least one source layer", value_line)
-        for src in sources:
-            if src < 1:
-                raise ConfigError(f"route source {src} is not a 1-based layer index", value_line)
-            if src >= index:
-                raise ConfigError(
-                    f"route source must precede layer: source {src} not before layer {index}",
-                    value_line,
-                )
-        values = {"sources": sources}
-    return LayerSpec(index=index, kind=name, **values)
 
 
 def layer_output_shape(
@@ -308,9 +332,7 @@ def layer_output_shape(
         return (w0, h0, sum(shape[2] for shape in source_shapes))
     if layer.kind == "connected":
         return (1, 1, layer.output)
-    if layer.kind == "softmax":
-        return (1, 1, w * h * c)
-    raise ShapeError(f"{name}: unknown kind {layer.kind!r}")
+    return (1, 1, w * h * c)  # softmax
 
 
 def route_crossings(net: NetworkDef, cut: int, last: int | None = None) -> list[tuple[int, int]]:
@@ -351,26 +373,16 @@ def parse_config(config_text: str) -> NetworkDef:
     name, lineno, keys = sections[0]
     if name != "net":
         raise ConfigError(f"first section must be [net], got [{name}]", lineno)
-    input_shape = tuple(_read_keys("net", lineno, keys).values())
-
-    layers = []
-    for index, (lname, lline, lkeys) in enumerate(sections[1:], start=1):
-        if lname == "net":
-            raise ConfigError("[net] may appear only once, first", lline)
-        layers.append(_layer_from_section(index, lname, lline, lkeys))
-    if not layers:
+    input_shape = tuple(_read_section("net", lineno, keys).values())
+    if len(sections) == 1:
         raise ConfigError("model defines no layers", lineno)
-    for layer, (lname, lline, _) in zip(layers, sections[1:]):
-        if layer.kind == "softmax" and layer.index != len(layers):
-            raise ConfigError("softmax must be the final layer", lline)
-
+    layers = [_layer_spec(index, lname, _read_section(lname, lline, lkeys, index))
+              for index, (lname, lline, lkeys) in enumerate(sections[1:], start=1)]
+    # after every section's keys, so that a later section's key fault is reported first
+    for layer, (_, lline, lkeys) in zip(layers, sections[1:]):
+        if layer.kind == "softmax":
+            _read_section("softmax", lline, lkeys, layer.index, len(layers))
     return NetworkDef(input_shape, tuple(layers))
-
-
-def _frozen(arr: np.ndarray, shape) -> np.ndarray:
-    out = arr.reshape(shape).copy()
-    out.flags.writeable = False
-    return out
 
 
 def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
@@ -404,7 +416,8 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
         arrays = {}
         for name, shape in layout:
             n = math.prod(shape)
-            arrays[name] = _frozen(values[cursor : cursor + n], shape)
+            arrays[name] = values[cursor : cursor + n].reshape(shape).copy()
+            arrays[name].flags.writeable = False
             cursor += n
         per_layer.append(MappingProxyType(arrays))
 
@@ -424,8 +437,8 @@ def _section_text(name: str, values: dict) -> str:
     if name == "avgpool" and not values["size"]:
         return "[avgpool]"
     lines = [f"[{name}]"]
-    lines += [f"{key}={values[key]}" for key in _GRAMMAR[name]
-              if key != "batch_normalize" or values[key]]
+    lines += [f"{key}={','.join(map(str, values[key])) if key == 'layers' else values[key]}"
+              for key in _GRAMMAR[name] if key != "batch_normalize" or values[key]]
     return "\n".join(lines)
 
 
@@ -438,11 +451,7 @@ def serialize_network(net: NetworkDef) -> tuple[str, bytes]:
     if net.weights is None:
         raise WeightsError("cannot serialize a structure-only NetworkDef")
     blocks = [_section_text("net", dict(zip(_GRAMMAR["net"], net.input_shape)))]
-    blocks += [
-        _section_text(layer.kind, {**vars(layer), "batch_normalize": int(layer.batch_normalize),
-                                   "layers": ",".join(map(str, layer.sources))})
-        for layer in net.layers
-    ]
+    blocks += [_section_text(layer.kind, _section_values(layer)) for layer in net.layers]
     config_text = "\n\n".join(blocks) + "\n"
 
     chunks = [_WEIGHTS_HEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION)]

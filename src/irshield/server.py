@@ -52,18 +52,11 @@ class Deployment:
     artifacts: PartitionArtifacts
     k: int
     root_key: bytes = field(repr=False)
+    hello: bytes  # the Hello reply: input shape, class count and k
 
     @property
     def backnet(self) -> NetworkDef:
         return self.artifacts.backnet
-
-    @property
-    def input_shape(self) -> tuple[int, int, int]:
-        return tuple(self.artifacts.meta["input_shape"])
-
-    @property
-    def classes(self) -> int:
-        return self.backnet.class_count()
 
     def new_session(self) -> EnclaveSession:
         """A fresh, unprovisioned enclave session over the sealed artifacts."""
@@ -74,15 +67,17 @@ def deploy(model_dir: str | Path, k: int = 5, *, root_key: bytes) -> Deployment:
     """Load a partition artifact directory for serving with a 32-byte root key.
 
     ``load_artifacts`` verifies every hash and the partition record and loads
-    the back model, whose class count bounds ``k``. No enclave session is made
-    here: each connection gets its own from :meth:`Deployment.new_session`.
+    the back model, whose class count bounds ``k``. The Hello reply is packed
+    here, once. No enclave session is made here: each connection gets its own
+    from :meth:`Deployment.new_session`.
     """
     root_key = check_key(root_key, "root key")
     artifacts = load_artifacts(model_dir)
     classes = artifacts.backnet.class_count()
     if not (1 <= k <= classes):
         raise ValueError(f"k must be in [1, {classes}], got {k}")
-    return Deployment(artifacts=artifacts, k=k, root_key=root_key)
+    hello = protocol.server_hello_payload(tuple(artifacts.meta["input_shape"]), classes, k)
+    return Deployment(artifacts=artifacts, k=k, root_key=root_key, hello=hello)
 
 
 def handle_predict(
@@ -221,7 +216,7 @@ class Server:
         if msg_type == protocol.MSG_HELLO:
             if payload != protocol.CLIENT_HELLO:
                 raise ProtocolError(f"client hello is not version {protocol.PROTOCOL_VERSION}")
-            return protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
+            return dep.hello
         if msg_type == protocol.MSG_ATTEST_REQUEST:
             return attest(session, payload, dep.root_key).encode()
         if msg_type == protocol.MSG_PROVISION_KEYS:

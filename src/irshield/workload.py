@@ -48,7 +48,7 @@ def _cost(layer: LayerSpec, in_shape: tuple[int, int, int], out_shape: tuple[int
     if layer.kind == "route":
         # output volume equals the concatenated source volumes; cost is the move
         return ROUTE_OPS_PER_ELEMENT * n_out
-    return SOFTMAX_OPS_PER_CLASS * n_in  # softmax; layer_output_shape rejects other kinds
+    return SOFTMAX_OPS_PER_CLASS * n_in  # softmax; NetworkDef refuses other kinds
 
 
 def flop_profile(net: NetworkDef) -> FlopProfile:

@@ -276,7 +276,7 @@ def artifacts(tmp_path_factory, plain17):
 def deploy_mutated(artifacts, name: str, blob: bytes) -> None:
     """Deploy with artifact ``name`` replaced by ``blob`` and rehashed in the
     manifest, then put the original back. ``deploy`` must raise an
-    ``IrshieldError`` or return a Deployment whose Hello encodes."""
+    ``IrshieldError`` or return a Deployment whose Hello parses."""
     directory, originals = artifacts
     rewrite_artifact(directory, name, blob)
     try:
@@ -285,7 +285,7 @@ def deploy_mutated(artifacts, name: str, blob: bytes) -> None:
         return
     finally:
         rewrite_artifact(directory, name, originals[name])
-    protocol.server_hello_payload(dep.input_shape, dep.classes, dep.k)
+    protocol.parse_server_hello(dep.hello)
 
 
 @HOSTILE

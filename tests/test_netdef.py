@@ -141,9 +141,9 @@ NET = "[net]\nwidth=4\nheight=4\nchannels=1\n\n"  # the next section is on line 
     ("[convolutional]\nfilters=1\nsize=0\n", "line 8: key 'size' must be >= 1, got 0"),
     ("[convolutional]\nfilters=1\nsize=1\nstride=x\n",
      "line 9: key 'stride' must be an integer, got 'x'"),
-    ("[convolutional]\nfilters=1\nsize=1\npad=2\n", "line 6: key 'pad' must be 0 or 1"),
+    ("[convolutional]\nfilters=1\nsize=1\npad=2\n", "line 9: key 'pad' must be 0 or 1"),
     ("[convolutional]\nfilters=1\nsize=1\nbatch_normalize=2\n",
-     "line 6: key 'batch_normalize' must be 0 or 1"),
+     "line 9: key 'batch_normalize' must be 0 or 1"),
     ("[convolutional]\nfilters=1\nsize=1\nactivation=tanh\n",
      "line 9: unknown activation 'tanh' (expected one of linear, relu, leaky)"),
     ("[maxpool]\nstride=2\n", "line 6: missing required key 'size'"),
@@ -258,8 +258,8 @@ def test_layer_that_does_not_fit_refused_at_construction():
 
 @pytest.mark.parametrize("layers, message", [
     ((replace(CONV3, index=2),), "layer 1 carries index 2"),
-    ((CONV3, LayerSpec(index=2, kind="route", sources=(2,))), r"layer 2: sources \(2,\)"),
-    ((CONV3, LayerSpec(index=2, kind="route", sources=(0,))), r"layer 2: sources \(0,\)"),
+    ((CONV3, LayerSpec(index=2, kind="route", sources=(2,))), r"^layer 2 \(route\): route source must precede layer: source 2 not before layer 2$"),
+    ((CONV3, LayerSpec(index=2, kind="route", sources=(0,))), r"^layer 2 \(route\): route source 0 is not a 1-based layer index$"),
 ])
 def test_layer_numbering_checked_at_construction(layers, message):
     with pytest.raises(ShapeError, match=message):

@@ -92,8 +92,8 @@ class TestDeploy:
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
         assert dep.backnet is dep.artifacts.backnet
         assert dep.backnet.n_layers == 13
-        assert dep.input_shape == (32, 32, 3)
-        assert dep.classes == 10
+        assert protocol.parse_server_hello(dep.hello) == {
+            "version": protocol.PROTOCOL_VERSION, "input_shape": (32, 32, 3), "classes": 10, "k": 3}
         session = dep.new_session()
         assert session.state == "created"
         assert session.measurement == measurement_from_manifest(dep.artifacts.manifest)
@@ -198,6 +198,14 @@ class TestDeploy:
         rewrite_artifact(record_dir, "backnet.cfg", b"\xff\xfe" + config)
         with pytest.raises(ProtocolError, match="back model config is not UTF-8 text"):
             deploy(record_dir, k=3, root_key=ROOT_KEY)
+
+    def test_hand_built_network_with_an_unknown_activation_never_sealed(self, plain17):
+        # the network itself is refused, so write_artifacts cannot seal it; sealed,
+        # it deployed, and every client's provisioning then failed as an AuthError
+        # when the enclave parsed the front model
+        tanh = replace(plain17.layers[0], activation="tanh")
+        with pytest.raises(ShapeError, match=r"^layer 1 \(convolutional\): unknown activation 'tanh'"):
+            replace(plain17, layers=(tanh, *plain17.layers[1:]))
 
 
 def provisioned_session(dep, img_key=IMG_KEY):

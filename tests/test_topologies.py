@@ -17,6 +17,8 @@ start, naming the first pair ``route_crossings`` finds, the assessment
 generator's outputs equal passes from layer 1, and ``split_network`` names
 exactly the routes an invalid cut crosses. Mutated config text either parses
 or fails with a config, shape or weights error, never another exception type.
+A generated network with one field of one layer changed by hand is either
+refused at construction or runs, costs and round-trips through config text.
 """
 
 import re
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 
 from irshield.assessment import _generator_outputs
 from irshield.engine import forward, forward_range
-from irshield.errors import ConfigError, PartitionError, ShapeError, WeightsError
+from irshield.errors import ConfigError, IrshieldError, PartitionError, ShapeError, WeightsError
 from irshield.fixtures import _draw
 from irshield.netdef import (
     ACTIVATIONS,
@@ -44,6 +46,7 @@ from irshield.netdef import (
 )
 from irshield.partition import split_network
 from irshield.tensor import Tensor
+from irshield.workload import flop_profile
 
 from reference import ref_forward_range
 from test_batch import SIZES, _images, assert_batch_matches_lone_passes
@@ -266,6 +269,71 @@ def test_parse_serialize_round_trips_byte_for_byte(net):
     again = parse_network(config_text, weights)
     assert again.layers == net.layers
     assert serialize_network(again) == (config_text, weights)
+
+
+_FIELDS = ("filters", "size", "stride", "pad", "output")
+_CONV = LayerSpec(index=1, kind="convolutional", filters=1, size=1)
+
+
+@st.composite
+def hand_built(draw):
+    """A generated network's input shape and layers with one change: a field of
+    one layer set to a small or unknown value, a layer moved ahead of the end as
+    a softmax, or an input dimension set to 0."""
+    net = draw(networks())
+    shape, layers = list(net.input_shape), list(net.layers)
+    i = draw(st.integers(0, len(layers) - 1))
+    layer = layers[i]
+    op = draw(st.sampled_from(("field", "activation", "sources", "kind", "softmax", "input")))
+    if op == "field":
+        layers[i] = replace(layer, **{draw(st.sampled_from(_FIELDS)): draw(st.integers(-1, 2))})
+    elif op == "activation":
+        layers[i] = replace(layer, activation=draw(st.sampled_from(("tanh", "", "Leaky"))))
+    elif op == "sources":
+        layers[i] = replace(layer, sources=draw(st.sampled_from(((), (0,), (layer.index,)))))
+    elif op == "kind":
+        layers[i] = replace(layer, kind=draw(st.sampled_from(("upsample", "net"))))
+    elif op == "softmax":
+        layers[i] = LayerSpec(index=layer.index, kind="softmax")
+    else:
+        shape[draw(st.integers(0, 2))] = 0
+    return tuple(shape), tuple(layers)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(hand_built())
+# each crashed at construction or later with an exception of another type: a
+# route with no sources (IndexError), a pool of stride 0 (ZeroDivisionError), a
+# convolution of no filters (ZeroDivisionError in flop_profile), an unknown
+# activation (KeyError at the first pass), and a softmax ahead of the last layer
+# (serialized to text that parse_config refuses)
+@example(((4, 4, 1), (_CONV, LayerSpec(index=2, kind="route"))))
+@example(((4, 4, 1), (LayerSpec(index=1, kind="maxpool", size=2, stride=0),)))
+@example(((4, 4, 1), (replace(_CONV, filters=0),)))
+@example(((4, 4, 1), (replace(_CONV, activation="tanh"),)))
+@example(((4, 4, 1), (LayerSpec(index=1, kind="softmax"), replace(_CONV, index=2))))
+@example(((4, 4, 1), (_CONV, replace(_CONV, index=2, sources=(1,)))))
+@example(((4, 0, 1), (_CONV,)))
+def test_hand_built_networks_keep_the_config_rules(mutant):
+    """A hand-built network either breaks a rule of the config grammar and is
+    refused at construction, or runs, costs, and round-trips through config
+    text byte for byte."""
+    input_shape, layers = mutant
+    try:
+        net = NetworkDef(input_shape, layers)
+    except IrshieldError:
+        return
+    rng = np.random.default_rng(0)
+    net = replace(net, weights=tuple(
+        {name: _draw(rng, name, dims) for name, dims in weights_layout(layer, s)}
+        for layer, s in zip(net.layers, net.layer_input_shapes)))
+    w, h, c = input_shape
+    forward_range(net, 1, net.n_layers, Tensor.from_array(np.zeros((c, h, w), np.float32)))
+    assert flop_profile(net).total > 0
+    text, blob = serialize_network(net)
+    again = parse_network(text, blob)
+    assert again.layers == net.layers
+    assert serialize_network(again) == (text, blob)
 
 
 _SECTIONS = ("net", "convolutional", "maxpool", "avgpool", "route", "connected", "softmax", "dropout")

@@ -42,7 +42,7 @@ class TestLayerFlops:
         assert one_layer_flops(layer, (224, 224, 16)) == 112 * 112 * 16 * 4 == 802_816
 
     def test_global_avgpool_cost(self):
-        layer = LayerSpec(index=1, kind="avgpool")
+        layer = LayerSpec(index=1, kind="avgpool", stride=0)
         assert one_layer_flops(layer, (7, 5, 8)) == 7 * 5 * 8
 
     def test_connected_cost(self):
