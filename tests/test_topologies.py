@@ -278,8 +278,8 @@ _CONV = LayerSpec(index=1, kind="convolutional", filters=1, size=1)
 @st.composite
 def hand_built(draw):
     """A generated network's input shape and layers with one change: a field of
-    one layer set to a small or unknown value, a layer moved ahead of the end as
-    a softmax, or an input dimension set to 0."""
+    one layer set to a small or unknown value, a layer before the last replaced
+    by a softmax, or an input dimension set to 0."""
     net = draw(networks())
     shape, layers = list(net.input_shape), list(net.layers)
     i = draw(st.integers(0, len(layers) - 1))
@@ -294,7 +294,8 @@ def hand_built(draw):
     elif op == "kind":
         layers[i] = replace(layer, kind=draw(st.sampled_from(("upsample", "net"))))
     elif op == "softmax":
-        layers[i] = LayerSpec(index=layer.index, kind="softmax")
+        i = min(i, len(layers) - 2)
+        layers[i] = LayerSpec(index=i + 1, kind="softmax")
     else:
         shape[draw(st.integers(0, 2))] = 0
     return tuple(shape), tuple(layers)
@@ -320,20 +321,16 @@ def test_hand_built_networks_keep_the_config_rules(mutant):
     text byte for byte."""
     input_shape, layers = mutant
     try:
-        net = NetworkDef(input_shape, layers)
+        NetworkDef(input_shape, layers)
     except IrshieldError:
         return
-    rng = np.random.default_rng(0)
-    net = replace(net, weights=tuple(
-        {name: _draw(rng, name, dims) for name, dims in weights_layout(layer, s)}
-        for layer, s in zip(net.layers, net.layer_input_shapes)))
+    net = _weighted(input_shape, layers, 0)  # serialized and parsed back
+    assert net.layers == layers
     w, h, c = input_shape
     forward_range(net, 1, net.n_layers, Tensor.from_array(np.zeros((c, h, w), np.float32)))
     assert flop_profile(net).total > 0
     text, blob = serialize_network(net)
-    again = parse_network(text, blob)
-    assert again.layers == net.layers
-    assert serialize_network(again) == (text, blob)
+    assert serialize_network(parse_network(text, blob)) == (text, blob)
 
 
 _SECTIONS = ("net", "convolutional", "maxpool", "avgpool", "route", "connected", "softmax", "dropout")
