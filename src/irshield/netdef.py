@@ -39,8 +39,8 @@ convolution's ``stride`` is 1, ``pad`` and ``batch_normalize`` are 0 and
 ``[avgpool]`` with neither key is global average pooling. Pools use floor
 output sizing (windows never extend past the input edge). One table,
 ``_GRAMMAR``, holds every key with its default and check, and drives both
-parsing and serialization. Its rules hold for every network: ``NetworkDef``
-checks a hand-built layer, read as its section's keys, as the parser does.
+parsing and serialization. ``NetworkDef`` checks every network, parsed or
+hand-built, against it in one walk; the parser only reads values.
 
 Weights are a separate binary blob: magic ``IRSW``, a u32 little-endian
 format version, then raw f32 little-endian values in layer order. Within a
@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -124,26 +124,16 @@ class NetworkDef:
     layer_output_shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if fault := _grammar_fault("net", dict(zip(_GRAMMAR["net"], self.input_shape))):
-            raise ShapeError(f"input shape {self.input_shape}: {fault[1]}")
-        in_shapes: list[tuple[int, int, int]] = []
-        out_shapes: list[tuple[int, int, int]] = []
-        for position, layer in enumerate(self.layers, start=1):
-            if layer.index != position:
-                raise ShapeError(f"layer {position} carries index {layer.index}")
-            values = _section_values(layer)
-            if fault := _grammar_fault(layer.kind, values, position, len(self.layers)):
-                raise ShapeError(f"layer {position} ({layer.kind}): {fault[1]}")
-            # a field that no key of the section writes keeps its default, as when parsed
-            parsed = vars(_layer_spec(position, layer.kind, values))
-            if stray := [f for f in parsed if f != "bias" and getattr(layer, f) != parsed[f]]:
-                raise ShapeError(f"layer {position} ({layer.kind}): [{layer.kind}] has no key "
-                                 f"for field {stray[0]!r}")
-            in_shapes.append(out_shapes[-1] if out_shapes else self.input_shape)
-            sources = tuple(out_shapes[s - 1] for s in layer.sources)
-            out_shapes.append(layer_output_shape(layer, in_shapes[-1], sources))
-        object.__setattr__(self, "layer_input_shapes", tuple(in_shapes))
-        object.__setattr__(self, "layer_output_shapes", tuple(out_shapes))
+        if fault := _grammar_fault(self.input_shape, self.layers):
+            position, _, message = fault
+            where = ("" if position is None else f"input shape {self.input_shape}: " if position == 0
+                     else f"layer {position} ({self.layers[position - 1].kind}): ")
+            raise ShapeError(where + message)
+        shapes = [self.input_shape]  # then layer k's output at k
+        for layer in self.layers:
+            shapes.append(layer_output_shape(layer, shapes[-1], tuple(shapes[s] for s in layer.sources)))
+        object.__setattr__(self, "layer_input_shapes", tuple(shapes[:-1]))
+        object.__setattr__(self, "layer_output_shapes", tuple(shapes[1:]))
 
     @property
     def n_layers(self) -> int:
@@ -189,58 +179,67 @@ _GRAMMAR = {
     "softmax": {},
 }
 
+# Per layer kind, each LayerSpec field (bias aside) that no key writes, with its parsed default
+_UNKEYED = {kind: {f.name: f.default for f in fields(LayerSpec)[2:]  # after index and kind
+                   if f.name != "bias" and ("layers" if f.name == "sources" else f.name) not in keys}
+            for kind, keys in _GRAMMAR.items() if kind != "net"}
 
-def _grammar_fault(kind: str, values: dict, index: int = 0, n_layers: int = 0) -> tuple | None:
-    """The first rule that a section's values (every key, _REQUIRED where unwritten)
-    break, as (the key at fault or None, message), or None. A layer passes its index
-    and, once known, its network's layer count; [net] passes neither."""
-    if kind not in _GRAMMAR:
-        return None, f"unknown kind {kind!r}"
-    if kind == "net" and index:
-        return None, "[net] may appear only once, first"
-    for key, (_, check) in _GRAMMAR[kind].items():
-        value = values[key]
-        if value is _REQUIRED:
-            return key, f"missing required key {key!r}"
-        if check is ACTIVATIONS:
-            if value not in check:
-                return key, f"unknown {key} {value!r} (expected one of {', '.join(check)})"
-        elif check is tuple:
-            if not (isinstance(value, tuple) and all(isinstance(s, _INTEGER) for s in value)):
-                return key, f"route layers must be integers, got {value!r}"
-            if not value:
-                return key, "route needs at least one source layer"
-            for src in value:
-                if src < 1:
-                    return key, f"route source {src} is not a 1-based layer index"
-                if src >= index:
-                    return key, (f"route source must precede layer: source {src} "
-                                 f"not before layer {index}")
-        elif not isinstance(value, _INTEGER):
-            return key, f"key {key!r} must be an integer, got {value!r}"
-        elif isinstance(check, int) and value < check:
-            return key, f"key {key!r} must be >= {check}, got {value}"
-        elif isinstance(check, tuple) and value not in check:
-            return key, f"key {key!r} must be {' or '.join(map(str, check))}"
-    if kind == "avgpool" and not (values["size"] == values["stride"] == 0
-                                  or min(values["size"], values["stride"]) > 0):
-        return None, "avgpool needs both size and stride, or neither (global)"
-    if kind == "softmax" and index < n_layers:
-        return None, "softmax must be the final layer"
+
+def _grammar_fault(input_shape: tuple, layers: tuple) -> tuple | None:
+    """The first config rule a network breaks, as (position: 0 for [net], k for layer k,
+    None for the layer list; the key at fault or None; message), or None. Every
+    section's keys are checked before any softmax's place, as text reports them."""
+    if not isinstance(input_shape, tuple) or len(input_shape) != 3:
+        return 0, None, "must be a tuple of three values (width, height, channels)"
+    for position, (kind, values) in enumerate(_sections(input_shape, layers)):
+        if position and values["index"] != position:
+            return None, None, f"layer {position} carries index {values['index']}"
+        if position and kind not in _UNKEYED:
+            return position, None, ("[net] may appear only once, first" if kind == "net"
+                                    else f"unknown kind {kind!r}")
+        for key, (_, check) in _GRAMMAR[kind].items():
+            value = values[key]
+            if value is _REQUIRED:
+                return position, key, f"missing required key {key!r}"
+            if check is ACTIVATIONS:
+                if value not in check:
+                    return position, key, f"unknown {key} {value!r} (expected one of {', '.join(check)})"
+            elif check is tuple:
+                if not (isinstance(value, tuple) and all(isinstance(s, _INTEGER) for s in value)):
+                    return position, key, f"route layers must be integers, got {value!r}"
+                if not value:
+                    return position, key, "route needs at least one source layer"
+                for src in value:
+                    if src < 1:
+                        return position, key, f"route source {src} is not a 1-based layer index"
+                    if src >= position:
+                        return position, key, (f"route source must precede layer: source {src} "
+                                               f"not before layer {position}")
+            elif not isinstance(value, _INTEGER):
+                return position, key, f"key {key!r} must be an integer, got {value!r}"
+            elif isinstance(check, int) and value < check:
+                return position, key, f"key {key!r} must be >= {check}, got {value}"
+            elif isinstance(check, tuple) and value not in check:
+                return position, key, f"key {key!r} must be {' or '.join(map(str, check))}"
+        if kind == "avgpool" and not (values["size"] == values["stride"] == 0
+                                      or min(values["size"], values["stride"]) > 0):
+            return position, None, "avgpool needs both size and stride, or neither (global)"
+        for name, default in _UNKEYED.get(kind, {}).items():
+            if values[name] != default:
+                return position, None, f"[{kind}] has no key for field {name!r}"
+    if not layers:  # after [net]'s keys, the only section
+        return None, None, "model defines no layers"
+    for position, layer in enumerate(layers[:-1], start=1):
+        if layer.kind == "softmax":
+            return position, None, "softmax must be the final layer"
     return None
 
 
-def _section_values(layer: LayerSpec) -> dict[str, object]:
-    """``layer``'s fields as its section's keys: ``sources`` as ``layers``, a flag as 0 or 1."""
-    return {**{key: int(v) if isinstance(v, bool) else v for key, v in vars(layer).items()},
-            "layers": layer.sources}
-
-
-def _layer_spec(index: int, kind: str, values: dict) -> LayerSpec:
-    """The layer that a section's checked values declare."""
-    return LayerSpec(index=index, kind=kind, **{
-        "sources" if key == "layers" else key: bool(v) if key == "batch_normalize" else v
-        for key, v in values.items() if key in _GRAMMAR[kind]})
+def _sections(input_shape: tuple, layers: tuple) -> list[tuple[str, dict]]:
+    """A network's (kind, {key: value}) sections: ``sources`` as ``layers``, a flag as 0 or 1."""
+    return [("net", dict(zip(_GRAMMAR["net"], input_shape))), *(
+        (layer.kind, {**{key: int(v) if isinstance(v, bool) else v for key, v in vars(layer).items()},
+                      "layers": layer.sources}) for layer in layers)]
 
 
 def _parse_sections(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]]]]:
@@ -265,33 +264,31 @@ def _parse_sections(text: str) -> list[tuple[str, int, dict[str, tuple[str, int]
             if "=" not in line:
                 raise ConfigError(f"expected key=value, got {line!r}", lineno)
             key, value = (part.strip() for part in line.split("=", 1))
-            section_name = sections[-1][0]
-            if key not in _GRAMMAR[section_name]:
-                raise ConfigError(f"unknown key {key!r} in section [{section_name}]", lineno)
+            if key not in _GRAMMAR[name]:
+                raise ConfigError(f"unknown key {key!r} in section [{name}]", lineno)
             if key in current:
                 raise ConfigError(f"duplicate key {key!r}", lineno)
             current[key] = (value, lineno)
     return sections
 
 
-def _read_section(name: str, lineno: int, keys: dict, index: int = 0, n_layers: int = 0) -> dict:
-    """Every key's value in one section, defaulted and checked as the grammar says
-    (ConfigError at the key's line, else the section's). Text that does not read
-    as the integers a key holds stays text, which the check refuses."""
+def _read_section(name: str, keys: dict) -> dict:
+    """One section's keys as LayerSpec fields, defaulted as the grammar says and kept as
+    read, unchecked: a value that does not read as its key's integers stays text."""
     values: dict[str, object] = {}
     for key, (default, check) in _GRAMMAR[name].items():
         if key not in keys:
-            values[key] = values["size"] if default is _SIZE else default
+            value = values["size"] if default is _SIZE else default
         else:
             text = keys[key][0]
             try:
-                values[key] = (text if check is ACTIVATIONS else int(text) if check is not tuple
-                               else tuple(int(part) for part in text.split(",") if part.strip()))
+                value = (text if check is ACTIVATIONS else int(text) if check is not tuple
+                         else tuple(int(part) for part in text.split(",") if part.strip()))
             except ValueError:
-                values[key] = text
-    if fault := _grammar_fault(name, values, index, n_layers):
-        key, message = fault
-        raise ConfigError(message, keys[key][1] if key in keys else lineno)
+                value = text
+        if key == "batch_normalize" and value in (0, 1):
+            value = bool(value)
+        values["sources" if key == "layers" else key] = value
     return values
 
 
@@ -366,23 +363,26 @@ def weights_layout(
 
 
 def parse_config(config_text: str) -> NetworkDef:
-    """Parse the text definition alone; the result carries no weights."""
+    """Parse the text definition alone; the result carries no weights. A broken config
+    rule is a ConfigError at its key's line, else its section's."""
     sections = _parse_sections(config_text)
     if not sections:
         raise ConfigError("empty model definition", 1)
     name, lineno, keys = sections[0]
     if name != "net":
         raise ConfigError(f"first section must be [net], got [{name}]", lineno)
-    input_shape = tuple(_read_section("net", lineno, keys).values())
-    if len(sections) == 1:
-        raise ConfigError("model defines no layers", lineno)
-    layers = [_layer_spec(index, lname, _read_section(lname, lline, lkeys, index))
-              for index, (lname, lline, lkeys) in enumerate(sections[1:], start=1)]
-    # after every section's keys, so that a later section's key fault is reported first
-    for layer, (_, lline, lkeys) in zip(layers, sections[1:]):
-        if layer.kind == "softmax":
-            _read_section("softmax", lline, lkeys, layer.index, len(layers))
-    return NetworkDef(input_shape, tuple(layers))
+    input_shape = tuple(_read_section("net", keys).values())
+    # a second [net] is kept as a layer of kind net, with no fields, for the walk to refuse
+    layers = tuple(LayerSpec(index, name, **(_read_section(name, keys) if name != "net" else {}))
+                   for index, (name, _, keys) in enumerate(sections[1:], start=1))
+    try:
+        return NetworkDef(input_shape, layers)
+    except ShapeError:
+        if not (fault := _grammar_fault(input_shape, layers)):
+            raise
+    position, key, message = fault
+    _, lineno, keys = sections[position or 0]
+    raise ConfigError(message, keys[key][1] if key in keys else lineno)
 
 
 def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
@@ -450,9 +450,8 @@ def serialize_network(net: NetworkDef) -> tuple[str, bytes]:
     """
     if net.weights is None:
         raise WeightsError("cannot serialize a structure-only NetworkDef")
-    blocks = [_section_text("net", dict(zip(_GRAMMAR["net"], net.input_shape)))]
-    blocks += [_section_text(layer.kind, _section_values(layer)) for layer in net.layers]
-    config_text = "\n\n".join(blocks) + "\n"
+    config_text = "\n\n".join(_section_text(*section)
+                              for section in _sections(net.input_shape, net.layers)) + "\n"
 
     chunks = [_WEIGHTS_HEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION)]
     for layer, in_shape, lw in zip(net.layers, net.layer_input_shapes, net.weights):

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import sys
 from pathlib import Path
@@ -14,6 +15,29 @@ from irshield.tensor import Tensor
 from irshield.workload import flop_profile
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def blas_kernel() -> str:
+    """The core that numpy's OpenBLAS picked for this CPU, on whose summation order
+    the goldens' bytes depend, or "unknown" where no scipy-openblas library is mapped."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [line.split(None, 5)[5].strip() for line in maps
+                     if "libscipy_openblas64_" in line]
+        corename = ctypes.CDLL(paths[0]).scipy_openblas_get_corename64_
+    except (OSError, IndexError, AttributeError):  # no /proc, no such library or symbol
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pytest_report_header(config):
+    return f"BLAS kernel: {blas_kernel()}"
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q hides the report header, so the kernel is named at the end as well
+    terminalreporter.write_line(f"BLAS kernel: {blas_kernel()}")
 
 
 def seed_image(shape: tuple[int, int, int], seed: int) -> Tensor:

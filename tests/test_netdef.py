@@ -156,6 +156,10 @@ NET = "[net]\nwidth=4\nheight=4\nchannels=1\n\n"  # the next section is on line 
     ("[softmax]\n\n[route]\nlayers=0\n", "line 9: route source 0 is not a 1-based layer index"),
     ("[connected]\noutput=0\n", "line 7: key 'output' must be >= 1, got 0"),
     ("[softmax]\nsize=1\n", "line 7: unknown key 'size' in section [softmax]"),
+    # a key fault after a softmax out of place, or after a layer that does not fit, comes first
+    ("[softmax]\n\n[convolutional]\nfilters=0\nsize=1\n", "line 9: key 'filters' must be >= 1, got 0"),
+    ("[convolutional]\nfilters=1\nsize=5\n\n[maxpool]\nsize=0\n",
+     "line 11: key 'size' must be >= 1, got 0"),
 ])
 def test_config_error_messages(body, message):
     with pytest.raises(ConfigError) as info:
@@ -266,6 +270,21 @@ def test_layer_numbering_checked_at_construction(layers, message):
         NetworkDef((4, 4, 1), layers)
 
 
+@pytest.mark.parametrize("input_shape, layers, message", [
+    ((4, 4), (CONV3,), r"^input shape \(4, 4\): must be a tuple of three values "
+                       r"\(width, height, channels\)$"),
+    ((4, 4, 1, 9), (CONV3,), r"^input shape \(4, 4, 1, 9\): must be a tuple of three values"),
+    ((4, 4, 1), (), r"^model defines no layers$"),
+    # the grammar comes first, as in text: layer 2 does not fit, but layer 5's key is reported
+    ((4, 4, 1), (CONV3, replace(CONV3, index=2), *(replace(CONV3, index=i, size=1) for i in (3, 4)),
+                 replace(CONV3, index=5, filters=0)),
+     r"^layer 5 \(convolutional\): key 'filters' must be >= 1, got 0$"),
+])
+def test_network_refused_at_construction(input_shape, layers, message):
+    with pytest.raises(ShapeError, match=message):
+        NetworkDef(input_shape, layers)
+
+
 def test_unknown_layer_kind_refused_at_construction():
     with pytest.raises(ShapeError) as info:
         NetworkDef((4, 4, 1), (LayerSpec(index=1, kind="upsample"),))
@@ -286,6 +305,25 @@ def test_structure_only_network_not_serialized():
     with pytest.raises(WeightsError) as info:
         serialize_network(parse_config(MINIMAL_CFG))
     assert str(info.value) == "cannot serialize a structure-only NetworkDef"
+
+
+def test_parse_network_walks_the_grammar_once(monkeypatch):
+    """One call of the checker walks all 18 sections of plain17 ([net] and 17
+    layers), in NetworkDef; the parser no longer checks each section first."""
+    from irshield import netdef
+    from irshield.fixtures import gen_fixture_model
+
+    cfg, weights = gen_fixture_model("plain17", 42, 10)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    walk = netdef._grammar_fault
+    monkeypatch.setattr(netdef, "_grammar_fault", counted)
+    net = parse_network(cfg, weights)
+    assert calls == [(net.input_shape, net.layers)] and net.n_layers == 17
 
 
 def test_parse_network_derives_each_shape_once(monkeypatch):

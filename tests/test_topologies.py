@@ -307,7 +307,9 @@ def hand_built(draw):
 # route with no sources (IndexError), a pool of stride 0 (ZeroDivisionError), a
 # convolution of no filters (ZeroDivisionError in flop_profile), an unknown
 # activation (KeyError at the first pass), and a softmax ahead of the last layer
-# (serialized to text that parse_config refuses)
+# (serialized to text that parse_config refuses); an input shape of two or four
+# values (KeyError, ValueError) and no layers at all (serialized to text that
+# parse_config refuses)
 @example(((4, 4, 1), (_CONV, LayerSpec(index=2, kind="route"))))
 @example(((4, 4, 1), (LayerSpec(index=1, kind="maxpool", size=2, stride=0),)))
 @example(((4, 4, 1), (replace(_CONV, filters=0),)))
@@ -315,6 +317,9 @@ def hand_built(draw):
 @example(((4, 4, 1), (LayerSpec(index=1, kind="softmax"), replace(_CONV, index=2))))
 @example(((4, 4, 1), (_CONV, replace(_CONV, index=2, sources=(1,)))))
 @example(((4, 0, 1), (_CONV,)))
+@example(((4, 4), (_CONV,)))
+@example(((4, 4, 1, 9), (_CONV,)))
+@example(((4, 4, 1), ()))
 def test_hand_built_networks_keep_the_config_rules(mutant):
     """A hand-built network either breaks a rule of the config grammar and is
     refused at construction, or runs, costs, and round-trips through config
