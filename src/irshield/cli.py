@@ -154,9 +154,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    expected = None
-    if args.manifest:
-        expected = measurement_from_manifest(parse_manifest(Path(args.manifest).read_text()))
+    expected = measurement_from_manifest(parse_manifest(Path(args.manifest).read_text()))
     results = client_predict(
         args.server,
         args.image,
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-key", type=_key_arg, required=True)
     p.add_argument("--img-key", type=_key_arg, required=True)
     _add_root_key(p)
-    p.add_argument("--manifest", help="verify the server measurement against this manifest")
+    p.add_argument("--manifest", required=True, help="verify the server measurement against this manifest")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("seal", help="seal a file into an authenticated container")

@@ -50,15 +50,15 @@ def client_predict(
     model_key: bytes,
     img_key: bytes,
     root_key: bytes,
-    expected_measurement: bytes | None = None,
+    expected_measurement: bytes,
 ) -> list[tuple[str, float]]:
     """Round-trip one image: attest, provision, predict, open the result.
 
     Returns (label, score) pairs in descending score order. Aborts before
     any key bytes leave this process if the evidence MAC fails or the
-    measurement differs from ``expected_measurement`` (when given). The
-    attestation nonce, the key message and the image seal each draw fresh
-    randomness per call.
+    measurement differs from ``expected_measurement``. The attestation
+    nonce, the key message and the image seal each draw fresh randomness
+    per call.
     """
     image = load_image(image_path)
 
@@ -73,7 +73,7 @@ def client_predict(
         measurement, mac = evidence.measurement, evidence.mac
         if not verify_evidence(root_key, measurement, nonce, mac):
             raise AttestationRejected("attestation MAC failed; aborting before key transfer")
-        if expected_measurement is not None and measurement != expected_measurement:
+        if measurement != expected_measurement:
             raise AttestationRejected(
                 "server measurement does not match the expected artifacts; "
                 "aborting before key transfer"

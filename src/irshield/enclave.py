@@ -1,10 +1,10 @@
 """Simulated trusted enclave: sealed-model loading, key provisioning, and
 in-boundary inference and class mapping.
 
-The enclave is an isolated component behind a narrow message API. Every
-operation crosses the boundary as a :mod:`irshield.protocol` frame (type
-byte, u64 LE length, payload). A session created with an audit list appends
-every byte that leaves to it, so tests can assert that no plaintext model
+The enclave is an isolated component behind a narrow message API: every
+operation is one (type, payload bytes) request answered by one (type, reply
+bytes) pair. A session created with an audit list appends each reply to it
+as its type byte then its bytes, so tests can assert that no plaintext model
 bytes, labels, images, or keys ever escape; by default nothing is kept.
 Only two kinds of payload carry model data outward: the intermediate tensor
 produced by the loaded front model (by design, and only when finite) and
@@ -20,10 +20,10 @@ per state: the wrap key while attested, the image key once ready.
 
 The session alone orders its operations. One table, ``_REQUESTS``, pairs
 each boundary request type with its operation name, the state it needs, its
-handler and its reply type; the dispatcher checks the state and frames the
-reply, so handlers return payloads only. States move strictly created ->
-attested -> ready, or failed: any failure to provision parks the session in
-that terminal state with all partial secrets discarded.
+handler and its reply type; the dispatcher checks the state and tags the
+reply with its type, so handlers return payloads only. States move strictly
+created -> attested -> ready, or failed: any failure to provision parks the
+session in that terminal state with all partial secrets discarded.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ __all__ = [
 
 CODE_IDENTITY = b"irshield-enclave/1"
 
-# boundary frame types
+# boundary message types
 MSG_ATTEST_REQ = 0x10
 MSG_ATTEST_EVIDENCE = 0x11
 MSG_PROVISION = 0x12
@@ -145,10 +145,10 @@ class AttestationEvidence:
 class EnclaveSession:
     """One simulated enclave instance holding one set of secrets.
 
-    Callers interact through the module-level operations, which shuttle
-    encoded frames through :meth:`call`. Requests are serialized by an
-    internal lock: a session is one logical thread of trust. ``audit``, when
-    given, receives every response frame.
+    Callers interact through the module-level operations, which pass
+    (type, payload) requests through :meth:`call`. Requests are serialized
+    by an internal lock: a session is one logical thread of trust. ``audit``,
+    when given, receives every reply.
     """
 
     def __init__(
@@ -170,24 +170,19 @@ class EnclaveSession:
 
     # -- boundary ---------------------------------------------------------
 
-    def call(self, request: bytes) -> bytes:
-        """Handle one boundary frame and return the response frame.
-
-        Every returned frame is appended to the audit list, if there is one.
-        """
+    def call(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        """Handle one boundary request and return its (reply type, reply); a
+        failure answers ``MSG_ERROR``. The audit list, if any, gets every reply."""
         with self._lock:
             try:
-                msg_type, payload = protocol.unpack_frame(request)
-                response = self._dispatch(msg_type, payload)
+                reply = self._dispatch(msg_type, payload)
             except Exception as exc:
                 # a foreign exception crosses only as its type name, never a traceback
                 message = str(exc) if isinstance(exc, IrshieldError) else type(exc).__name__
-                response = protocol.pack_frame(
-                    MSG_ERROR, protocol.error_payload(protocol.error_code(exc), message)
-                )
+                reply = MSG_ERROR, protocol.error_payload(protocol.error_code(exc), message)
             if self._audit is not None:
-                self._audit.append(response)
-            return response
+                self._audit.append(bytes([reply[0]]) + reply[1])
+            return reply
 
     def boundary_output(self) -> bytes:
         """Every byte this session has returned, or ``b""`` without an audit list."""
@@ -195,13 +190,15 @@ class EnclaveSession:
 
     # -- in-enclave handlers ----------------------------------------------
 
-    def _dispatch(self, msg_type: int, payload: bytes) -> bytes:
-        if msg_type not in _REQUESTS:
-            raise ProtocolError(f"unknown boundary message type {msg_type:#x}")
+    def _dispatch(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        if type(msg_type) is not int or msg_type not in _REQUESTS:
+            raise ProtocolError(f"unknown boundary message type {msg_type!r}")
+        if not isinstance(payload, bytes):
+            raise ProtocolError(f"boundary payload must be bytes, not {type(payload).__name__}")
         op, state, handler, reply_type = _REQUESTS[msg_type]
         if self.state != state:
             raise StateError(f"{op} requires state {state!r}, session is {self.state!r}")
-        return protocol.pack_frame(reply_type, handler(self, payload))
+        return reply_type, handler(self, payload)
 
     def _fail(self) -> None:
         self.state = "failed"
@@ -289,11 +286,10 @@ _REQUESTS = {
 
 
 def _call(session: EnclaveSession, msg_type: int, payload: bytes) -> bytes:
-    response = session.call(protocol.pack_frame(msg_type, payload))
-    got_type, got_payload = protocol.unpack_frame(response)
-    if got_type == MSG_ERROR:
-        protocol.raise_error(got_payload)
-    return got_payload
+    reply_type, reply = session.call(msg_type, payload)
+    if reply_type == MSG_ERROR:
+        protocol.raise_error(reply)
+    return reply
 
 
 def enclave_create(
@@ -301,7 +297,7 @@ def enclave_create(
 ) -> EnclaveSession:
     """Create a session around two sealed artifacts; nothing is decrypted.
 
-    ``audit``, when given, records every frame the session returns.
+    ``audit``, when given, records every reply the session returns.
     """
     return EnclaveSession(fn_sealed, lbl_sealed, audit)
 
@@ -331,6 +327,6 @@ def infer_encrypted_image(session: EnclaveSession, img_sealed) -> Tensor:
 def map_classes(session: EnclaveSession, pv_top: list[tuple[int, float]]) -> bytes:
     """Translate (class index, score) pairs to labeled results, sealed under
     the session's image key with a nonce the enclave draws. Returns the
-    encoded result container exactly as the enclave framed it."""
+    encoded result container exactly as the enclave sealed it."""
     body = b"".join(_MAP_ENTRY.pack(index, score) for index, score in pv_top)
     return _call(session, MSG_MAP, _COUNT.pack(len(pv_top)) + body)

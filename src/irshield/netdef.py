@@ -409,15 +409,15 @@ def parse_network(config_text: str, weights_bytes: bytes) -> NetworkDef:
             f"got {len(weights_bytes)} bytes"
         )
 
-    values = np.frombuffer(weights_bytes, dtype=_WEIGHT, offset=_WEIGHTS_HEADER.size)
+    values = np.frombuffer(weights_bytes, dtype=_WEIGHT, offset=_WEIGHTS_HEADER.size).copy()
+    values.flags.writeable = False
     cursor = 0
     per_layer = []
     for layout in layouts:
         arrays = {}
         for name, shape in layout:
             n = math.prod(shape)
-            arrays[name] = values[cursor : cursor + n].reshape(shape).copy()
-            arrays[name].flags.writeable = False
+            arrays[name] = values[cursor : cursor + n].reshape(shape)
             cursor += n
         per_layer.append(MappingProxyType(arrays))
 

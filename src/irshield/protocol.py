@@ -15,8 +15,8 @@ Frame layout: type u8 | payload length u64 LE | payload. Types::
 
 Payloads are capped at 64 MiB; unknown type codes are rejected. Error
 codes: 1 auth_failure, 2 not_ready, 3 too_large, 4 malformed, 5 internal.
-The enclave boundary uses the same frame header and error payloads with its
-own message types.
+``read_frame`` is the only header parser. The enclave boundary takes
+unframed (type, payload) requests and shares only the error payloads.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "CLIENT_HELLO",
     "REPLY_TYPES",
-    "pack_frame",
-    "unpack_frame",
     "encode_frame",
     "error_code",
     "error_payload",
@@ -125,27 +123,12 @@ _ERROR_CODES = (
 _ERROR_TYPES = {code: exc_type for exc_type, code in reversed(_ERROR_CODES)}
 
 
-def pack_frame(msg_type: int, payload: bytes) -> bytes:
-    """Header plus payload, with no check of the type or the size."""
-    return _HEADER.pack(msg_type, len(payload)) + payload
-
-
-def unpack_frame(blob: bytes) -> tuple[int, bytes]:
-    """Split a buffer holding exactly one frame into (type, payload)."""
-    if len(blob) < _HEADER.size:
-        raise ProtocolError("frame shorter than its header")
-    msg_type, length = _HEADER.unpack_from(blob, 0)
-    if len(blob) != _HEADER.size + length:
-        raise ProtocolError("frame length mismatch")
-    return msg_type, blob[_HEADER.size :]
-
-
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if msg_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown wire message type {msg_type}")
     if len(payload) > MAX_PAYLOAD:
         raise FrameTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    return pack_frame(msg_type, payload)
+    return _HEADER.pack(msg_type, len(payload)) + payload
 
 
 def error_code(exc: BaseException) -> int:

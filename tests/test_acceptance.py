@@ -27,6 +27,7 @@ from irshield.enclave import (
     enclave_create,
     infer_encrypted_image,
     map_classes,
+    measurement_from_manifest,
     provision_keys,
 )
 from irshield.engine import forward, forward_range, top_k
@@ -255,7 +256,7 @@ def test_criterion_6_security_principles(net_cache):
     import struct
 
     for frame in ir_frames:
-        w, h, c = struct.unpack_from("<III", frame, 9)
+        w, h, c = struct.unpack_from("<III", frame, 1)
         assert (w, h, c) == front.output_shape
     _report(6, "sealed-only entry, no 16-byte secret leak, labels confined to sealed results")
 
@@ -328,12 +329,13 @@ def test_criterion_8_end_to_end_serving(net_cache, tmp_path):
         directory = tmp_path / arch
         write_artifacts(directory, net, cut, LABELS10, MODEL_KEY)
         dep = deploy(directory, k=3, root_key=ROOT_KEY)
+        measurement = measurement_from_manifest(dep.artifacts.manifest)
         srv = Server(("127.0.0.1", 0), dep).start()
         try:
             for i in range(3):
                 path = tmp_path / f"{arch}-{i}.ppm"
                 write_netpbm(seed_image(net.input_shape, 800 + i), path)
-                got = client_predict(srv.address, path, MODEL_KEY, IMG_KEY, ROOT_KEY)
+                got = client_predict(srv.address, path, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
                 probs = forward(net, load_image(path))
                 want = [(LABELS10[j - 1], s) for j, s in top_k(probs, 3)]
                 assert got == want, (arch, i)
@@ -345,6 +347,7 @@ def test_criterion_8_end_to_end_serving(net_cache, tmp_path):
     directory = tmp_path / "stress"
     write_artifacts(directory, net, 4, LABELS10, MODEL_KEY)
     dep = deploy(directory, k=3, root_key=ROOT_KEY)
+    measurement = measurement_from_manifest(dep.artifacts.manifest)
     srv = Server(("127.0.0.1", 0), dep).start()
     try:
         paths, keys = [], []
@@ -357,7 +360,8 @@ def test_criterion_8_end_to_end_serving(net_cache, tmp_path):
 
         def run(i):
             try:
-                results[i] = client_predict(srv.address, paths[i], MODEL_KEY, keys[i], ROOT_KEY)
+                results[i] = client_predict(srv.address, paths[i], MODEL_KEY, keys[i], ROOT_KEY,
+                                            measurement)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -384,7 +388,7 @@ def test_criterion_8_end_to_end_serving(net_cache, tmp_path):
                 except OSError:
                     pass
         final_path = paths[0]
-        got = client_predict(srv.address, final_path, MODEL_KEY, IMG_KEY, ROOT_KEY)
+        got = client_predict(srv.address, final_path, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
         probs = forward(net, load_image(final_path))
         assert got == [(LABELS10[j - 1], s) for j, s in top_k(probs, 3)]
     finally:

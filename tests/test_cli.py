@@ -246,7 +246,8 @@ def test_bad_key_usage_error(model_files, labels_file, tmp_path):
 ROOT_KEY_ARGS = {
     "serve": ["serve", "--dir", "no-such-artifacts"],
     "predict": ["predict", "--server", "127.0.0.1:1", "--image", "no-such.ppm",
-                "--model-key", MODEL_KEY_HEX, "--img-key", IMG_KEY_HEX],
+                "--model-key", MODEL_KEY_HEX, "--img-key", IMG_KEY_HEX,
+                "--manifest", "no-such-manifest.txt"],
 }
 
 
@@ -275,14 +276,16 @@ def test_root_key_from_environment(model_files, labels_file, tmp_path, monkeypat
     monkeypatch.setattr(cli_mod, "Server", FakeServer)
     monkeypatch.setattr(cli_mod, "client_predict", fake_predict)
     serve_args = ["serve", "--dir", str(artifacts)]
+    # predict reads the manifest before it calls the client; the last --manifest wins
+    predict_args = ROOT_KEY_ARGS["predict"] + ["--manifest", str(artifacts / "manifest.txt")]
     monkeypatch.setenv("IRSHIELD_ROOT_KEY", ROOT_KEY_HEX)
     assert main(serve_args) == 0
-    assert main(ROOT_KEY_ARGS["predict"]) == 0
+    assert main(predict_args) == 0
     assert seen == [bytes.fromhex(ROOT_KEY_HEX)] * 2
     # the flag wins over the environment
     monkeypatch.setenv("IRSHIELD_ROOT_KEY", MODEL_KEY_HEX)
     assert main(serve_args + ["--root-key", ROOT_KEY_HEX]) == 0
-    assert main(ROOT_KEY_ARGS["predict"] + ["--root-key", ROOT_KEY_HEX]) == 0
+    assert main(predict_args + ["--root-key", ROOT_KEY_HEX]) == 0
     assert seen == [bytes.fromhex(ROOT_KEY_HEX)] * 4
 
 
@@ -311,7 +314,7 @@ def test_serve_refuses_a_record_without_cut(model_files, labels_file, tmp_path, 
     (None, "zz"), (ROOT_KEY_HEX, ROOT_KEY_HEX + "00"),
 ])
 def test_root_key_missing_or_bad_is_a_usage_error(command, env, flag, monkeypatch, capsys):
-    # exit 2 comes before anything loads: neither the directory nor the image exists
+    # exit 2 comes before anything loads: no directory, image or manifest exists
     if env is None:
         monkeypatch.delenv("IRSHIELD_ROOT_KEY", raising=False)
     else:
@@ -325,7 +328,7 @@ def test_root_key_missing_or_bad_is_a_usage_error(command, env, flag, monkeypatc
 
 @pytest.mark.parametrize("command, flag", [("serve", "--listen"), ("predict", "--server")])
 def test_port_above_65535_is_a_usage_error(command, flag, capsys):
-    # exit 2 comes before anything loads: neither the directory nor the image exists
+    # exit 2 comes before anything loads: no directory, image or manifest exists
     argv = ROOT_KEY_ARGS[command] + ["--root-key", ROOT_KEY_HEX, flag]
     for port in ("65536", "70000", "99999"):
         with pytest.raises(SystemExit) as excinfo:
@@ -334,6 +337,18 @@ def test_port_above_65535_is_a_usage_error(command, flag, capsys):
         assert flag in capsys.readouterr().err
     args = build_parser().parse_args(argv + ["127.0.0.1:65535"])
     assert getattr(args, flag[2:]) == ("127.0.0.1", 65535)
+
+
+def test_predict_without_a_manifest_is_a_usage_error(capsys):
+    # the client always checks the enclave measurement, so the manifest is required
+    argv = ROOT_KEY_ARGS["predict"][:-2] + ["--root-key", ROOT_KEY_HEX]
+    assert "--manifest" not in argv
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --manifest" in err
+    assert "Traceback" not in err
 
 
 class TestSealOpenCli:

@@ -241,9 +241,7 @@ class TestProvision:
         }[fault]
         setup["fn_sealed"] = seal(bundle, MODEL_KEY, "frontnet")
         session, key_msg, _ = attested_session(setup)
-        msg_type, reply = protocol.unpack_frame(
-            session.call(protocol.pack_frame(MSG_PROVISION, key_msg))
-        )
+        msg_type, reply = session.call(MSG_PROVISION, key_msg)
         assert msg_type == MSG_ERROR
         assert protocol.decode_error(reply)[0] == protocol.ERR_AUTH_FAILURE
         assert session.state == "failed"
@@ -259,9 +257,7 @@ class TestProvision:
         key_msg = build_key_message(
             ROOT_KEY, evidence.measurement, nonce, evidence.mac, MODEL_KEY, IMG_KEY
         )
-        msg_type, reply = protocol.unpack_frame(
-            session.call(protocol.pack_frame(MSG_PROVISION, key_msg))
-        )
+        msg_type, reply = session.call(MSG_PROVISION, key_msg)
         assert msg_type == MSG_ERROR
         assert protocol.decode_error(reply) == (
             protocol.ERR_AUTH_FAILURE, "front model config is not UTF-8 text"
@@ -272,9 +268,7 @@ class TestProvision:
         setup = build_setup(plain17, 4)
         setup["lbl_sealed"] = seal(b"label-0\n\xff\xfe", MODEL_KEY, "labels")
         session, key_msg, secrets = attested_session(setup)
-        msg_type, reply = protocol.unpack_frame(
-            session.call(protocol.pack_frame(MSG_PROVISION, key_msg))
-        )
+        msg_type, reply = session.call(MSG_PROVISION, key_msg)
         assert msg_type == MSG_ERROR
         assert protocol.decode_error(reply) == (
             protocol.ERR_AUTH_FAILURE, "labels artifact is not UTF-8 text"
@@ -353,7 +347,7 @@ class TestInfer:
         with pytest.raises(AuthError):
             infer_encrypted_image(session, tampered)
         emitted = session.boundary_output()[log_before:]
-        assert len(emitted) < 120  # one error frame, nothing tensor-sized
+        assert len(emitted) < 120  # one error reply, nothing tensor-sized
         assert x.encode()[:16] not in emitted
 
     def test_foreign_image_key_denied(self, plain17):
@@ -391,7 +385,7 @@ class TestInfer:
         before = len(audit)
         with pytest.raises(IrshieldError, match="non-finite activations"):
             infer_encrypted_image(session, sealed_image(huge))
-        assert [frame[0] for frame in audit[before:]] == [MSG_ERROR]
+        assert [reply[0] for reply in audit[before:]] == [MSG_ERROR]
         assert session.state == "ready"
 
     def test_infer_before_ready_rejected(self, plain17):
@@ -452,14 +446,12 @@ class TestMapClasses:
     ], ids=["old-layout-with-nonce", "empty", "three-bytes", "trailing-byte"])
     def test_malformed_map_request_refused(self, plain17, payload):
         session = ready_session(build_setup(plain17, 4))
-        msg_type, reply = protocol.unpack_frame(session.call(protocol.pack_frame(MSG_MAP, payload)))
+        msg_type, reply = session.call(MSG_MAP, payload)
         assert msg_type == MSG_ERROR
         assert protocol.decode_error(reply)[0] == protocol.ERR_MALFORMED
         assert session.state == "ready"
         # the request layout is u32 count, then (u32 index, f32 score) entries
-        msg_type, reply = protocol.unpack_frame(
-            session.call(protocol.pack_frame(MSG_MAP, struct.pack("<I", 1) + self.ENTRY))
-        )
+        msg_type, reply = session.call(MSG_MAP, struct.pack("<I", 1) + self.ENTRY)
         assert msg_type == MSG_RESULT
         opened = open_container(SealedContainer.decode(reply), IMG_KEY)
         assert decode_result_payload(opened) == [(1, LABELS10[0], 0.25)]

@@ -8,11 +8,14 @@ doubled, the top bit, all ones, or any value; a bytes field (a magic, nonce,
 key, measurement or MAC) with zeros, ones, or any bytes of its length.
 The contract is the same for all of them: the input parses, or the decoder raises an
 ``IrshieldError`` that the shared error table does not map to
-``ERR_INTERNAL``. A ready enclave session answers every mutated Infer or Map
-frame with an error frame or a well-formed reply, and stays ready. A fresh
-session answers every mutated Attest or ProvisionKeys frame with its reply
-or an error code other than ``ERR_INTERNAL``; a refused ProvisionKeys leaves
-it ``failed`` and holding no key. The file
+``ERR_INTERNAL``. The enclave boundary takes (type, payload) requests. A
+ready session answers every mutated Infer or Map payload with an error or a
+well-formed reply, and stays ready. A fresh session answers every mutated
+Attest or ProvisionKeys payload with its reply or an error code other than
+``ERR_INTERNAL``; a refused ProvisionKeys leaves it ``failed`` and holding
+no key. A created, attested or ready session answers any type byte with any
+mutated request payload the same way, and moves on only to the next state
+or to ``failed``; a payload that is not ``bytes`` is malformed. The file
 readers are held to their own error type: the netpbm reader to
 ``ShapeError``, and ``parse_network`` on mutated weight bytes to
 ``WeightsError``. A deployment whose ``partition.json`` or ``backnet.cfg``
@@ -156,9 +159,9 @@ def parses_or_refuses(decode, blob: bytes) -> None:
         assert protocol.error_code(exc) != protocol.ERR_INTERNAL, repr(exc)
 
 
-FRAME = protocol.pack_frame(protocol.MSG_PREDICT, bytes(range(40)))
+FRAME = protocol.encode_frame(protocol.MSG_PREDICT, bytes(range(40)))
 HELLO = protocol.server_hello_payload((32, 32, 3), 10, 5)
-ERROR = protocol.error_payload(protocol.ERR_MALFORMED, "frame length mismatch")
+ERROR = protocol.error_payload(protocol.ERR_MALFORMED, "unknown wire message type 9")
 CONTAINER = seal(bytes(range(48)), IMG_KEY, "image", nonce=bytes(NONCE_LEN)).encode()
 TENSOR = Tensor.from_array(np.arange(24).reshape(2, 3, 4)).encode()
 RESULT_ENTRIES = [(3, "cat", 0.5), (7, "dög", 0.25)]
@@ -171,12 +174,6 @@ MANIFEST = render_manifest({
     "labels.sealed": "fedcba9876543210" * 4,
     "partition.json": "ab" * 32,
 }).encode()
-
-
-@HOSTILE
-@given(mutated(FRAME, fields(protocol._HEADER)))
-def test_unpack_frame(blob):
-    parses_or_refuses(protocol.unpack_frame, blob)
 
 
 @HOSTILE
@@ -362,13 +359,14 @@ def session(sealed, handshake):
     return session
 
 
-def assert_error_or_reply(session, request: bytes, reply_type: int, check_reply) -> None:
-    msg_type, payload = protocol.unpack_frame(session.call(request))
-    if msg_type == MSG_ERROR:
-        protocol.decode_error(payload)
+def assert_error_or_reply(session, msg_type: int, payload: bytes, reply_type: int,
+                          check_reply) -> None:
+    got_type, reply = session.call(msg_type, payload)
+    if got_type == MSG_ERROR:
+        protocol.decode_error(reply)
     else:
-        assert msg_type == reply_type
-        check_reply(payload)
+        assert got_type == reply_type
+        check_reply(reply)
     assert session.state == "ready"
 
 
@@ -376,9 +374,9 @@ def assert_error_or_reply(session, request: bytes, reply_type: int, check_reply)
 @given(data=st.data())
 def test_enclave_infer_frame(session, front, data):
     image = seed_image(front.input_shape, 900).encode()
-    request = protocol.pack_frame(MSG_INFER, seal(image, IMG_KEY, "image").encode())
-    request = data.draw(mutated(request, fields(protocol._HEADER, sealing._HEADER)))
-    assert_error_or_reply(session, request, MSG_IR, Tensor.decode)
+    container = seal(image, IMG_KEY, "image").encode()
+    payload = data.draw(mutated(container, fields(sealing._HEADER)))
+    assert_error_or_reply(session, MSG_INFER, payload, MSG_IR, Tensor.decode)
 
 
 @HOSTILE
@@ -387,39 +385,33 @@ def test_enclave_infer_sealed_tensor(session, front, data):
     # a client that holds the image key can seal any tensor bytes it likes
     image = seed_image(front.input_shape, 901).encode()
     blob = data.draw(mutated(image, fields(tensor._HEADER)))
-    request = protocol.pack_frame(MSG_INFER, seal(blob, IMG_KEY, "image").encode())
-    assert_error_or_reply(session, request, MSG_IR, Tensor.decode)
+    payload = seal(blob, IMG_KEY, "image").encode()
+    assert_error_or_reply(session, MSG_INFER, payload, MSG_IR, Tensor.decode)
+
+
+PAIRS = [(i, 0.25 * i) for i in (2, 5, 9)]
+MAP_BODY = enclave._COUNT.pack(len(PAIRS)) + b"".join(enclave._MAP_ENTRY.pack(*p) for p in PAIRS)
+MAP_FIELDS = fields(enclave._COUNT, *[enclave._MAP_ENTRY] * len(PAIRS))
 
 
 @HOSTILE
 @given(data=st.data())
 def test_enclave_map(session, data):
-    pairs = [(i, 0.25 * i) for i in (2, 5, 9)]
-    body = enclave._COUNT.pack(len(pairs)) + b"".join(enclave._MAP_ENTRY.pack(*p) for p in pairs)
-    request = protocol.pack_frame(MSG_MAP, body)
-    layout = fields(protocol._HEADER, enclave._COUNT, *[enclave._MAP_ENTRY] * len(pairs))
-
     def check_result(payload):
         decode_result_payload(open_container(SealedContainer.decode(payload), IMG_KEY))
 
-    assert_error_or_reply(session, data.draw(mutated(request, layout)), MSG_RESULT, check_result)
+    payload = data.draw(mutated(MAP_BODY, MAP_FIELDS))
+    assert_error_or_reply(session, MSG_MAP, payload, MSG_RESULT, check_result)
 
 
-def reply_type(session, request: bytes) -> int:
-    """The type of the session's reply to ``request``; an error frame must
-    carry a code other than ``ERR_INTERNAL``."""
-    msg_type, payload = protocol.unpack_frame(session.call(request))
-    if msg_type == MSG_ERROR:
-        code, message = protocol.decode_error(payload)
+def reply_type(session, msg_type: int, payload) -> int:
+    """The type of the session's reply to ``(msg_type, payload)``; an error
+    reply must carry a code other than ``ERR_INTERNAL``."""
+    got_type, reply = session.call(msg_type, payload)
+    if got_type == MSG_ERROR:
+        code, message = protocol.decode_error(reply)
         assert code != protocol.ERR_INTERNAL, message
-    return msg_type
-
-
-def frame_type(request: bytes) -> int | None:
-    try:
-        return protocol.unpack_frame(request)[0]
-    except ProtocolError:
-        return None
+    return got_type
 
 
 @HOSTILE
@@ -427,29 +419,22 @@ def frame_type(request: bytes) -> int | None:
 def test_enclave_attest_frame(sealed, data):
     # any 32-byte root key attests; only the nonce's length is checked
     session = enclave_create(*sealed)
-    request = protocol.pack_frame(MSG_ATTEST_REQ, ROOT_KEY + NONCE)
-    got = reply_type(session, data.draw(mutated(request, fields(protocol._HEADER,
-                                                                enclave._ATTEST_REQUEST))))
+    payload = data.draw(mutated(ROOT_KEY + NONCE, fields(enclave._ATTEST_REQUEST)))
+    got = reply_type(session, MSG_ATTEST_REQ, payload)
     assert got in (MSG_ATTEST_EVIDENCE, MSG_ERROR)
     assert session.state == ("attested" if got == MSG_ATTEST_EVIDENCE else "created")
 
 
 @st.composite
 def provision_requests(draw, wrap: bytes, key_msg: bytes):
-    """A ProvisionKeys frame mutated as by ``mutated``, a frame around a
-    mutated key message, or one whose sender holds the wrap key and wraps
-    mutated key material."""
-    kind = draw(st.sampled_from(["frame", "message", "keys"]))
-    if kind == "frame":
-        frame = protocol.pack_frame(MSG_PROVISION, key_msg)
-        return draw(mutated(frame, fields(protocol._HEADER, enclave._KEY_MESSAGE)))
-    if kind == "message":
-        return protocol.pack_frame(MSG_PROVISION,
-                                   draw(mutated(key_msg, fields(enclave._KEY_MESSAGE))))
+    """A mutated key message, or one whose sender holds the wrap key and
+    wraps mutated key material."""
+    if draw(st.booleans()):
+        return draw(mutated(key_msg, fields(enclave._KEY_MESSAGE)))
     keys = draw(mutated(MODEL_KEY + IMG_KEY, fields(enclave._KEYS)))
     # joined, not packed, so that keys of another length keep it
     nonce = bytes(NONCE_LEN)
-    return protocol.pack_frame(MSG_PROVISION, nonce + encrypt(wrap, nonce, keys, enclave._KEYS_AAD))
+    return nonce + encrypt(wrap, nonce, keys, enclave._KEYS_AAD)
 
 
 @HOSTILE
@@ -458,17 +443,80 @@ def test_enclave_provision_frame(sealed, handshake, data):
     wrap, key_msg = handshake
     session = enclave_create(*sealed)
     attest(session, NONCE, ROOT_KEY)
-    request = data.draw(provision_requests(wrap, key_msg))
-    got = reply_type(session, request)
+    got = reply_type(session, MSG_PROVISION, data.draw(provision_requests(wrap, key_msg)))
     assert got in (MSG_PROVISION_OK, MSG_ERROR)
     if got == MSG_PROVISION_OK:
         assert session.state == "ready"
-    elif frame_type(request) == MSG_PROVISION:
+    else:
         # a refused ProvisionKeys fails the session and leaves it no secret
         assert session.state == "failed"
         secrets = {"root key": ROOT_KEY, "model key": MODEL_KEY, "image key": IMG_KEY,
                    "wrap key": wrap}
         assert held_secrets(session, secrets) == []
-    else:
-        # a frame of another type or length never reaches the handler
-        assert session.state == "attested"
+
+
+STATES = ("created", "attested", "ready")
+# the one state each state may move on to, besides "failed"
+NEXT = {"created": "attested", "attested": "ready", "ready": "ready"}
+
+
+def session_in(state: str, sealed, key_msg: bytes):
+    """A fresh session over ``sealed``, brought to ``state``."""
+    session = enclave_create(*sealed)
+    if state != "created":
+        attest(session, NONCE, ROOT_KEY)
+    if state == "ready":
+        provision_keys(session, key_msg)
+    return session
+
+
+@pytest.fixture(scope="module")
+def well_formed(handshake, front):
+    """A well-formed payload for each request type, with the fields that can lie in it."""
+    container = seal(seed_image(front.input_shape, 902).encode(), IMG_KEY, "image").encode()
+    return {
+        MSG_ATTEST_REQ: (ROOT_KEY + NONCE, fields(enclave._ATTEST_REQUEST)),
+        MSG_PROVISION: (handshake[1], fields(enclave._KEY_MESSAGE)),
+        MSG_INFER: (container, fields(sealing._HEADER)),
+        MSG_MAP: (MAP_BODY, MAP_FIELDS),
+    }
+
+
+@HOSTILE
+@given(data=st.data())
+def test_enclave_any_request_in_any_state(sealed, handshake, well_formed, data):
+    # any type byte, with a mutated payload of any request: a reply of the
+    # type's reply type, or an error that is not internal; the state only moves on
+    before = data.draw(st.sampled_from(STATES))
+    session = session_in(before, sealed, handshake[1])
+    payload, layout = well_formed[data.draw(st.sampled_from(sorted(well_formed)))]
+    msg_type = data.draw(st.sampled_from(sorted(well_formed)) | st.integers(0, 255))
+    got = reply_type(session, msg_type, data.draw(mutated(payload, layout)))
+    if got != MSG_ERROR:
+        assert got == enclave._REQUESTS[msg_type][3]
+    assert session.state in (before, NEXT[before], "failed")
+    if session.state == "failed":
+        # only a refused ProvisionKeys fails a session
+        assert (before, msg_type) == ("attested", MSG_PROVISION)
+
+
+@pytest.mark.parametrize("msg_type", ["\x10", 16.0, None, [16]], ids=["str", "float", "None", "list"])
+def test_enclave_type_that_is_not_an_int_is_malformed(sealed, msg_type):
+    # a well-formed attest payload, under a type that only resembles MSG_ATTEST_REQ
+    session = enclave_create(*sealed)
+    got_type, reply = session.call(msg_type, ROOT_KEY + NONCE)
+    assert got_type == MSG_ERROR
+    assert protocol.decode_error(reply)[0] == protocol.ERR_MALFORMED
+    assert session.state == "created"
+
+
+@pytest.mark.parametrize("payload", ["text", bytearray(b"bytes"), None],
+                         ids=["str", "bytearray", "None"])
+@pytest.mark.parametrize("state", STATES)
+def test_enclave_payload_that_is_not_bytes_is_malformed(sealed, handshake, state, payload):
+    session = session_in(state, sealed, handshake[1])
+    for msg_type in enclave._REQUESTS:
+        got_type, reply = session.call(msg_type, payload)
+        assert got_type == MSG_ERROR
+        assert protocol.decode_error(reply)[0] == protocol.ERR_MALFORMED
+        assert session.state == state

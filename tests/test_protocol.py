@@ -174,18 +174,6 @@ class TestErrorTable:
         assert type(info.value) is IrshieldError
 
 
-class TestBoundaryFrames:
-    def test_pack_unpack_round_trip(self):
-        frame = protocol.pack_frame(0x14, b"xyz")
-        assert frame == struct.pack("<BQ", 0x14, 3) + b"xyz"
-        assert protocol.unpack_frame(frame) == (0x14, b"xyz")
-
-    @pytest.mark.parametrize("blob", [b"", b"\x14\x00", struct.pack("<BQ", 0x14, 4) + b"abc"])
-    def test_unpack_rejects_bad_lengths(self, blob):
-        with pytest.raises(ProtocolError):
-            protocol.unpack_frame(blob)
-
-
 class TestServerHello:
     def test_round_trip(self):
         payload = protocol.server_hello_payload((32, 24, 3), 10, 5)

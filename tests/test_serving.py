@@ -29,7 +29,7 @@ from irshield.errors import (
 )
 from irshield.imageio import load_image, resize_to_shape
 from irshield.netdef import parse_network, serialize_network
-from irshield.partition import render_manifest, write_artifacts
+from irshield.partition import parse_manifest, render_manifest, write_artifacts
 from irshield.protocol import decode_result_payload
 from irshield.sealing import SealedContainer, open_container, seal
 from irshield.server import Server, deploy, handle_predict
@@ -49,6 +49,12 @@ def artifact_dir(tmp_path_factory, plain17):
     write_artifacts(directory, plain17, 4, LABELS10, MODEL_KEY,
                     nonces=(bytes(12), bytes(range(12))))
     return directory
+
+
+@pytest.fixture(scope="module")
+def measurement(artifact_dir):
+    """The enclave measurement every deployment of ``artifact_dir`` attests to."""
+    return measurement_from_manifest(parse_manifest((artifact_dir / "manifest.txt").read_text()))
 
 
 @pytest.fixture()
@@ -444,9 +450,9 @@ class TestServing:
             driver.close()
             srv.stop()
 
-    def test_finished_connection_threads_are_pruned(self, server, test_image):
+    def test_finished_connection_threads_are_pruned(self, measurement, server, test_image):
         for _ in range(50):
-            client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
         assert len(server._conns) <= 5
 
     def test_foreign_img_key_denied(self, server, plain17):
@@ -497,7 +503,7 @@ class TestServing:
         assert all(len(chunk) != 92 for chunk in tap)
 
     @pytest.mark.parametrize("shape", [(0, 32, 3), (65535, 65535, 3)])
-    def test_unsendable_hello_shape_refused_before_any_resize(self, shape, test_image,
+    def test_unsendable_hello_shape_refused_before_any_resize(self, measurement, shape, test_image,
                                                              monkeypatch):
         # a one-shot host that answers Hello with a shape no Predict can carry
         import irshield.client as client_mod
@@ -521,12 +527,12 @@ class TestServing:
             try:
                 with pytest.raises(ProtocolError, match="cannot be sent in one Predict"):
                     client_predict(listener.getsockname()[:2], test_image,
-                                   MODEL_KEY, IMG_KEY, ROOT_KEY)
+                                   MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
             finally:
                 host.join(timeout=10)
             assert not host.is_alive()
 
-    def test_reply_of_another_type_refused(self, test_image):
+    def test_reply_of_another_type_refused(self, measurement, test_image):
         # a one-shot host that answers Hello with a Result frame
         with socket.create_server(("127.0.0.1", 0)) as listener:
             def answer_hello():
@@ -542,22 +548,23 @@ class TestServing:
             try:
                 with pytest.raises(ProtocolError) as info:
                     client_predict(listener.getsockname()[:2], test_image,
-                                   MODEL_KEY, IMG_KEY, ROOT_KEY)
+                                   MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
             finally:
                 host.join(timeout=10)
             assert not host.is_alive()
         assert str(info.value) == "unexpected message type 6 in reply to type 1"
 
-    def test_image_of_another_shape_is_resized_to_the_hello_shape(self, server, plain17,
-                                                                    tmp_path):
+    def test_image_of_another_shape_is_resized_to_the_hello_shape(self, measurement, server,
+                                                                    plain17, tmp_path):
         path = tmp_path / "small.pgm"
         write_netpbm(seed_image((20, 12, 1), 505), path)
         want = top_k(forward(plain17, resize_to_shape(load_image(path), plain17.input_shape)), 3)
-        got = client_predict(server.address, path, MODEL_KEY, IMG_KEY, ROOT_KEY)
+        got = client_predict(server.address, path, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
         assert got == [(LABELS10[i - 1], score) for i, score in want]
 
     @pytest.mark.parametrize("length", [63, 65])
-    def test_evidence_of_another_length_refused_before_keys(self, length, plain17, test_image):
+    def test_evidence_of_another_length_refused_before_keys(self, measurement, length, plain17,
+                                                            test_image):
         # a one-shot host that answers Hello, then AttestRequest with evidence
         # one byte short or long, and records every frame after it
         after_evidence = []
@@ -582,22 +589,24 @@ class TestServing:
             try:
                 with pytest.raises(ProtocolError, match="attestation evidence must be 64 bytes"):
                     client_predict(listener.getsockname()[:2], test_image,
-                                   MODEL_KEY, IMG_KEY, ROOT_KEY)
+                                   MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
             finally:
                 host.join(timeout=10)
             assert not host.is_alive()
         assert after_evidence == []  # no ProvisionKeys, nor any other frame
 
-    def test_wrong_model_key_raises_auth_error(self, server, test_image):
+    def test_wrong_model_key_raises_auth_error(self, measurement, server, test_image):
         # the error frame's code picks the exception type, as on the enclave boundary
         with pytest.raises(AuthError, match="frontnet"):
-            client_predict(server.address, test_image, b"\x5a" * 32, IMG_KEY, ROOT_KEY)
+            client_predict(server.address, test_image, b"\x5a" * 32, IMG_KEY, ROOT_KEY, measurement)
 
-    def test_wrong_root_key_rejected_client_side(self, server, test_image):
+    def test_wrong_root_key_rejected_client_side(self, measurement, server, test_image):
         with pytest.raises(AttestationRejected):
-            client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, b"\x13" * 32)
+            client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, b"\x13" * 32,
+                           measurement)
 
-    def test_result_tamper_reported_distinctly(self, server, plain17, monkeypatch, tmp_path):
+    def test_result_tamper_reported_distinctly(self, measurement, server, plain17, monkeypatch,
+                                               tmp_path):
         import irshield.client as client_mod
 
         real_container = client_mod.SealedContainer
@@ -614,9 +623,10 @@ class TestServing:
         x_path = tmp_path / "result_tamper.ppm"
         write_netpbm(seed_image(plain17.input_shape, 516), x_path)
         with pytest.raises(ResultAuthError):
-            client_predict(server.address, x_path, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            client_predict(server.address, x_path, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
 
-    def test_image_echoed_as_result_reported_distinctly(self, artifact_dir, test_image):
+    def test_image_echoed_as_result_reported_distinctly(self, measurement, artifact_dir,
+                                                        test_image):
         # a host that answers Predict with the client's own sealed image
         class EchoServer(Server):
             def _answer(self, session, msg_type, payload):
@@ -627,11 +637,11 @@ class TestServing:
         srv = EchoServer(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY)).start()
         try:
             with pytest.raises(ResultAuthError):
-                client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+                client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
         finally:
             srv.stop()
 
-    def test_concurrent_clients_with_distinct_keys(self, server, plain17, tmp_path):
+    def test_concurrent_clients_with_distinct_keys(self, measurement, server, plain17, tmp_path):
         n_clients = 8
         paths = []
         for i in range(n_clients):
@@ -645,7 +655,7 @@ class TestServing:
         def run(i):
             try:
                 results[i] = client_predict(
-                    server.address, paths[i], MODEL_KEY, keys[i], ROOT_KEY
+                    server.address, paths[i], MODEL_KEY, keys[i], ROOT_KEY, measurement
                 )
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append((i, exc))
@@ -679,9 +689,9 @@ class TestServing:
         with pytest.raises(AuthError):
             open_container(containers["b"], key_a)
 
-    def test_host_blindness_tap_audit(self, server, plain17, test_image):
+    def test_host_blindness_tap_audit(self, measurement, server, plain17, test_image):
         client_predict(
-            server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY,
+            server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement,
         )
         host_visible = b"".join(server.tap)
         image = load_image(test_image)
@@ -694,7 +704,8 @@ class TestServing:
         for key in (MODEL_KEY, IMG_KEY):
             assert key not in host_visible
 
-    def test_interrupted_session_raises_cleanly(self, artifact_dir, plain17, test_image):
+    def test_interrupted_session_raises_cleanly(self, measurement, artifact_dir, plain17,
+                                                test_image):
         dep = deploy(artifact_dir, k=3, root_key=ROOT_KEY)
         srv = Server(("127.0.0.1", 0), dep).start()
         driver = WireDriver(srv.address)
@@ -710,12 +721,13 @@ class TestServing:
         # a fresh server and client still work: client state is reusable
         srv2 = Server(("127.0.0.1", 0), dep).start()
         try:
-            got = client_predict(srv2.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            got = client_predict(srv2.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY,
+                                 measurement)
             assert got == expected_topk(plain17, test_image, 3)
         finally:
             srv2.stop()
 
-    def test_fuzzed_frames_never_crash(self, server, plain17, test_image):
+    def test_fuzzed_frames_never_crash(self, measurement, server, plain17, test_image):
         rng = np.random.default_rng(12)
         for _ in range(2000):
             blob = rng.bytes(int(rng.integers(0, 64)))
@@ -729,7 +741,7 @@ class TestServing:
                         pass
                 except OSError:
                     pass  # a reset from the server is a legal fuzz outcome
-        got = client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+        got = client_predict(server.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
         assert got == expected_topk(plain17, test_image, 3)
 
 
@@ -754,9 +766,9 @@ class TestConnectionLog:
         finally:
             srv.stop()
 
-    def test_predict_then_hang_up_logs_closed(self, artifact_dir, test_image, caplog):
+    def test_predict_then_hang_up_logs_closed(self, measurement, artifact_dir, test_image, caplog):
         lines = self.connection_lines(artifact_dir, caplog, lambda address: client_predict(
-            address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY))
+            address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement))
         assert len(lines) == 1 and lines[0].endswith(" closed"), lines
         assert not [line for line in caplog.messages if "dropped" in line]
 
@@ -775,7 +787,7 @@ class TestConnectionLog:
     def test_half_a_frame_then_hang_up_logs_dropped(self, artifact_dir, caplog):
         def half_frame(address):
             with socket.create_connection(address, timeout=10) as sock:
-                sock.sendall(protocol.pack_frame(protocol.MSG_HELLO, protocol.CLIENT_HELLO)[:5])
+                sock.sendall(protocol.encode_frame(protocol.MSG_HELLO, protocol.CLIENT_HELLO)[:5])
 
         lines = self.connection_lines(artifact_dir, caplog, half_frame)
         assert len(lines) == 1, lines
@@ -797,13 +809,14 @@ class TestLifecycle:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(srv.address, timeout=1).close()
 
-    def test_run_forever_serves_on_the_calling_thread_until_stopped(self, artifact_dir, plain17,
+    def test_run_forever_serves_on_the_calling_thread_until_stopped(self, measurement,
+                                                                    artifact_dir, plain17,
                                                                     test_image):
         srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY))
         runner = threading.Thread(target=srv.run_forever)
         runner.start()
         try:
-            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
             assert got == expected_topk(plain17, test_image, 3)
         finally:
             srv.stop()
@@ -827,7 +840,7 @@ class TestLifecycle:
         timer = threading.Timer(0.5, release.set)
         try:
             with socket.create_connection(srv.address, timeout=10) as sock:
-                sock.sendall(protocol.pack_frame(protocol.MSG_HELLO, protocol.CLIENT_HELLO))
+                sock.sendall(protocol.encode_frame(protocol.MSG_HELLO, protocol.CLIENT_HELLO))
                 assert held.wait(10)
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             time.sleep(0.1)  # the reset reaches the server's socket
@@ -840,7 +853,7 @@ class TestLifecycle:
         assert [line for line in caplog.messages if " dropped: " in line]
 
     def test_unexpected_exception_is_logged_as_failed_and_the_daemon_serves_on(
-            self, artifact_dir, plain17, test_image, caplog, monkeypatch):
+            self, measurement, artifact_dir, plain17, test_image, caplog, monkeypatch):
         import irshield.server as server_mod
 
         caplog.set_level(logging.INFO, logger="irshield.server")
@@ -856,8 +869,8 @@ class TestLifecycle:
         try:
             # the connection closes without a reply to the Predict
             with pytest.raises(ConnectionError):
-                client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
-            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+                client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
+            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
             assert got == expected_topk(plain17, test_image, 3)
         finally:
             srv.stop()
@@ -880,14 +893,14 @@ class TestLifecycle:
         def __getattr__(self, name):
             return getattr(self._sock, name)
 
-    def test_accept_out_of_descriptors_is_logged_and_retried(self, artifact_dir, plain17,
-                                                             test_image, caplog):
+    def test_accept_out_of_descriptors_is_logged_and_retried(self, measurement, artifact_dir,
+                                                             plain17, test_image, caplog):
         caplog.set_level(logging.INFO, logger="irshield.server")
         srv = Server(("127.0.0.1", 0), deploy(artifact_dir, k=3, root_key=ROOT_KEY))
         srv._sock = self.ListenerFailingOnce(srv._sock, OSError(errno.EMFILE, "Too many open files"))
         srv.start()
         try:
-            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY)
+            got = client_predict(srv.address, test_image, MODEL_KEY, IMG_KEY, ROOT_KEY, measurement)
             assert got == expected_topk(plain17, test_image, 3)
         finally:
             srv.stop()
